@@ -16,7 +16,7 @@ from .netproto import (Ack, ChannelConfig, FrameUpload, ProtocolError, Simulated
                        wifi_config, zero_cost_config)
 from .runtime import EdgeNode, Mode, ScenarioConfig
 from .scenegen import (FrameEvent, SceneScript, SceneStream, fixed_cam_default,
-                       generate_stream, moving_cam_default, write_ppm)
+                       moving_cam_default, write_ppm)
 from .selector import (KalmanState, KeyFrameSelector, SelectorConfig, kalman_update,
                        scene_change_statistic)
 from .tensor import AdamState, Tensor, adam_step, f16_decode, f16_encode, l2_sq_distance

@@ -12,6 +12,7 @@ can serve as evaluation ground truth.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -606,11 +607,13 @@ def decode_weights(data: bytes) -> DecoderWeights:
     while offset < len(data):
         rank = data[offset]
         offset += 1
+        if rank == 0:  # a Tensor has rank >= 1, so this could not re-encode as sent
+            raise ValueError("rank-0 weight block")
         if offset + 4 * rank > len(data):
             raise ValueError("truncated block dims")
         dims = struct.unpack_from(f"<{rank}I", data, offset)
         offset += 4 * rank
-        n = int(np.prod(dims, dtype=np.int64))
+        n = math.prod(dims)
         width = 2 if precision is Precision.HALF else 4
         if offset + width * n > len(data):
             raise ValueError("truncated block payload")

@@ -15,7 +15,8 @@ from enum import IntEnum
 
 import numpy as np
 
-from .models import DecoderWeights, Precision, decode_weights, encode_weights
+from .models import (_PRECISION_TAG, _TAG_PRECISION, DecoderWeights, Precision,
+                     decode_weights, encode_weights)
 from .tensor import Tensor, f16_decode, f16_encode
 
 MAGIC = b"EKTP"
@@ -59,7 +60,10 @@ class WeightUpdate:
 
     def __post_init__(self):
         # the loss travels as f32; round up front so codec round-trips compare equal
-        object.__setattr__(self, "loss", float(np.float32(self.loss)))
+        loss = float(np.float32(self.loss))
+        if not math.isfinite(loss):
+            raise ValueError(f"loss {self.loss!r} is not a finite f32")
+        object.__setattr__(self, "loss", loss)
 
 
 @dataclass(frozen=True)
@@ -81,7 +85,7 @@ def frame_upload_from_tensor(frame_id: int, frame: Tensor,
 def tensor_from_frame_upload(m: FrameUpload) -> Tensor:
     if m.precision is Precision.HALF:
         return f16_decode(m.payload, m.shape)
-    n = int(np.prod(m.shape, dtype=np.int64))
+    n = math.prod(m.shape)
     if len(m.payload) != 4 * n:
         raise ProtocolError("bad_body", "payload length inconsistent with shape")
     return Tensor(np.frombuffer(m.payload, dtype="<f4").reshape(m.shape))
@@ -89,8 +93,7 @@ def tensor_from_frame_upload(m: FrameUpload) -> Tensor:
 
 def encode_message(m: Message) -> bytes:
     if isinstance(m, FrameUpload):
-        tag = 0 if m.precision is Precision.FULL else 1
-        body = struct.pack("<QBB", m.frame_id, tag, len(m.shape))
+        body = struct.pack("<QBB", m.frame_id, _PRECISION_TAG[m.precision], len(m.shape))
         body += struct.pack(f"<{len(m.shape)}I", *m.shape)
         body += m.payload
         mtype = TYPE_FRAME_UPLOAD
@@ -120,8 +123,10 @@ def decode_message(data: bytes) -> Message:
             frame_id, tag, rank = struct.unpack_from("<QBB", body, 0)
             shape = struct.unpack_from(f"<{rank}I", body, 10)
             payload = body[10 + 4 * rank:]
-            precision = Precision.FULL if tag == 0 else Precision.HALF
-            n = int(np.prod(shape, dtype=np.int64))
+            if tag not in _TAG_PRECISION:
+                raise ProtocolError("bad_body", f"unknown precision tag {tag}")
+            precision = _TAG_PRECISION[tag]
+            n = math.prod(shape)
             width = 4 if precision is Precision.FULL else 2
             if len(payload) != width * n:
                 raise ProtocolError("bad_body", "payload inconsistent with shape")
@@ -130,6 +135,8 @@ def decode_message(data: bytes) -> Message:
             frame_id, loss = struct.unpack_from("<Qf", body, 0)
             return WeightUpdate(frame_id, decode_weights(body[12:]), float(loss))
         if mtype == TYPE_ACK:
+            if len(body) != 9:
+                raise ProtocolError("bad_body", f"ack body is {len(body)} bytes, not 9")
             frame_id, status = struct.unpack_from("<QB", body, 0)
             return Ack(frame_id, AckStatus(status))
     except ProtocolError:

@@ -25,7 +25,6 @@ class Mode(str, Enum):
     DEEP_ONLY = "deep_only"
     LOCAL = "local"
     NETWORK = "network"
-    HYBRID = "hybrid"  # experimental: picks local/network per job
 
 
 class ConfigError(ValueError):
@@ -42,15 +41,7 @@ class ScenarioConfig:
     adapt_steps: int = 20
     adapt_lr: float = 0.05
     edge_speed: float = 12.0  # edge compute speedup over the user device
-    # feed the selector the per-element mean loss so loss deltas live on the
-    # scale sigma was chosen for
-    normalize_selector_loss: bool = True
-    obj_threshold: float = 0.5
-    nms_iou: float = 0.45
     seed: int = 0
-    # the deployed base detector is one fixed artifact; the run seed only
-    # drives runtime randomness (selector draws, channel jitter)
-    model_seed: int = 7
     model: ModelConfig | None = None
 
     def __post_init__(self):
@@ -58,7 +49,7 @@ class ScenarioConfig:
             self.mode = Mode(self.mode)
         if isinstance(self.precision, str) and not isinstance(self.precision, Precision):
             self.precision = Precision(self.precision)
-        if self.mode in (Mode.NETWORK, Mode.HYBRID) and self.channel is None:
+        if self.mode is Mode.NETWORK and self.channel is None:
             raise ConfigError(f"mode {self.mode.value} requires a channel")
         if self.adapt_steps < 1:
             raise ConfigError("adapt_steps must be >= 1")
@@ -67,7 +58,7 @@ class ScenarioConfig:
 
     @property
     def trains(self) -> bool:
-        return self.mode in (Mode.LOCAL, Mode.NETWORK, Mode.HYBRID)
+        return self.mode in (Mode.LOCAL, Mode.NETWORK)
 
 
 @dataclass
@@ -75,7 +66,6 @@ class TrainJob:
     frame_id: int
     kind: str  # "local" | "network"
     dispatched_at: float
-    compute_window: tuple[float, float] | None = None  # local-compute occupancy
 
 
 class EdgeNode:
@@ -84,7 +74,8 @@ class EdgeNode:
     Serves FrameUpload messages by retraining the clone against the oracle
     output for the uploaded frame and answering with the new weights plus
     the loss the stale clone scored on that frame (the selector's feedback
-    signal). Malformed requests get an error Ack.
+    signal). A request that is malformed, or whose adaptation or reply
+    encoding fails, gets an error Ack.
     """
 
     def __init__(self, oracle: OracleModel, clone: StudentModel, truth_provider,
@@ -115,14 +106,13 @@ class EdgeNode:
             pre_loss = distill_loss(self.clone.forward(frame), oracle_out)
             weights, _ = adapt_decoder(self.clone, frame, oracle_out,
                                        steps=self.adapt_steps, lr=self.adapt_lr)
-        except ValueError:
+            # the reply travels at the request's precision; binary16 overflow
+            # raises OverflowError, and the clone only advances once the
+            # reply is encoded
+            sent = replace(weights, precision=m.precision)
+            reply = encode_message(WeightUpdate(frame_id=m.frame_id, weights=sent,
+                                                loss=pre_loss))
+        except (ValueError, OverflowError):
             return encode_message(Ack(frame_id=m.frame_id, status=AckStatus.ERROR))
         self.clone = swap_decoder(self.clone, weights)
-        if m.precision is not Precision.FULL:
-            weights = replace(weights, precision=Precision.HALF)
-        reply = WeightUpdate(frame_id=m.frame_id, weights=weights, loss=pre_loss)
-        return encode_message(reply)
-
-    def train_mac_count(self) -> int:
-        return (self.oracle.mac_count() + self.clone.train_overhead_mac_count()
-                + self.adapt_steps * self.clone.train_step_mac_count())
+        return reply

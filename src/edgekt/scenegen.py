@@ -361,11 +361,6 @@ class SceneStream:
                              frame=self.frame_at(i), truth=self.truth_at(i))
 
 
-def generate_stream(script: SceneScript) -> list[FrameEvent]:
-    """Materialize the full event list (see SceneStream for lazy access)."""
-    return list(SceneStream(script).events())
-
-
 def write_ppm(frame: Tensor, path: str) -> None:
     """Dump a frame as binary PPM for eyeballing."""
     h, w, _ = frame.shape

@@ -33,6 +33,7 @@ def test_env_log_level_accepted(tmp_path, run_cli):
                    EDGEKT_LOG="INFO")
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+    assert "INFO edgekt.harness: running scenario shallow" in proc.stderr
 
 
 def test_env_log_value_that_is_not_a_level_falls_back(tmp_path, run_cli):
@@ -44,6 +45,7 @@ def test_env_log_value_that_is_not_a_level_falls_back(tmp_path, run_cli):
                    EDGEKT_LOG="BASIC_FORMAT")
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+    assert "running scenario" not in proc.stderr
 
 
 def test_compare_writes_table(tmp_path, run_cli):

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from edgekt.harness import (ACTIVITIES, CostModel, EnergyLedger, compare,
-                            emit_report, energy_charge, parse_report, resolve_stream,
+                            emit_report, parse_report, resolve_stream,
                             run_named_scenario, scenario_config)
 from edgekt.runtime import ConfigError
 from edgekt.scenegen import fixed_cam_default
@@ -27,7 +27,7 @@ def test_ledger_zero_duration_keeps_total():
 
 def test_ledger_product():
     ledger = EnergyLedger()
-    energy_charge(ledger, "Inference", 0.1)  # 0.1 s at 4 W
+    ledger.charge("Inference", 0.1)  # 0.1 s at 4 W
     assert ledger.total_joules == pytest.approx(0.4)
 
 

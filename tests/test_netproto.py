@@ -1,5 +1,10 @@
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgekt.models import DecoderWeights, Precision
 from edgekt.netproto import (Ack, AckStatus, ChannelConfig, LognormalJitter,
@@ -93,6 +98,89 @@ def test_half_size_is_half_payload_plus_constant_header():
         # framing + id + precision + rank + dims = 31 bytes for rank-3 shapes
         assert 2 * half - full == 31
         assert half == full / 2 + 15.5
+
+
+# -- canonical decoding ------------------------------------------------------------
+
+def _valid_encodings():
+    rng = np.random.Generator(np.random.PCG64(36))
+    frame = Tensor(rng.uniform(0, 1, (2, 2, 3)).astype(np.float32))
+    out = [encode_message(Ack(7, status)) for status in AckStatus]
+    for precision in Precision:
+        out.append(encode_message(frame_upload_from_tensor(3, frame, precision)))
+        blocks = tuple(Tensor(rng.uniform(-1, 1, s).astype(np.float32)) for s in ((2, 3), (3,)))
+        out.append(encode_message(WeightUpdate(5, DecoderWeights(2, blocks, precision), 1.25)))
+    return out
+
+
+_VALID = _valid_encodings()
+
+
+@st.composite
+def _mutated_encodings(draw):
+    """A valid encoding with bytes overwritten, then truncated or extended; the
+    header length is usually patched to match so the body parsers see it."""
+    data = bytearray(draw(st.sampled_from(_VALID)))
+    for _ in range(draw(st.integers(0, 3))):
+        data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+    data = data[:draw(st.integers(0, len(data)))] + draw(st.binary(max_size=12))
+    if len(data) >= 9 and draw(st.booleans()):
+        data[5:9] = struct.pack("<I", len(data) - 9)
+    return bytes(data)
+
+
+def _decode_or_protocol_error(data):
+    try:
+        return decode_message(data)
+    except ProtocolError:
+        return None
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.one_of(st.binary(max_size=64), _mutated_encodings()))
+def test_decode_any_bytes_gives_message_or_protocol_error(data):
+    _decode_or_protocol_error(data)
+
+
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+@given(_mutated_encodings())
+def test_accepted_bytes_reencode_to_themselves(data):
+    m = _decode_or_protocol_error(data)
+    if m is not None:
+        assert encode_message(m) == data
+
+
+def _frame_upload_with(tag=0, dims=(1,), payload=b"\0" * 4):
+    body = struct.pack(f"<QBB{len(dims)}I", 1, tag, len(dims), *dims) + payload
+    return struct.pack("<4sBI", b"EKTP", 1, len(body)) + body
+
+
+def _weight_update_with(loss=1.0, dims=(2,), payload=b"\0" * 8):
+    weights = struct.pack(f"<QBB{len(dims)}I", 1, 0, len(dims), *dims) + payload
+    body = struct.pack("<Qf", 1, loss) + weights
+    return struct.pack("<4sBI", b"EKTP", 2, len(body)) + body
+
+
+@pytest.mark.parametrize("data", [
+    _frame_upload_with(tag=7, payload=b"\0" * 2),  # a valid payload for tag 1
+    struct.pack("<4sBIQBc", b"EKTP", 3, 10, 1, 0, b"x"),
+    _weight_update_with(dims=(), payload=b"\0" * 4),
+    _weight_update_with(loss=math.nan),
+    _weight_update_with(loss=math.inf),
+    # 65536**4 wraps to 0 in int64, which an empty payload would match
+    _frame_upload_with(dims=(65536,) * 4, payload=b""),
+], ids=["unknown_tag", "ack_trailing_bytes", "rank0_block", "nan_loss", "inf_loss",
+        "int64_wrapping_shape"])
+def test_non_canonical_inputs_rejected(data):
+    with pytest.raises(ProtocolError) as err:
+        decode_message(data)
+    assert err.value.code == "bad_body"
+
+
+@pytest.mark.parametrize("data", [_frame_upload_with(), _weight_update_with()])
+def test_hand_built_inputs_valid_by_default(data):
+    # the rejections above come from the one field each case changes
+    assert encode_message(decode_message(data)) == data
 
 
 # -- channel -------------------------------------------------------------------

@@ -7,8 +7,8 @@ import pytest
 from edgekt.detection import decode_boxes, iou, nms
 from edgekt.models import ModelConfig, OracleModel
 from edgekt.scenegen import (ObjectSpec, SceneScript, SceneStream, Shift, fixed_cam_default,
-                             generate_stream, moving_cam_default, pretrain_script,
-                             render_frame, truth_boxes, write_ppm)
+                             moving_cam_default, pretrain_script, render_frame,
+                             truth_boxes, write_ppm)
 from edgekt.selector import scene_change_statistic
 
 
@@ -36,8 +36,8 @@ def test_static_scene_frames_identical():
 
 
 def test_generation_deterministic():
-    a = generate_stream(_static_script(noise_level=0.02))
-    b = generate_stream(_static_script(noise_level=0.02))
+    a = list(SceneStream(_static_script(noise_level=0.02)).events())
+    b = list(SceneStream(_static_script(noise_level=0.02)).events())
     assert all(x.frame == y.frame and x.truth == y.truth for x, y in zip(a, b))
 
 
@@ -138,7 +138,7 @@ def test_oracle_closure_on_presets():
 
 
 def test_arrival_times_follow_fps():
-    events = generate_stream(_static_script(duration_frames=5, fps=4.0))
+    events = list(SceneStream(_static_script(duration_frames=5, fps=4.0)).events())
     assert [e.arrival_time for e in events] == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
     assert [e.frame_id for e in events] == [0, 1, 2, 3, 4]
 
