@@ -8,7 +8,6 @@ import os
 import sys
 
 from .harness import SCENARIO_NAMES, compare, emit_report, resolve_stream, run_named_scenario
-from .runtime import ConfigError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -55,10 +54,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             script = resolve_stream(args.stream)
             compare(script, seed=args.seed, out_path=args.out)
-    except ConfigError as exc:
-        print(f"edgekt: config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"edgekt: config error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -180,7 +180,11 @@ def run_scenario(config: ScenarioConfig, script: SceneScript,
     only feeds the oracle encoder. Deterministic given the config seeds.
     """
     cost = cost or CostModel()
-    model_cfg = config.model or ModelConfig(input_hw=script.size)
+    try:
+        model_cfg = config.model or ModelConfig(input_hw=script.size)
+    except ValueError as exc:
+        raise ConfigError(f"stream size {script.size} does not fit the student model: "
+                          f"{exc}") from exc
     if model_cfg.input_hw != script.size:
         raise ConfigError("model input size does not match the stream size")
     student = StudentModel.pretrained(model_cfg, seed=MODEL_SEED)
@@ -234,7 +238,7 @@ def run_scenario(config: ScenarioConfig, script: SceneScript,
 
     def dispatch_local(frame_id: int, frame, now: float):
         nonlocal in_flight, local_window, seq
-        job = TrainJob(frame_id, "local", now)
+        job = TrainJob(frame_id, now)
         local_window = (now, now + oracle_s + train_s)
         in_flight = job
         heapq.heappush(events, (now + oracle_s + train_s, seq, _LOCAL_DONE, (job, frame)))
@@ -246,7 +250,7 @@ def run_scenario(config: ScenarioConfig, script: SceneScript,
         res = up.transmit(upload, now)
         ledger.charge("Transmit", res.serialize_s)
         radio_accum_s += res.serialize_s
-        job = TrainJob(frame_id, "network", now)
+        job = TrainJob(frame_id, now)
         in_flight = job
         heapq.heappush(events, (res.delivery_time, seq, _EDGE_RECV,
                                 (encode_message(upload), job)))

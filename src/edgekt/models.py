@@ -15,6 +15,7 @@ import hashlib
 import math
 import struct
 import zlib
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -33,6 +34,11 @@ class Precision(str, Enum):
 _PRECISION_TAG = {Precision.FULL: 0, Precision.HALF: 1}
 _TAG_PRECISION = {v: k for k, v in _PRECISION_TAG.items()}
 
+# base-training ridge fit: L2 penalty on the head weights, and the weight of
+# object-cell rows against background rows
+_RIDGE_LAMBDA = 1.0
+_POS_WEIGHT = 20.0
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -47,12 +53,11 @@ class ModelConfig:
     def __post_init__(self):
         if len(self.grids) != 3:
             raise ValueError("exactly three output scales are required")
-        if self.input_hw % 4 != 0:
-            raise ValueError("input size must be divisible by 4")
-        fg = self.input_hw // 4
-        for g in self.grids:
-            if fg % g != 0:
-                raise ValueError(f"feature grid {fg} not divisible by scale grid {g}")
+        # the size/4 feature grid must pool evenly onto every output grid
+        multiple = 4 * math.lcm(*self.grids)
+        if self.input_hw % multiple != 0:
+            raise ValueError(f"input size must be a multiple of {multiple} "
+                             f"(4 times the lcm of the output grids {self.grids})")
 
     @property
     def channels(self) -> int:
@@ -162,35 +167,26 @@ class StudentModel:
         return [4 * cfg.feat2] + [cfg.feat2] * (len(cfg.grids) - 1)
 
     @classmethod
-    def pretrained(cls, config: ModelConfig | None = None, seed: int = 7,
-                   ridge_lambda: float = 1.0, pos_weight: float = 20.0,
-                   samples=None) -> "StudentModel":
+    def pretrained(cls, config: ModelConfig | None = None, seed: int = 7) -> "StudentModel":
         """Student whose general decoder was fit by ridge regression against
-        oracle targets on a generic scene, standing in for base training.
+        oracle targets on the built-in generic pretraining stream, standing
+        in for base training.
 
         Object cells are rare, so their rows are up-weighted by
-        ``pos_weight``; the resulting base detector is recall-leaning and
+        ``_POS_WEIGHT``; the resulting base detector is recall-leaning and
         blurry -- the intended starting point for online adaptation.
-        ``samples`` is an iterable of (frame, truth-box list); when omitted a
-        built-in generic pretraining stream is used.
         """
+        from .scenegen import SceneStream, pretrain_script
         model = cls.seeded(config, seed)
         cfg = model.config
-        if samples is None:
-            from .scenegen import SceneStream, pretrain_script
-            stream = SceneStream(pretrain_script(size=cfg.input_hw))
-            samples = [(ev.frame, ev.truth) for ev in stream.events()]
-        else:
-            samples = list(samples)
         teacher = OracleModel(cfg, seed=seed, noise_amp=0.0)
 
         per_scale_x: list[list[np.ndarray]] = [[] for _ in cfg.grids]
         per_scale_a: list[list[np.ndarray]] = [[] for _ in cfg.grids]
         per_scale_y: list[list[np.ndarray]] = [[] for _ in cfg.grids]
-        for frame, truth in samples:
-            phis = model.scale_features(frame)
-            fine = model.adaptive_inputs(frame)
-            targets = teacher.forward(frame, truth).scales
+        for ev in SceneStream(pretrain_script(size=cfg.input_hw)).events():
+            phis, fine = model.head_inputs(ev.frame)
+            targets = teacher.forward(ev.frame, ev.truth).scales
             for i in range(3):
                 per_scale_x[i].append(phis[i])
                 per_scale_a[i].append(fine[i])
@@ -213,9 +209,9 @@ class StudentModel:
         for i in range(3):
             x = np.concatenate(per_scale_x[i]).astype(np.float64)
             y = np.concatenate(per_scale_y[i]).astype(np.float64)
-            row_w = np.where(y[:, CH_OBJ] > 0.0, pos_weight, 1.0)
+            row_w = np.where(y[:, CH_OBJ] > 0.0, _POS_WEIGHT, 1.0)
             xa = np.concatenate([x, np.ones((x.shape[0], 1))], axis=1)
-            reg = ridge_lambda * np.eye(xa.shape[1])
+            reg = _RIDGE_LAMBDA * np.eye(xa.shape[1])
             reg[-1, -1] = 0.0  # bias unregularized
             w_aug = np.linalg.solve(xa.T @ (xa * row_w[:, None]) + reg,
                                     xa.T @ (y * row_w[:, None]))
@@ -239,38 +235,30 @@ class StudentModel:
         h = np.tanh(h @ ex["mix2"].array + ex["b2"].array)
         return h
 
-    def scale_features(self, frame: Tensor) -> list[np.ndarray]:
-        """Per-scale cell features (region average), flattened to (G*G, feat2)."""
-        feats = self.features(frame)
-        cfg = self.config
-        out = []
-        for g in cfg.grids:
-            pooled = _avg_pool(feats, cfg.feature_grid // g)
-            out.append(pooled.reshape(g * g, cfg.feat2))
-        return out
+    def head_inputs(self, frame: Tensor) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per-scale inputs of the general and adaptive heads, from one
+        feature extraction.
 
-    def adaptive_inputs(self, frame: Tensor,
-                        feats: np.ndarray | None = None) -> list[np.ndarray]:
-        """Whitened per-scale inputs of the adaptive heads.
-
-        The finest scale gets the extra small-object view: the cell's four
+        ``phis`` are the cell features (region average), flattened to
+        (G*G, feat2). ``ada_x`` are the whitened adaptive head inputs: the
+        finest scale gets the extra small-object view, the cell's four
         quadrant feature averages (4*feat2 wide) instead of one blurred cell
         average; coarser scales reuse the pooled features.
         """
+        feats = self.features(frame)
         cfg = self.config
-        if feats is None:
-            feats = self.features(frame)
-        out = []
+        phis, ada_x = [], []
         for i, g in enumerate(cfg.grids):
             k = cfg.feature_grid // g
+            phis.append(_avg_pool(feats, k).reshape(g * g, cfg.feat2))
             if i == 0:
                 x = _quadrant_pool(feats, k).reshape(g * g, 4 * cfg.feat2)
             else:
-                x = _avg_pool(feats, k).reshape(g * g, cfg.feat2)
+                x = phis[i]
             mu = self._extractor[f"mu{i}"].array
             white = self._extractor[f"white{i}"].array
-            out.append((x - mu) @ white)
-        return out
+            ada_x.append((x - mu) @ white)
+        return phis, ada_x
 
     def adaptive_by_scale(self, blocks: tuple | None = None) -> list[tuple]:
         blocks = self._adaptive if blocks is None else blocks
@@ -281,12 +269,8 @@ class StudentModel:
         return out
 
     def forward(self, frame: Tensor) -> DetectionTensorSet:
-        feats = self.features(frame)
-        phis = []
         cfg = self.config
-        for g in cfg.grids:
-            phis.append(_avg_pool(feats, cfg.feature_grid // g).reshape(g * g, cfg.feat2))
-        ada_x = self.adaptive_inputs(frame, feats)
+        phis, ada_x = self.head_inputs(frame)
         outs = _head_forward(phis, ada_x, self._general, self.adaptive_by_scale())
         scales = tuple(
             Tensor(outs[i].reshape(g, g, cfg.channels).astype(np.float32))
@@ -378,8 +362,8 @@ def _head_forward(phis: list[np.ndarray], ada_x: list[np.ndarray],
     outs = []
     for i, phi in enumerate(phis):
         wg, bg = general[i]
-        w, b = (v.array if isinstance(v, Tensor) else v for v in adaptive_scales[i])
-        outs.append(phi @ wg.array + bg.array + ada_x[i] @ w + b)
+        w, b = adaptive_scales[i]
+        outs.append(phi @ wg.array + bg.array + ada_x[i] @ w.array + b.array)
     return outs
 
 
@@ -387,23 +371,22 @@ def _head_forward(phis: list[np.ndarray], ada_x: list[np.ndarray],
 # Adaptation
 
 
-def distill_gradients(model: StudentModel, frame: Tensor,
-                      oracle_out: DetectionTensorSet,
-                      blocks: tuple | None = None,
+def distill_gradients(model: StudentModel,
+                      inputs: tuple[list[np.ndarray], list[np.ndarray]],
+                      oracle_out: DetectionTensorSet, blocks: Sequence[np.ndarray],
                       dtype=np.float32):
     """Loss and analytic gradients of the distillation loss with respect to
-    every adaptive block, at the given (or the model's current) blocks.
+    every adaptive block, at the given blocks.
 
-    ``dtype`` may be float64 for high-precision verification.
+    ``inputs`` are the frame's ``model.head_inputs``. ``dtype`` may be
+    float64 for high-precision verification.
     """
     cfg = model.config
-    phis = [p.astype(dtype) for p in model.scale_features(frame)]
-    ada_x = [x.astype(dtype) for x in model.adaptive_inputs(frame)]
+    phis = [p.astype(dtype) for p in inputs[0]]
+    ada_x = [x.astype(dtype) for x in inputs[1]]
     gen = [(w.array.astype(dtype), b.array.astype(dtype)) for w, b in model._general]
     targets = [s.array.reshape(-1, cfg.channels).astype(dtype) for s in oracle_out.scales]
-    raw = model._adaptive if blocks is None else blocks
-    arrs = [b.array.astype(dtype) if isinstance(b, Tensor) else np.asarray(b, dtype=dtype)
-            for b in raw]
+    arrs = [np.asarray(b, dtype=dtype) for b in blocks]
 
     loss = 0.0
     grads: list[np.ndarray] = []
@@ -424,26 +407,28 @@ def adapt_decoder(model: StudentModel, frame: Tensor,
                   lr: float = 1e-3) -> tuple[DecoderWeights, float]:
     """Run Adam on the adaptive decoder against the oracle output.
 
-    Frozen parts are untouched; the model itself is not mutated. Returns the
-    new versioned weights and the loss after the final step (the selector's
-    loss-trend input). A non-finite loss aborts and discards the weights.
+    Frozen parts are untouched; the model itself is not mutated. The frozen
+    features are extracted once per call, and every step reuses the frame's
+    head inputs. Returns the new versioned weights and the loss after the
+    final step (the selector's loss-trend input). A non-finite loss aborts
+    and discards the weights.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    for s, o in zip(model.forward(frame).scales, oracle_out.scales):
-        if s.shape != o.shape:
-            raise ValueError(f"target shape {o.shape} != student shape {s.shape}")
+    cfg = model.config
+    inputs = model.head_inputs(frame)
+    for g, o in zip(cfg.grids, oracle_out.scales):
+        if o.shape != (g, g, cfg.channels):
+            raise ValueError(f"target shape {o.shape} != student shape {(g, g, cfg.channels)}")
 
-    arrs = [b.array.astype(np.float32) for b in model._adaptive]
-    states = [AdamState.for_param(Tensor(a), lr=lr) for a in arrs]
+    arrs = [b.array for b in model._adaptive]
+    states = [AdamState.for_param(a, lr=lr) for a in arrs]
     for _ in range(steps):
-        loss, grads = distill_gradients(model, frame, oracle_out, tuple(arrs))
+        loss, grads = distill_gradients(model, inputs, oracle_out, arrs)
         if not np.isfinite(loss):
             raise ValueError("non-finite distillation loss; weights discarded")
-        for k in range(len(arrs)):
-            arrs[k] = adam_step(Tensor(arrs[k]), Tensor(grads[k].astype(np.float32)),
-                                states[k]).array
-    final_loss, _ = distill_gradients(model, frame, oracle_out, tuple(arrs))
+        arrs = [adam_step(a, g, st) for a, g, st in zip(arrs, grads, states)]
+    final_loss, _ = distill_gradients(model, inputs, oracle_out, arrs)
     if not np.isfinite(final_loss):
         raise ValueError("non-finite distillation loss; weights discarded")
     weights = DecoderWeights(version=model.version + 1,

@@ -64,7 +64,6 @@ class ScenarioConfig:
 @dataclass
 class TrainJob:
     frame_id: int
-    kind: str  # "local" | "network"
     dispatched_at: float
 
 

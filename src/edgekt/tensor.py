@@ -81,8 +81,8 @@ def l2_sq_distance(a: Tensor, b: Tensor) -> float:
 class AdamState:
     """Per-parameter Adam optimizer state (first/second moments plus step count)."""
 
-    m: Tensor
-    v: Tensor
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
     lr: float = 1e-3
     beta1: float = 0.9
@@ -90,37 +90,41 @@ class AdamState:
     eps: float = 1e-8
 
     @classmethod
-    def for_param(cls, param: Tensor, lr: float = 1e-3, beta1: float = 0.9,
+    def for_param(cls, param: np.ndarray, lr: float = 1e-3, beta1: float = 0.9,
                   beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        """Fresh zero-moment state matching a parameter tensor's shape."""
-        return cls(m=Tensor.zeros(param.shape), v=Tensor.zeros(param.shape),
+        """Fresh zero-moment float32 state matching a parameter's shape."""
+        return cls(m=np.zeros(param.shape, np.float32), v=np.zeros(param.shape, np.float32),
                    step=0, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
 
 
-def adam_step(param: Tensor, grad: Tensor, state: AdamState) -> Tensor:
-    """One bias-corrected Adam update; returns new params, mutates ``state``.
+def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> np.ndarray:
+    """One bias-corrected Adam update on float32 arrays; returns new params,
+    mutates ``state``.
 
     The update follows the standard rule: moment estimates are decayed
     averages of the gradient and its square, corrected by 1/(1-beta^t),
-    and the parameter moves by lr * m_hat / (sqrt(v_hat) + eps).
+    and the parameter moves by lr * m_hat / (sqrt(v_hat) + eps). A
+    non-finite gradient, or a moment or parameter that overflows, raises
+    ValueError and leaves ``state`` unchanged.
     """
     if param.shape != grad.shape or param.shape != state.m.shape:
         raise ValueError("param, grad and state moments must share one shape")
-    g = grad.array
-    if not np.all(np.isfinite(g)):
+    if not np.all(np.isfinite(grad)):
         raise ValueError("non-finite gradient")
 
     t = state.step + 1
-    m = state.beta1 * state.m.array + (1.0 - state.beta1) * g
-    v = state.beta2 * state.v.array + (1.0 - state.beta2) * g * g
+    m = state.beta1 * state.m + (1.0 - state.beta1) * grad
+    v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
     m_hat = m / (1.0 - state.beta1 ** t)
     v_hat = v / (1.0 - state.beta2 ** t)
-    new = param.array - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    new = param - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    if not (np.all(np.isfinite(m)) and np.all(np.isfinite(v)) and np.all(np.isfinite(new))):
+        raise ValueError("Adam update overflowed to a non-finite value")
 
-    state.m = Tensor(m)
-    state.v = Tensor(v)
+    state.m = m
+    state.v = v
     state.step = t
-    return Tensor(new)
+    return new
 
 
 def f16_encode(t: Tensor) -> bytes:

@@ -1,5 +1,7 @@
 import json
 
+from edgekt.scenegen import fixed_cam_default
+
 
 def test_run_writes_report(tmp_path, run_cli):
     out = tmp_path / "report.json"
@@ -24,6 +26,17 @@ def test_missing_stream_exits_2(tmp_path, run_cli):
                     "--out", str(tmp_path / "r.json")])
     assert proc.returncode == 2
     assert "config error" in proc.stderr
+
+
+def test_stream_size_the_student_cannot_pool_exits_2(tmp_path, run_cli):
+    # 48 is a valid scene size (a multiple of 4), but the student's 8x8
+    # output grid needs a multiple of 32
+    stream = tmp_path / "s48.json"
+    stream.write_text(json.dumps(fixed_cam_default(size=48, duration=10).to_dict()))
+    proc = run_cli(["run", "--scenario", "shallow", "--stream", str(stream),
+                    "--out", str(tmp_path / "r.json")])
+    assert proc.returncode == 2
+    assert "48" in proc.stderr
 
 
 def test_env_log_level_accepted(tmp_path, run_cli):

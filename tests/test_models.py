@@ -87,7 +87,7 @@ def test_zero_adaptive_decoder_is_noop():
     m = StudentModel.seeded(seed=3)
     zero_frame = Tensor(np.zeros((64, 64, 3), np.float32))
     out = m.forward(zero_frame)
-    phis = m.scale_features(zero_frame)
+    phis, _ = m.head_inputs(zero_frame)
     for i, (wg, bg) in enumerate(m._general):
         general_only = phis[i] @ wg.array + bg.array
         assert np.allclose(out.scales[i].array.reshape(-1, m.config.channels), general_only)
@@ -173,6 +173,20 @@ def test_adapt_rejects_shape_mismatch(student):
         adapt_decoder(student, _frame(), bad, steps=1)
 
 
+def test_adapt_extracts_features_once(student, oracle, monkeypatch):
+    calls = []
+    features = StudentModel.features
+
+    def counted(self, frame):
+        calls.append(frame)
+        return features(self, frame)
+
+    monkeypatch.setattr(StudentModel, "features", counted)
+    frame = _frame(seed=4)
+    adapt_decoder(student, frame, oracle.forward(frame, _truth()), steps=20, lr=0.05)
+    assert len(calls) == 1
+
+
 def test_gradients_match_finite_differences():
     oracle = OracleModel(MINI, seed=3)
     model = StudentModel.seeded(MINI, seed=3)
@@ -180,16 +194,17 @@ def test_gradients_match_finite_differences():
     frame = Tensor(rng.uniform(0, 1, (16, 16, 3)).astype(np.float32))
     target = oracle.forward(frame, [Box(0.4, 0.5, 0.3, 0.3, 1)])
     blocks = tuple(rng.normal(0, 0.2, b.shape) for b in model.adaptive_blocks)
-    _, grads = distill_gradients(model, frame, target, blocks, dtype=np.float64)
+    inputs = model.head_inputs(frame)
+    _, grads = distill_gradients(model, inputs, target, blocks, dtype=np.float64)
     h = 1e-5
     for k, b in enumerate(blocks):
         flat = b.reshape(-1)
         for idx in range(0, flat.size, max(1, flat.size // 9)):
             orig = flat[idx]
             flat[idx] = orig + h
-            lp, _ = distill_gradients(model, frame, target, blocks, dtype=np.float64)
+            lp, _ = distill_gradients(model, inputs, target, blocks, dtype=np.float64)
             flat[idx] = orig - h
-            lm, _ = distill_gradients(model, frame, target, blocks, dtype=np.float64)
+            lm, _ = distill_gradients(model, inputs, target, blocks, dtype=np.float64)
             flat[idx] = orig
             fd = (lp - lm) / (2 * h)
             an = grads[k].reshape(-1)[idx]

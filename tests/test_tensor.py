@@ -56,7 +56,7 @@ def test_l2_shape_mismatch():
 def test_adam_zero_gradient_fixpoint():
     param = Tensor([1.5, -2.0, 0.25])
     state = AdamState.for_param(param)
-    out = adam_step(param, Tensor.zeros((3,)), state)
+    out = Tensor(adam_step(param.array, np.zeros(3, np.float32), state))
     assert out == param
     assert state.step == 1
 
@@ -66,7 +66,7 @@ def test_adam_first_step_hand_calc():
     # update one full lr step (up to eps)
     param = Tensor([1.0])
     state = AdamState.for_param(param, lr=0.1)
-    out = adam_step(param, Tensor([1.0]), state)
+    out = Tensor(adam_step(param.array, np.array([1.0], np.float32), state))
     assert out.data[0] == pytest.approx(0.9, abs=1e-6)
     assert state.step == 1
 
@@ -86,7 +86,8 @@ def test_adam_descends_quadratic():
     param = Tensor([1.0])
     state = AdamState.for_param(param, lr=0.05)
     for _ in range(200):
-        param = adam_step(param, Tensor([2.0 * float(param.data[0])]), state)
+        param = Tensor(adam_step(param.array, np.array([2.0 * float(param.data[0])], np.float32),
+                                 state))
     assert abs(param.data[0]) < 0.1
     assert param.data[0] == pytest.approx(reference(1.0, 0.05, 200), abs=1e-3)
 
@@ -96,7 +97,7 @@ def test_adam_deterministic():
         p = Tensor([0.5, -0.5])
         st = AdamState.for_param(p, lr=0.01)
         for k in range(10):
-            p = adam_step(p, Tensor([0.1 * (k + 1), -0.2]), st)
+            p = Tensor(adam_step(p.array, np.array([0.1 * (k + 1), -0.2], np.float32), st))
         return p.tobytes()
 
     assert run() == run()
@@ -106,7 +107,17 @@ def test_adam_shape_mismatch():
     p = Tensor([1.0, 2.0])
     st = AdamState.for_param(p)
     with pytest.raises(ValueError):
-        adam_step(p, Tensor([1.0]), st)
+        adam_step(p.array, np.array([1.0], np.float32), st)
+
+
+@pytest.mark.parametrize("g", [float("nan"), 1e21])
+def test_adam_non_finite_update_raises(g):
+    # 1e21 is a finite float32, but its square overflows the second moment
+    p = Tensor([1.0])
+    st = AdamState.for_param(p)
+    with np.errstate(over="ignore"), pytest.raises(ValueError):
+        adam_step(p.array, np.array([g], np.float32), st)
+    assert st.step == 0
 
 
 def test_f16_exact_values_round_trip():
