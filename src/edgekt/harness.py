@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import heapq
+import itertools
 import json
 import logging
 from dataclasses import asdict, dataclass, field, replace
@@ -19,8 +20,7 @@ from .detection import MetricsReport, compute_metrics, decode_boxes, nms
 from .models import (ModelConfig, OracleModel, StudentModel, adapt_decoder,
                      distill_loss, swap_decoder)
 from .netproto import (SimulatedChannel, WeightUpdate, decode_message,
-                       encode_message, frame_upload_from_tensor, lan_config,
-                       wifi_config)
+                       frame_upload_from_tensor, lan_config, wifi_config)
 from .runtime import ConfigError, EdgeNode, Mode, ScenarioConfig, TrainJob
 from .scenegen import PRESETS, SceneScript, SceneStream
 from .selector import KeyFrameSelector
@@ -161,7 +161,7 @@ def parse_report(text: str) -> RunReport:
 # ---------------------------------------------------------------------------
 # Scenario runner (the harness owns the virtual clock)
 
-_FRAME, _LOCAL_DONE, _EDGE_RECV, _USER_RECV = 0, 1, 2, 3
+_FRAME, _EDGE_RECV, _JOB_DONE = 0, 1, 2
 
 # detection settings applied to served and oracle outputs alike
 OBJ_THRESHOLD = 0.5
@@ -206,15 +206,18 @@ def run_scenario(config: ScenarioConfig, script: SceneScript,
     n_frames = script.duration_frames
 
     events: list[tuple[float, int, int, object]] = []
-    seq = 0
-    for i in range(n_frames):
-        heapq.heappush(events, (i * period, seq, _FRAME, i))
-        seq += 1
+    seq = itertools.count()  # FIFO tie-break among events at the same time
 
-    # mutable loop state
+    def schedule(time: float, kind: int, payload) -> None:
+        heapq.heappush(events, (time, next(seq), kind, payload))
+
+    for i in range(n_frames):
+        schedule(i * period, _FRAME, i)
+
+    # mutable loop state; at most one training job is in flight
     prev_done = 0.0
     in_flight: TrainJob | None = None
-    local_window: tuple[float, float] | None = None
+    local_end = 0.0  # a local job contends with inference until it ends
     pending_swap_s = 0.0
     radio_accum_s = 0.0
     wall = 0.0
@@ -236,36 +239,33 @@ def run_scenario(config: ScenarioConfig, script: SceneScript,
     train_s = train_macs * cost.op_seconds
     edge_s = (oracle_macs + train_macs) * cost.op_seconds / config.edge_speed
 
-    def dispatch_local(frame_id: int, frame, now: float):
-        nonlocal in_flight, local_window, seq
-        job = TrainJob(frame_id, now)
-        local_window = (now, now + oracle_s + train_s)
-        in_flight = job
-        heapq.heappush(events, (now + oracle_s + train_s, seq, _LOCAL_DONE, (job, frame)))
-        seq += 1
-
-    def dispatch_network(frame_id: int, frame, now: float):
-        nonlocal in_flight, radio_accum_s, seq
-        upload = frame_upload_from_tensor(frame_id, frame, config.precision)
-        res = up.transmit(upload, now)
-        ledger.charge("Transmit", res.serialize_s)
-        radio_accum_s += res.serialize_s
-        job = TrainJob(frame_id, now)
-        in_flight = job
-        heapq.heappush(events, (res.delivery_time, seq, _EDGE_RECV,
-                                (encode_message(upload), job)))
-        seq += 1
+    def dispatch(frame_id: int, frame, serve_out, oracle_out, now: float):
+        """Start the one training job; it ends in a ``_JOB_DONE`` event."""
+        nonlocal in_flight, local_end, radio_accum_s
+        in_flight = TrainJob(frame_id, now)
+        if config.mode is Mode.LOCAL:
+            # serve_out and oracle_out are this frame's; the student cannot
+            # change while its job is in flight, so the job's result is
+            # computed now and takes effect when the job ends
+            ledger.charge("OracleLocal", oracle_s)
+            ledger.charge("TrainLocal", train_s)
+            try:
+                pre_loss = distill_loss(serve_out, oracle_out)
+                weights, _ = adapt_decoder(student, frame, oracle_out,
+                                           steps=config.adapt_steps, lr=config.adapt_lr)
+            except ValueError:
+                weights = pre_loss = None
+            local_end = now + oracle_s + train_s
+            schedule(local_end, _JOB_DONE, (weights, pre_loss, None))
+        else:
+            res = up.transmit(frame_upload_from_tensor(frame_id, frame, config.precision), now)
+            ledger.charge("Transmit", res.serialize_s)
+            radio_accum_s += res.serialize_s
+            schedule(res.delivery_time, _EDGE_RECV, res.data)
 
     # feed the selector the per-element mean loss so loss deltas live on the
     # scale sigma was chosen for
     loss_scale = sum(g * g * model_cfg.channels for g in model_cfg.grids)
-
-    def finish_job(loss: float | None):
-        nonlocal in_flight, local_window
-        if config.kfs_enabled:
-            selector.complete(None if loss is None else loss / loss_scale)
-        in_flight = None
-        local_window = None
 
     while events:
         t, _, kind, payload = heapq.heappop(events)
@@ -292,7 +292,7 @@ def run_scenario(config: ScenarioConfig, script: SceneScript,
             else:
                 serve_out = student.forward(frame)
                 infer_s = student_macs * cost.op_seconds
-                if local_window is not None and local_window[0] <= start < local_window[1]:
+                if start < local_end:
                     infer_s *= 1.0 + cost.train_contention
                 infer_activity = "Inference"
             infer_s += pending_swap_s + cost.radio_contention * radio_accum_s
@@ -327,64 +327,43 @@ def run_scenario(config: ScenarioConfig, script: SceneScript,
                     if in_flight is not None:
                         raise RuntimeError("busy gate violated: overlapping jobs")
                     key_frames.append(i)
-                    if config.mode is Mode.LOCAL:
-                        dispatch_local(i, frame, done)
-                    else:
-                        dispatch_network(i, frame, done)
-
-        elif kind == _LOCAL_DONE:
-            job, frame = payload
-            truth = stream.truth_at(job.frame_id)
-            oracle_out = oracle.forward(frame, truth)
-            ledger.charge("OracleLocal", oracle_s)
-            ledger.charge("TrainLocal", train_s)
-            try:
-                pre_loss = distill_loss(student.forward(frame), oracle_out)
-                weights, _ = adapt_decoder(student, frame, oracle_out,
-                                           steps=config.adapt_steps, lr=config.adapt_lr)
-            except ValueError:
-                logger.warning("local training job failed on frame %d", job.frame_id)
-                finish_job(None)
-                continue
-            new_student = swap_decoder(student, weights)
-            if new_student is not student:
-                student = new_student
-                pending_swap_s += cost.swap_seconds(weights.byte_size())
-                swap_log.append({"frame_id": job.frame_id, "version": student.version,
-                                 "checksum": student.adaptive_checksum()})
-            training_times.append(t - job.dispatched_at)
-            finish_job(pre_loss)
+                    dispatch(i, frame, serve_out, oracle_out, done)
 
         elif kind == _EDGE_RECV:
-            data, job = payload
-            reply_bytes = edge.serve(data)
-            reply = decode_message(reply_bytes)
+            # the edge's reply is decoded once here and sent down as itself
+            reply = decode_message(edge.serve(payload))
             res = down.transmit(reply, t + edge_s)
-            heapq.heappush(events, (res.delivery_time, seq, _USER_RECV,
-                                    (reply_bytes, res.serialize_s, job)))
-            seq += 1
+            if isinstance(reply, WeightUpdate):
+                result = (reply.weights, reply.loss, res.serialize_s)
+            else:
+                result = (None, None, res.serialize_s)
+            schedule(res.delivery_time, _JOB_DONE, result)
 
-        else:  # _USER_RECV
-            data, serialize_s, job = payload
-            ledger.charge("Receive", serialize_s)
-            radio_accum_s += serialize_s
-            m = decode_message(data)
-            if isinstance(m, WeightUpdate):
-                new_student = swap_decoder(student, m.weights)
+        else:  # _JOB_DONE: (weights or None on failure, loss, receive seconds)
+            weights, loss, receive_s = payload
+            job, in_flight = in_flight, None
+            if receive_s is not None:
+                ledger.charge("Receive", receive_s)
+                radio_accum_s += receive_s
+            if weights is None:
+                logger.warning("training job failed on frame %d", job.frame_id)
+            else:
+                new_student = swap_decoder(student, weights)
                 if new_student is student:
                     # stale version: drop and re-sync the clone next round trip
-                    logger.warning("stale weight update v%d dropped", m.weights.version)
+                    logger.warning("stale weight update v%d for frame %d dropped",
+                                   weights.version, job.frame_id)
                     edge.sync_clone(student)
                 else:
                     student = new_student
-                    pending_swap_s += cost.swap_seconds(m.weights.byte_size())
+                    pending_swap_s += cost.swap_seconds(weights.byte_size())
                     swap_log.append({"frame_id": job.frame_id, "version": student.version,
                                      "checksum": student.adaptive_checksum()})
                 training_times.append(t - job.dispatched_at)
-                finish_job(m.loss)
-            else:
-                logger.warning("edge job failed for frame %d", job.frame_id)
-                finish_job(None)
+                logger.debug("job for frame %d done after %r s", job.frame_id,
+                             training_times[-1])
+            if config.kfs_enabled:
+                selector.complete(None if loss is None else loss / loss_scale)
 
     idle_s = max(0.0, wall - ledger.total_active_seconds)
     ledger.charge("Idle", idle_s)

@@ -190,7 +190,11 @@ def zero_cost_config(seed: int = 0) -> ChannelConfig:
 class TransmitResult:
     delivery_time: float
     serialize_s: float
-    size_bytes: int
+    data: bytes  # the wire bytes the channel carried
+
+    @property
+    def size_bytes(self) -> int:
+        return len(self.data)
 
 
 class SimulatedChannel:
@@ -211,5 +215,4 @@ class SimulatedChannel:
         delivery = now + self.config.base_latency_s + jitter + serialize
         delivery = max(delivery, self._last_delivery)  # FIFO per direction
         self._last_delivery = delivery
-        return TransmitResult(delivery_time=delivery, serialize_s=serialize,
-                              size_bytes=len(data))
+        return TransmitResult(delivery_time=delivery, serialize_s=serialize, data=data)

@@ -20,9 +20,6 @@ P_FLOOR = 0.05
 P_DECAY = 0.05
 P_CAP = 1.0
 
-# How many binomial successes out of two trials count as "selected".
-BINOMIAL_MAPPINGS = ("any_success", "all_success", "single_trial")
-
 
 @dataclass(frozen=True)
 class KalmanState:
@@ -66,11 +63,8 @@ class SelectorConfig:
     kalman_r: float = 1e-2
     p_init: float = 1.0  # aggressive at stream start
     seed: int = 0
-    binomial_mapping: str = "any_success"
 
     def __post_init__(self):
-        if self.binomial_mapping not in BINOMIAL_MAPPINGS:
-            raise ValueError(f"unknown binomial mapping {self.binomial_mapping!r}")
         if not P_FLOOR <= self.p_init <= P_CAP:
             raise ValueError("p_init must be in [0.05, 1.0]")
 
@@ -123,20 +117,13 @@ class KeyFrameSelector:
         self.last_loss = new_loss
 
     def sample_binomial_gate(self) -> bool:
-        """Draw two Bernoulli(p) trials; the mapping decides what counts.
+        """Draw two Bernoulli(p) trials; selected when either succeeds.
 
-        Always consumes exactly two draws from the seeded stream so the
-        mapping choice never perturbs downstream randomness.
+        Always consumes exactly two draws from the seeded stream, so the
+        outcome of the first trial never changes how much randomness is used.
         """
-        d1 = self.rng.random()
-        d2 = self.rng.random()
-        successes = (1 if d1 < self.p else 0) + (1 if d2 < self.p else 0)
-        mapping = self.config.binomial_mapping
-        if mapping == "any_success":
-            return successes >= 1
-        if mapping == "all_success":
-            return successes == 2
-        return d1 < self.p  # single_trial
+        d1, d2 = self.rng.random(), self.rng.random()
+        return d1 < self.p or d2 < self.p
 
     def select_key_frame(self, frame: Tensor) -> bool:
         """Full Eq.-1 decision with the no-queuing rule.

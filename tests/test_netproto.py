@@ -189,6 +189,7 @@ def test_transmit_serialization_arithmetic():
     ch = SimulatedChannel(ChannelConfig(bandwidth_bps=100e6, base_latency_s=0.0), 0)
     m = Ack(1, AckStatus.OK)
     res = ch.transmit(m, now=0.0)
+    assert res.data == encode_message(m)
     assert res.size_bytes == 18
     assert res.serialize_s == pytest.approx(18 * 8 / 100e6)
     assert res.delivery_time == pytest.approx(res.serialize_s)

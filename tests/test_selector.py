@@ -167,20 +167,6 @@ def test_binomial_gate_seed_determinism():
            [b.sample_binomial_gate() for _ in range(200)]
 
 
-def test_binomial_mappings():
-    for mapping, expect in (("any_success", 1 - 0.8 ** 2),
-                            ("all_success", 0.2 ** 2),
-                            ("single_trial", 0.2)):
-        sel = KeyFrameSelector(SelectorConfig(p_init=0.2, seed=3, binomial_mapping=mapping))
-        rate = sum(sel.sample_binomial_gate() for _ in range(50_000)) / 50_000
-        assert rate == pytest.approx(expect, abs=0.01)
-
-
-def test_binomial_mapping_validated():
-    with pytest.raises(ValueError):
-        SelectorConfig(binomial_mapping="coin_flip")
-
-
 # -- full selection -------------------------------------------------------------
 
 def test_select_busy_short_circuits():

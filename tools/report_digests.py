@@ -1,0 +1,75 @@
+"""Print the SHA-256 of every CLI output in the report matrix.
+
+The matrix has 50 files, written to a temporary directory:
+
+- ``run`` JSON report and ``--trace-csv`` trace for both presets, all five
+  scenarios and ``--precision full|half``, with ``--kfs on`` (40 files);
+- the same two outputs for ``lt`` and ``nt-lan`` with ``--kfs off`` at full
+  precision on both presets (8 files);
+- the ``compare`` CSV of both presets (2 files).
+
+All runs use seed 0. Each output prints as one ``sha256  name`` line, so two
+versions of the program produce byte-identical reports iff ``diff`` of their
+outputs is empty::
+
+    python3 tools/report_digests.py > new.txt
+    python3 tools/report_digests.py --src ../other-checkout/src > old.txt
+    diff old.txt new.txt
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+PRESETS = ("fixed_cam_default", "moving_cam_default")
+SCENARIOS = ("shallow", "deep", "lt", "nt-lan", "nt-wifi")
+
+
+def matrix():
+    """Yield (output stem, CLI arguments without output paths, is_compare)."""
+    for stream in PRESETS:
+        for scenario in SCENARIOS:
+            for precision in ("full", "half"):
+                yield (f"{stream}-{scenario}-{precision}-kfs_on",
+                       ["run", "--scenario", scenario, "--stream", stream,
+                        "--precision", precision, "--kfs", "on", "--seed", "0"], False)
+        for scenario in ("lt", "nt-lan"):
+            yield (f"{stream}-{scenario}-full-kfs_off",
+                   ["run", "--scenario", scenario, "--stream", stream,
+                    "--precision", "full", "--kfs", "off", "--seed", "0"], False)
+        yield (f"{stream}-compare", ["compare", "--stream", stream, "--seed", "0"], True)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
+                        help="directory to import edgekt from (default: this checkout's src)")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, args.src)
+    from edgekt.cli import main as edgekt_main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        names = []
+        for stem, cli_args, is_compare in matrix():
+            if is_compare:
+                names.append(f"{stem}.csv")
+                cli_args = cli_args + ["--out", str(out / names[-1])]
+            else:
+                names += [f"{stem}.json", f"{stem}.trace.csv"]
+                cli_args = cli_args + ["--out", str(out / names[-2]),
+                                       "--trace-csv", str(out / names[-1])]
+            if edgekt_main(cli_args) != 0:
+                print(f"edgekt {' '.join(cli_args)} failed", file=sys.stderr)
+                return 1
+        for name in names:
+            print(f"{hashlib.sha256((out / name).read_bytes()).hexdigest()}  {name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
