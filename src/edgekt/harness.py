@@ -198,7 +198,7 @@ def run_scenario(config: ScenarioConfig, script: SceneScript,
     if config.channel is not None:
         up = SimulatedChannel(config.channel, direction=0)
         down = SimulatedChannel(config.channel, direction=1)
-    if config.trains:
+    if config.mode is Mode.NETWORK:
         edge = EdgeNode(oracle, student.clone(), stream.truth_at,
                         config.adapt_steps, config.adapt_lr)
 
@@ -251,7 +251,7 @@ def run_scenario(config: ScenarioConfig, script: SceneScript,
             ledger.charge("TrainLocal", train_s)
             try:
                 pre_loss = distill_loss(serve_out, oracle_out)
-                weights, _ = adapt_decoder(student, frame, oracle_out,
+                weights, _ = adapt_decoder(student, student.head_inputs(frame), oracle_out,
                                            steps=config.adapt_steps, lr=config.adapt_lr)
             except ValueError:
                 weights = pre_loss = None
@@ -351,9 +351,11 @@ def run_scenario(config: ScenarioConfig, script: SceneScript,
                 new_student = swap_decoder(student, weights)
                 if new_student is student:
                     # stale version: drop and re-sync the clone next round trip
+                    # (a local job's weights are always one version newer)
                     logger.warning("stale weight update v%d for frame %d dropped",
                                    weights.version, job.frame_id)
-                    edge.sync_clone(student)
+                    if edge is not None:
+                        edge.sync_clone(student)
                 else:
                     student = new_student
                     pending_swap_s += cost.swap_seconds(weights.byte_size())

@@ -18,6 +18,7 @@ import zlib
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,7 +97,9 @@ class DecoderWeights:
             raise ValueError("weight version must be positive")
 
     def byte_size(self) -> int:
-        return len(encode_weights(self))
+        """Length of ``encode_weights(self)``, from the block shapes alone."""
+        width = 2 if self.precision is Precision.HALF else 4
+        return 9 + sum(1 + 4 * len(b.shape) + width * b.size for b in self.blocks)
 
 
 def distill_loss(student_out: DetectionTensorSet, oracle_out: DetectionTensorSet) -> float:
@@ -126,15 +129,12 @@ class StudentModel:
     whitened with statistics frozen at pretraining time.
     """
 
-    # adaptive blocks per scale: (W, b) each; scale 0's W reads the
-    # four-quadrant small-object view
-    _BLOCKS_PER_SCALE = (2, 2, 2)
-
     def __init__(self, config: ModelConfig, extractor: dict, general: list,
                  adaptive: tuple[Tensor, ...], version: int = 1):
         self.config = config
         self._extractor = extractor
         self._general = general
+        # (W, b) per scale; scale 0's W reads the four-quadrant small-object view
         self._adaptive = tuple(adaptive)
         self.version = version
 
@@ -260,23 +260,20 @@ class StudentModel:
             ada_x.append((x - mu) @ white)
         return phis, ada_x
 
-    def adaptive_by_scale(self, blocks: tuple | None = None) -> list[tuple]:
-        blocks = self._adaptive if blocks is None else blocks
-        out, i = [], 0
-        for n in self._BLOCKS_PER_SCALE:
-            out.append(tuple(blocks[i:i + n]))
-            i += n
-        return out
-
     def forward(self, frame: Tensor) -> DetectionTensorSet:
+        return self.outputs(self.head_inputs(frame))
+
+    def outputs(self, inputs: tuple[list[np.ndarray], list[np.ndarray]]) -> DetectionTensorSet:
+        """Detection tensors from a frame's ``head_inputs``: per scale, the
+        general head's output plus the adaptive head's."""
         cfg = self.config
-        phis, ada_x = self.head_inputs(frame)
-        outs = _head_forward(phis, ada_x, self._general, self.adaptive_by_scale())
-        scales = tuple(
-            Tensor(outs[i].reshape(g, g, cfg.channels).astype(np.float32))
-            for i, g in enumerate(cfg.grids)
-        )
-        return DetectionTensorSet(scales=scales, version=self.version)
+        ada = self._adaptive
+        scales = []
+        for g, phi, x, (wg, bg), w, b in zip(cfg.grids, *inputs, self._general,
+                                             ada[0::2], ada[1::2]):
+            out = phi @ wg.array + bg.array + x @ w.array + b.array
+            scales.append(Tensor(out.reshape(g, g, cfg.channels).astype(np.float32)))
+        return DetectionTensorSet(scales=tuple(scales), version=self.version)
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -356,83 +353,96 @@ def _quadrant_pool(feats: np.ndarray, k: int) -> np.ndarray:
     return r.transpose(0, 3, 1, 2, 4).reshape(g, g, 4 * c)
 
 
-def _head_forward(phis: list[np.ndarray], ada_x: list[np.ndarray],
-                  general: list, adaptive_scales: list) -> list[np.ndarray]:
-    """General plus adaptive head outputs per scale, flattened (G*G, C)."""
-    outs = []
-    for i, phi in enumerate(phis):
-        wg, bg = general[i]
-        w, b = adaptive_scales[i]
-        outs.append(phi @ wg.array + bg.array + ada_x[i] @ w.array + b.array)
-    return outs
-
-
 # ---------------------------------------------------------------------------
 # Adaptation
 
 
-def distill_gradients(model: StudentModel,
-                      inputs: tuple[list[np.ndarray], list[np.ndarray]],
-                      oracle_out: DetectionTensorSet, blocks: Sequence[np.ndarray],
-                      dtype=np.float32):
-    """Loss and analytic gradients of the distillation loss with respect to
-    every adaptive block, at the given blocks.
+class DistillInputs(NamedTuple):
+    """Per-scale terms of the distillation loss that do not depend on the
+    adaptive blocks, all in one dtype; built once per adaptation."""
+
+    base: list[np.ndarray]     # general head output phi @ wg + bg, (G*G, C)
+    ada_x: list[np.ndarray]    # adaptive head inputs, (G*G, D)
+    ada_xt: list[np.ndarray]   # their transposes, for the weight gradients
+    targets: list[np.ndarray]  # oracle outputs, (G*G, C)
+
+
+def prepare_distill(model: StudentModel,
+                    inputs: tuple[list[np.ndarray], list[np.ndarray]],
+                    oracle_out: DetectionTensorSet, dtype=np.float32) -> DistillInputs:
+    """Check the oracle output's shapes and precompute, in ``dtype``, what
+    ``distill_gradients`` needs from the frame.
 
     ``inputs`` are the frame's ``model.head_inputs``. ``dtype`` may be
     float64 for high-precision verification.
     """
     cfg = model.config
-    phis = [p.astype(dtype) for p in inputs[0]]
-    ada_x = [x.astype(dtype) for x in inputs[1]]
-    gen = [(w.array.astype(dtype), b.array.astype(dtype)) for w, b in model._general]
-    targets = [s.array.reshape(-1, cfg.channels).astype(dtype) for s in oracle_out.scales]
-    arrs = [np.asarray(b, dtype=dtype) for b in blocks]
+    for g, o in zip(cfg.grids, oracle_out.scales):
+        if o.shape != (g, g, cfg.channels):
+            raise ValueError(f"target shape {o.shape} != student shape {(g, g, cfg.channels)}")
+    phis, ada_x = inputs
+    base, xs = [], []
+    for phi, x, (wg, bg) in zip(phis, ada_x, model._general):
+        base.append(phi.astype(dtype, copy=False) @ wg.array.astype(dtype, copy=False)
+                    + bg.array.astype(dtype, copy=False))
+        xs.append(x.astype(dtype, copy=False))
+    targets = [s.array.reshape(-1, cfg.channels).astype(dtype, copy=False)
+               for s in oracle_out.scales]
+    return DistillInputs(base, xs, [x.T for x in xs], targets)
 
+
+def distill_gradients(prepared: DistillInputs, blocks: Sequence[np.ndarray]):
+    """Loss and analytic gradients of the distillation loss with respect to
+    every adaptive block, at the given blocks: ``(W, b)`` per scale, in the
+    dtype ``prepared`` was built with."""
     loss = 0.0
     grads: list[np.ndarray] = []
-    per_scale = model.adaptive_by_scale(tuple(arrs))
-    for i, phi in enumerate(phis):
-        wg, bg = gen[i]
-        w, b = per_scale[i]
-        out = phi @ wg + bg + ada_x[i] @ w + b
-        resid = 2.0 * (out - targets[i])
-        grads.extend([ada_x[i].T @ resid, resid.sum(axis=0)])
-        diff = out - targets[i]
+    for base, x, xt, target, w, b in zip(*prepared, blocks[0::2], blocks[1::2]):
+        diff = base + x @ w + b - target
+        resid = 2.0 * diff
+        grads.extend([xt @ resid, resid.sum(axis=0)])
         loss += float(np.sum(diff.astype(np.float64) ** 2))
     return loss, grads
 
 
-def adapt_decoder(model: StudentModel, frame: Tensor,
+def adapt_decoder(model: StudentModel,
+                  inputs: tuple[list[np.ndarray], list[np.ndarray]],
                   oracle_out: DetectionTensorSet, steps: int = 20,
                   lr: float = 1e-3) -> tuple[DecoderWeights, float]:
     """Run Adam on the adaptive decoder against the oracle output.
 
-    Frozen parts are untouched; the model itself is not mutated. The frozen
-    features are extracted once per call, and every step reuses the frame's
-    head inputs. Returns the new versioned weights and the loss after the
-    final step (the selector's loss-trend input). A non-finite loss aborts
-    and discards the weights.
+    ``inputs`` are the frame's ``model.head_inputs``, so the caller extracts
+    features once per adaptation. Frozen parts are untouched; the model
+    itself is not mutated. The adaptive blocks are reshaped views of one
+    flat vector, so each step is one Adam update over all of them. Returns
+    the new versioned weights and the loss after the final step (the
+    selector's loss-trend input). A non-finite loss aborts and discards
+    the weights.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    cfg = model.config
-    inputs = model.head_inputs(frame)
-    for g, o in zip(cfg.grids, oracle_out.scales):
-        if o.shape != (g, g, cfg.channels):
-            raise ValueError(f"target shape {o.shape} != student shape {(g, g, cfg.channels)}")
+    prepared = prepare_distill(model, inputs, oracle_out)
+    layout, start = [], 0
+    for b in model._adaptive:
+        layout.append((slice(start, start + b.size), b.shape))
+        start += b.size
 
-    arrs = [b.array for b in model._adaptive]
-    states = [AdamState.for_param(a, lr=lr) for a in arrs]
+    def views(vec: np.ndarray) -> list[np.ndarray]:
+        return [vec[span].reshape(shape) for span, shape in layout]
+
+    flat = np.concatenate([b.data for b in model._adaptive])
+    state = AdamState.for_param(flat, lr=lr)
     for _ in range(steps):
-        loss, grads = distill_gradients(model, inputs, oracle_out, arrs)
+        loss, grads = distill_gradients(prepared, views(flat))
         if not np.isfinite(loss):
             raise ValueError("non-finite distillation loss; weights discarded")
-        arrs = [adam_step(a, g, st) for a, g, st in zip(arrs, grads, states)]
-    final_loss, _ = distill_gradients(model, inputs, oracle_out, arrs)
+        flat = adam_step(flat, np.concatenate([g.reshape(-1) for g in grads]), state)
+    blocks = views(flat)
+    final_loss, _ = distill_gradients(prepared, blocks)
     if not np.isfinite(final_loss):
         raise ValueError("non-finite distillation loss; weights discarded")
     weights = DecoderWeights(version=model.version + 1,
-                             blocks=tuple(Tensor(a) for a in arrs))
+                             blocks=tuple(Tensor(a) for a in blocks))
     return weights, final_loss
 
 

@@ -102,8 +102,10 @@ class EdgeNode:
             frame = tensor_from_frame_upload(m)
             truth = self.truth_provider(m.frame_id)
             oracle_out = self.oracle.forward(frame, truth)
-            pre_loss = distill_loss(self.clone.forward(frame), oracle_out)
-            weights, _ = adapt_decoder(self.clone, frame, oracle_out,
+            # one feature extraction scores the stale clone and trains it
+            inputs = self.clone.head_inputs(frame)
+            pre_loss = distill_loss(self.clone.outputs(inputs), oracle_out)
+            weights, _ = adapt_decoder(self.clone, inputs, oracle_out,
                                        steps=self.adapt_steps, lr=self.adapt_lr)
             # the reply travels at the request's precision; binary16 overflow
             # raises OverflowError, and the clone only advances once the

@@ -13,7 +13,7 @@ import pytest
 from edgekt.detection import Box, compute_metrics, iou, nms
 from edgekt.harness import compare, run_named_scenario, run_scenario
 from edgekt.models import (ModelConfig, OracleModel, Precision, StudentModel,
-                           adapt_decoder, distill_gradients)
+                           adapt_decoder, distill_gradients, prepare_distill)
 from edgekt.netproto import encode_message, frame_upload_from_tensor, zero_cost_config
 from edgekt.runtime import Mode, ScenarioConfig
 from edgekt.scenegen import fixed_cam_default
@@ -155,8 +155,8 @@ def test_criterion_7_numerical_suites():
     frame = Tensor(rng.uniform(0, 1, (16, 16, 3)).astype(np.float32))
     target = oracle.forward(frame, [Box(0.4, 0.5, 0.3, 0.3, 1)])
     blocks = tuple(rng.normal(0, 0.2, b.shape) for b in model.adaptive_blocks)
-    inputs = model.head_inputs(frame)
-    _, grads = distill_gradients(model, inputs, target, blocks, dtype=np.float64)
+    prepared = prepare_distill(model, model.head_inputs(frame), target, dtype=np.float64)
+    _, grads = distill_gradients(prepared, blocks)
     h = 1e-5
     grad_ok = True
     for k, b in enumerate(blocks):
@@ -164,9 +164,9 @@ def test_criterion_7_numerical_suites():
         for idx in range(0, flat.size, max(1, flat.size // 11)):
             orig = flat[idx]
             flat[idx] = orig + h
-            lp, _ = distill_gradients(model, inputs, target, blocks, dtype=np.float64)
+            lp, _ = distill_gradients(prepared, blocks)
             flat[idx] = orig - h
-            lm, _ = distill_gradients(model, inputs, target, blocks, dtype=np.float64)
+            lm, _ = distill_gradients(prepared, blocks)
             flat[idx] = orig
             fd = (lp - lm) / (2 * h)
             an = grads[k].reshape(-1)[idx]

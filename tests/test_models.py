@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgekt.detection import Box, compute_metrics, decode_boxes, nms
 from edgekt.models import (DecoderWeights, DetectionTensorSet, ModelConfig, OracleModel,
                            Precision, StudentModel, adapt_decoder, decode_weights,
-                           distill_gradients, distill_loss, encode_weights, swap_decoder)
+                           distill_gradients, distill_loss, encode_weights, prepare_distill,
+                           swap_decoder)
 from edgekt.tensor import Tensor, f16_decode, f16_encode, l2_sq_distance
 
 MINI = ModelConfig(input_hw=16, grids=(4, 2, 1), feat1=4, feat2=6)
@@ -136,7 +139,7 @@ def test_oracle_rejects_out_of_bounds_truth(oracle):
 def test_adapt_self_target_is_fixpoint(student):
     f = _frame(seed=11)
     own = student.forward(f)
-    weights, loss = adapt_decoder(student, f, own, steps=5)
+    weights, loss = adapt_decoder(student, student.head_inputs(f), own, steps=5)
     assert loss == 0.0
     assert weights.version == student.version + 1
     for new, old in zip(weights.blocks, student.adaptive_blocks):
@@ -147,44 +150,33 @@ def test_adapt_reduces_loss(student, oracle):
     f = _frame(seed=12)
     target = oracle.forward(f, _truth())
     before = distill_loss(student.forward(f), target)
-    weights, after = adapt_decoder(student, f, target, steps=50, lr=0.05)
+    weights, after = adapt_decoder(student, student.head_inputs(f), target, steps=50, lr=0.05)
     assert after < before
 
 
 def test_adapt_leaves_frozen_parts_untouched(student, oracle):
     f = _frame(seed=13)
     checksum = student.frozen_checksum()
-    weights, _ = adapt_decoder(student, f, oracle.forward(f, _truth()), steps=20, lr=0.05)
+    weights, _ = adapt_decoder(student, student.head_inputs(f), oracle.forward(f, _truth()),
+                               steps=20, lr=0.05)
     m2 = swap_decoder(student, weights)
     assert student.frozen_checksum() == checksum
     assert m2.frozen_checksum() == checksum
 
 
 def test_adapt_requires_steps():
+    model = StudentModel.seeded(MINI, 1)
+    inputs = model.head_inputs(_frame(MINI))
     with pytest.raises(ValueError):
-        adapt_decoder(StudentModel.seeded(MINI, 1), _frame(MINI),
-                      OracleModel(MINI, 1).forward(_frame(MINI), []), steps=0)
+        adapt_decoder(model, inputs, OracleModel(MINI, 1).forward(_frame(MINI), []), steps=0)
 
 
 def test_adapt_rejects_shape_mismatch(student):
     other = OracleModel(ModelConfig(input_hw=64, grids=(4, 2, 1), feat1=4, feat2=6), 1)
     bad = other.forward(_frame(), [])
+    inputs = student.head_inputs(_frame())
     with pytest.raises(ValueError):
-        adapt_decoder(student, _frame(), bad, steps=1)
-
-
-def test_adapt_extracts_features_once(student, oracle, monkeypatch):
-    calls = []
-    features = StudentModel.features
-
-    def counted(self, frame):
-        calls.append(frame)
-        return features(self, frame)
-
-    monkeypatch.setattr(StudentModel, "features", counted)
-    frame = _frame(seed=4)
-    adapt_decoder(student, frame, oracle.forward(frame, _truth()), steps=20, lr=0.05)
-    assert len(calls) == 1
+        adapt_decoder(student, inputs, bad, steps=1)
 
 
 def test_gradients_match_finite_differences():
@@ -194,17 +186,17 @@ def test_gradients_match_finite_differences():
     frame = Tensor(rng.uniform(0, 1, (16, 16, 3)).astype(np.float32))
     target = oracle.forward(frame, [Box(0.4, 0.5, 0.3, 0.3, 1)])
     blocks = tuple(rng.normal(0, 0.2, b.shape) for b in model.adaptive_blocks)
-    inputs = model.head_inputs(frame)
-    _, grads = distill_gradients(model, inputs, target, blocks, dtype=np.float64)
+    prepared = prepare_distill(model, model.head_inputs(frame), target, dtype=np.float64)
+    _, grads = distill_gradients(prepared, blocks)
     h = 1e-5
     for k, b in enumerate(blocks):
         flat = b.reshape(-1)
         for idx in range(0, flat.size, max(1, flat.size // 9)):
             orig = flat[idx]
             flat[idx] = orig + h
-            lp, _ = distill_gradients(model, inputs, target, blocks, dtype=np.float64)
+            lp, _ = distill_gradients(prepared, blocks)
             flat[idx] = orig - h
-            lm, _ = distill_gradients(model, inputs, target, blocks, dtype=np.float64)
+            lm, _ = distill_gradients(prepared, blocks)
             flat[idx] = orig
             fd = (lp - lm) / (2 * h)
             an = grads[k].reshape(-1)[idx]
@@ -224,7 +216,7 @@ def test_distillation_beats_never_adapted():
     for i in range(5):
         frame = stream.frame_at(i)
         target = oracle.forward(frame, stream.truth_at(i))
-        w, _ = adapt_decoder(adapted, frame, target, steps=20, lr=0.05)
+        w, _ = adapt_decoder(adapted, adapted.head_inputs(frame), target, steps=20, lr=0.05)
         adapted = swap_decoder(adapted, w)
 
     def agg_f1(model):
@@ -245,7 +237,8 @@ def test_distillation_beats_never_adapted():
 
 def test_swap_equals_fresh_model(student, oracle):
     f = _frame(seed=14)
-    weights, _ = adapt_decoder(student, f, oracle.forward(f, _truth()), steps=10, lr=0.05)
+    weights, _ = adapt_decoder(student, student.head_inputs(f), oracle.forward(f, _truth()),
+                               steps=10, lr=0.05)
     swapped = swap_decoder(student, weights)
     fresh = StudentModel(student.config, student._extractor, student._general,
                          weights.blocks, version=weights.version)
@@ -268,7 +261,8 @@ def test_swap_rejects_bad_shapes(student):
 
 def test_swap_half_precision_weights_equal_f16_round_trip(student, oracle):
     f = _frame(seed=15)
-    weights, _ = adapt_decoder(student, f, oracle.forward(f, _truth()), steps=10, lr=0.05)
+    weights, _ = adapt_decoder(student, student.head_inputs(f), oracle.forward(f, _truth()),
+                               steps=10, lr=0.05)
     wire = decode_weights(encode_weights(
         DecoderWeights(weights.version, weights.blocks, Precision.HALF)))
     swapped = swap_decoder(student, wire)
@@ -281,7 +275,8 @@ def test_frozen_hash_constant_across_adapt_swap_sequence(student, oracle):
     model = student.clone()
     for i in range(3):
         f = _frame(seed=20 + i)
-        w, _ = adapt_decoder(model, f, oracle.forward(f, _truth()), steps=5, lr=0.05)
+        w, _ = adapt_decoder(model, model.head_inputs(f), oracle.forward(f, _truth()),
+                             steps=5, lr=0.05)
         model = swap_decoder(model, w)
         assert model.frozen_checksum() == checksum
 
@@ -317,3 +312,13 @@ def test_mini_config_shapes():
     m = StudentModel.seeded(MINI, seed=1)
     out = m.forward(_frame(MINI))
     assert [t.shape for t in out.scales] == [(4, 4, 8), (2, 2, 8), (1, 1, 8)]
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(shapes=st.lists(st.lists(st.integers(1, 5), min_size=1, max_size=4).map(tuple),
+                       max_size=7),
+       precision=st.sampled_from(list(Precision)), version=st.integers(1, 2**64 - 1))
+def test_weights_byte_size_equals_encoded_length(shapes, precision, version):
+    blocks = tuple(Tensor(np.full(s, 0.5, np.float32)) for s in shapes)
+    w = DecoderWeights(version=version, blocks=blocks, precision=precision)
+    assert w.byte_size() == len(encode_weights(w))

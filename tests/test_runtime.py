@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from edgekt import harness, models
 from edgekt.harness import CostModel, run_named_scenario, run_scenario
 from edgekt.models import (DecoderWeights, ModelConfig, OracleModel, Precision,
                            StudentModel, adapt_decoder, swap_decoder)
@@ -113,11 +114,47 @@ def test_edge_half_precision_trains_on_rounded_frame():
     reply = decode_message(edge.serve(encode_message(upload)))
 
     rounded = f16_decode(f16_encode(frame), frame.shape)
-    expected, _ = adapt_decoder(student, rounded, oracle.forward(rounded, stream.truth_at(3)),
-                                steps=5, lr=0.05)
+    expected, _ = adapt_decoder(student, student.head_inputs(rounded),
+                                oracle.forward(rounded, stream.truth_at(3)), steps=5, lr=0.05)
     # reply blocks are additionally f16-rounded on the wire (symmetric tags)
     for got, exp in zip(reply.weights.blocks, expected.blocks):
         assert got == f16_decode(f16_encode(exp), exp.shape)
+
+
+def _counted(monkeypatch, owner, name):
+    """Replace ``owner.name`` with a wrapper that counts its calls."""
+    calls = []
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def test_edge_serve_extracts_features_once(edge_setup, monkeypatch):
+    edge, _, stream = edge_setup
+    edge = EdgeNode(edge.oracle, edge.clone, stream.truth_at, adapt_steps=5, adapt_lr=0.05)
+    features = _counted(monkeypatch, StudentModel, "features")
+    reply = decode_message(edge.serve(encode_message(
+        frame_upload_from_tensor(4, stream.frame_at(4)))))
+    assert isinstance(reply, WeightUpdate)
+    assert len(features) == 1
+
+
+@pytest.mark.parametrize("steps", [1, 7])
+def test_edge_adaptation_runs_one_adam_update_per_step(edge_setup, monkeypatch, steps):
+    edge, _, stream = edge_setup
+    edge = EdgeNode(edge.oracle, edge.clone, stream.truth_at, adapt_steps=steps,
+                    adapt_lr=0.05)
+    adam = _counted(monkeypatch, models, "adam_step")
+    gradients = _counted(monkeypatch, models, "distill_gradients")
+    reply = decode_message(edge.serve(encode_message(
+        frame_upload_from_tensor(5, stream.frame_at(5)))))
+    assert isinstance(reply, WeightUpdate)
+    assert len(adam) == steps
+    assert len(gradients) == steps + 1
 
 
 # -- scenario contracts -------------------------------------------------------------
@@ -200,6 +237,15 @@ def test_zero_cost_channel_matches_local_training(short_script):
                                      edge_speed=1.0, seed=1), short_script)
     assert lt.key_frame_indices == nt.key_frame_indices
     assert [e["checksum"] for e in lt.swap_log] == [e["checksum"] for e in nt.swap_log]
+
+
+def test_only_network_runs_build_an_edge_node(monkeypatch):
+    built = _counted(monkeypatch, harness, "EdgeNode")
+    script = fixed_cam_default(duration=12)
+    assert run_named_scenario("lt", script, kfs=False).swap_log  # local jobs ran
+    assert built == []
+    run_named_scenario("nt-lan", script, kfs=False)
+    assert len(built) == 1
 
 
 def test_mismatched_model_and_stream_size_rejected(short_script):

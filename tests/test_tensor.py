@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgekt.tensor import AdamState, Tensor, adam_step, f16_decode, f16_encode, l2_sq_distance
 
@@ -118,6 +120,34 @@ def test_adam_non_finite_update_raises(g):
     with np.errstate(over="ignore"), pytest.raises(ValueError):
         adam_step(p.array, np.array([g], np.float32), st)
     assert st.step == 0
+
+
+_block_shapes = st.lists(st.lists(st.integers(1, 6), min_size=1, max_size=3).map(tuple),
+                         min_size=1, max_size=6)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(shapes=_block_shapes, steps=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_adam_on_concatenation_equals_per_block(shapes, steps, seed):
+    # elementwise float32 arithmetic: one update over the flattened blocks
+    # must give the per-block updates bit for bit, moments included
+    rng = np.random.Generator(np.random.PCG64(seed))
+    params = [rng.normal(0.0, 1.0, s).astype(np.float32) for s in shapes]
+    flat = np.concatenate([p.reshape(-1) for p in params])
+    per_block = [AdamState.for_param(p, lr=0.05) for p in params]
+    fused = AdamState.for_param(flat, lr=0.05)
+    for _ in range(steps):
+        grads = [rng.normal(0.0, 3.0, s).astype(np.float32) for s in shapes]
+        params = [adam_step(p, g, st_) for p, g, st_ in zip(params, grads, per_block)]
+        flat = adam_step(flat, np.concatenate([g.reshape(-1) for g in grads]), fused)
+
+    def joined(arrays):
+        return np.concatenate([a.reshape(-1) for a in arrays]).tobytes()
+
+    assert flat.tobytes() == joined(params)
+    assert fused.m.tobytes() == joined(st_.m for st_ in per_block)
+    assert fused.v.tobytes() == joined(st_.v for st_ in per_block)
+    assert fused.step == steps and all(st_.step == steps for st_ in per_block)
 
 
 def test_f16_exact_values_round_trip():
