@@ -1,5 +1,6 @@
-"""Scenario orchestration under virtual time: energy cost model, event loop,
-metric aggregation and report emission.
+"""Scenario orchestration under virtual time: energy cost model, one pass
+over the frames with at most one training job in flight, metric aggregation
+and report emission.
 
 All stage durations come from an operation-count proxy (multiply-accumulate
 counts times a per-op virtual time) and configured power draws, so runs are
@@ -10,11 +11,9 @@ calibration knobs of this simulator, not measured hardware values.
 from __future__ import annotations
 
 import csv
-import heapq
-import itertools
 import json
 import logging
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 from .detection import MetricsReport, compute_metrics, decode_boxes, nms
 from .models import (ModelConfig, OracleModel, StudentModel, adapt_decoder,
@@ -23,7 +22,7 @@ from .netproto import (SimulatedChannel, WeightUpdate, decode_message,
                        frame_upload_from_tensor, lan_config, wifi_config)
 from .runtime import ConfigError, EdgeNode, Mode, ScenarioConfig, TrainJob
 from .scenegen import PRESETS, SceneScript, SceneStream
-from .selector import KeyFrameSelector
+from .selector import KeyFrameSelector, SelectorConfig
 
 logger = logging.getLogger("edgekt.harness")
 
@@ -161,25 +160,27 @@ def parse_report(text: str) -> RunReport:
 # ---------------------------------------------------------------------------
 # Scenario runner (the harness owns the virtual clock)
 
-_FRAME, _EDGE_RECV, _JOB_DONE = 0, 1, 2
-
 # detection settings applied to served and oracle outputs alike
 OBJ_THRESHOLD = 0.5
 NMS_IOU = 0.45
 # the deployed base detector is one fixed artifact; the run seed only
 # drives runtime randomness (selector draws, channel jitter)
 MODEL_SEED = 7
+COST = CostModel()
 
 
 def run_scenario(config: ScenarioConfig, script: SceneScript,
-                 cost: CostModel | None = None, scenario_name: str | None = None) -> RunReport:
+                 scenario_name: str | None = None) -> RunReport:
     """Drive the full pipeline over the stream under virtual time.
+
+    One pass over the frames; a training job's outcome is computed at
+    dispatch and applied at its end time, after a frame arriving just then.
 
     Ground truth for the metrics is the oracle's decoded output for every
     frame (the deep model plays ground truth); the scene generator's truth
     only feeds the oracle encoder. Deterministic given the config seeds.
     """
-    cost = cost or CostModel()
+    cost = COST
     try:
         model_cfg = config.model or ModelConfig(input_hw=script.size)
     except ValueError as exc:
@@ -189,7 +190,7 @@ def run_scenario(config: ScenarioConfig, script: SceneScript,
         raise ConfigError("model input size does not match the stream size")
     student = StudentModel.pretrained(model_cfg, seed=MODEL_SEED)
     oracle = OracleModel(model_cfg, seed=MODEL_SEED)
-    selector = KeyFrameSelector(replace(config.selector, seed=config.seed * 31 + 1))
+    selector = KeyFrameSelector(SelectorConfig(seed=config.seed * 31 + 1))
     stream = SceneStream(script)
     ledger = EnergyLedger(cost.power_w)
 
@@ -204,15 +205,6 @@ def run_scenario(config: ScenarioConfig, script: SceneScript,
 
     period = 1.0 / script.fps
     n_frames = script.duration_frames
-
-    events: list[tuple[float, int, int, object]] = []
-    seq = itertools.count()  # FIFO tie-break among events at the same time
-
-    def schedule(time: float, kind: int, payload) -> None:
-        heapq.heappush(events, (time, next(seq), kind, payload))
-
-    for i in range(n_frames):
-        schedule(i * period, _FRAME, i)
 
     # mutable loop state; at most one training job is in flight
     prev_done = 0.0
@@ -239,133 +231,135 @@ def run_scenario(config: ScenarioConfig, script: SceneScript,
     train_s = train_macs * cost.op_seconds
     edge_s = (oracle_macs + train_macs) * cost.op_seconds / config.edge_speed
 
-    def dispatch(frame_id: int, frame, serve_out, oracle_out, now: float):
-        """Start the one training job; it ends in a ``_JOB_DONE`` event."""
-        nonlocal in_flight, local_end, radio_accum_s
-        in_flight = TrainJob(frame_id, now)
+    def dispatch(frame_id: int, frame, inputs, serve_out, oracle_out, now: float) -> TrainJob:
+        """Run the one training job to its outcome, which ``complete``
+        applies: nothing a frame reads changes before the job ends, and the
+        edge clone and downlink serve one job at a time."""
+        nonlocal local_end, radio_accum_s
         if config.mode is Mode.LOCAL:
-            # serve_out and oracle_out are this frame's; the student cannot
-            # change while its job is in flight, so the job's result is
-            # computed now and takes effect when the job ends
+            # inputs, serve_out and oracle_out are this frame's
             ledger.charge("OracleLocal", oracle_s)
             ledger.charge("TrainLocal", train_s)
             try:
                 pre_loss = distill_loss(serve_out, oracle_out)
-                weights, _ = adapt_decoder(student, student.head_inputs(frame), oracle_out,
+                weights, _ = adapt_decoder(student, inputs, oracle_out,
                                            steps=config.adapt_steps, lr=config.adapt_lr)
             except ValueError:
                 weights = pre_loss = None
             local_end = now + oracle_s + train_s
-            schedule(local_end, _JOB_DONE, (weights, pre_loss, None))
-        else:
-            res = up.transmit(frame_upload_from_tensor(frame_id, frame, config.precision), now)
-            ledger.charge("Transmit", res.serialize_s)
-            radio_accum_s += res.serialize_s
-            schedule(res.delivery_time, _EDGE_RECV, res.data)
+            return TrainJob(frame_id, now, local_end, weights, pre_loss)
+        res = up.transmit(frame_upload_from_tensor(frame_id, frame, config.precision), now)
+        ledger.charge("Transmit", res.serialize_s)
+        radio_accum_s += res.serialize_s
+        # the edge's reply is decoded once here and sent down as itself
+        reply = decode_message(edge.serve(res.data))
+        res = down.transmit(reply, res.delivery_time + edge_s)
+        if isinstance(reply, WeightUpdate):
+            return TrainJob(frame_id, now, res.delivery_time, reply.weights, reply.loss,
+                            res.serialize_s)
+        return TrainJob(frame_id, now, res.delivery_time, None, None, res.serialize_s)
 
     # feed the selector the per-element mean loss so loss deltas live on the
     # scale sigma was chosen for
     loss_scale = sum(g * g * model_cfg.channels for g in model_cfg.grids)
 
-    while events:
-        t, _, kind, payload = heapq.heappop(events)
+    def complete(job: TrainJob) -> None:
+        """Apply a job's outcome at its end time ``job.done_at``."""
+        nonlocal student, pending_swap_s, radio_accum_s, wall
+        wall = max(wall, job.done_at)
+        if job.receive_s is not None:
+            ledger.charge("Receive", job.receive_s)
+            radio_accum_s += job.receive_s
+        weights = job.weights
+        if weights is None:
+            logger.warning("training job failed on frame %d", job.frame_id)
+        else:
+            new_student = swap_decoder(student, weights)
+            if new_student is student:
+                # stale version: drop and re-sync the clone next round trip
+                # (a local job's weights are always one version newer)
+                logger.warning("stale weight update v%d for frame %d dropped",
+                               weights.version, job.frame_id)
+                if edge is not None:
+                    edge.sync_clone(student)
+            else:
+                student = new_student
+                pending_swap_s += cost.swap_seconds(weights.byte_size())
+                swap_log.append({"frame_id": job.frame_id, "version": student.version,
+                                 "checksum": student.adaptive_checksum()})
+            training_times.append(job.done_at - job.dispatched_at)
+            logger.debug("job for frame %d done after %r s", job.frame_id,
+                         training_times[-1])
+        if config.kfs_enabled:
+            selector.complete(None if job.loss is None else job.loss / loss_scale)
+
+    for i in range(n_frames):
+        t = i * period
+        # a job ending exactly at a frame's arrival takes effect after it
+        if in_flight is not None and in_flight.done_at < t:
+            complete(in_flight)
+            in_flight = None
         wall = max(wall, t)
+        frame = stream.frame_at(i)
+        truth = stream.truth_at(i)
+        start = max(t, prev_done)
 
-        if kind == _FRAME:
-            i = payload
-            frame = stream.frame_at(i)
-            truth = stream.truth_at(i)
-            start = max(t, prev_done)
+        decode_s = cost.decode_seconds(frame.size)
+        ledger.charge("Decode", decode_s)
 
-            decode_s = cost.decode_seconds(frame.size)
-            ledger.charge("Decode", decode_s)
+        # evaluation oracle run; never charged (the deep model's decoded
+        # output is the metric ground truth)
+        oracle_out = oracle.forward(frame, truth)
+        gt_boxes = nms(decode_boxes(oracle_out, OBJ_THRESHOLD), NMS_IOU)
 
-            # evaluation oracle run; never charged (the deep model's decoded
-            # output is the metric ground truth)
-            oracle_out = oracle.forward(frame, truth)
-            gt_boxes = nms(decode_boxes(oracle_out, OBJ_THRESHOLD), NMS_IOU)
+        inputs = None
+        if config.mode is Mode.DEEP_ONLY:
+            serve_out = oracle_out
+            infer_s = oracle_s
+            infer_activity = "OracleLocal"
+        else:
+            inputs = student.head_inputs(frame)
+            serve_out = student.outputs(inputs)
+            infer_s = student_macs * cost.op_seconds
+            if start < local_end:
+                infer_s *= 1.0 + cost.train_contention
+            infer_activity = "Inference"
+        infer_s += pending_swap_s + cost.radio_contention * radio_accum_s
+        pending_swap_s = 0.0
+        radio_accum_s = 0.0
+        ledger.charge(infer_activity, infer_s)
 
-            if config.mode is Mode.DEEP_ONLY:
-                serve_out = oracle_out
-                infer_s = oracle_s
-                infer_activity = "OracleLocal"
-            else:
-                serve_out = student.forward(frame)
-                infer_s = student_macs * cost.op_seconds
-                if start < local_end:
-                    infer_s *= 1.0 + cost.train_contention
-                infer_activity = "Inference"
-            infer_s += pending_swap_s + cost.radio_contention * radio_accum_s
-            pending_swap_s = 0.0
-            radio_accum_s = 0.0
-            ledger.charge(infer_activity, infer_s)
+        candidates = decode_boxes(serve_out, OBJ_THRESHOLD)
+        detections = nms(candidates, NMS_IOU)
+        nms_s = cost.nms_seconds(len(candidates))
+        ledger.charge("NMS", nms_s)
 
-            candidates = decode_boxes(serve_out, OBJ_THRESHOLD)
-            detections = nms(candidates, NMS_IOU)
-            nms_s = cost.nms_seconds(len(candidates))
-            ledger.charge("NMS", nms_s)
+        m = compute_metrics(detections, gt_boxes)
+        agg_tp += m.true_positives
+        agg_fp += m.false_positives
+        agg_fn += m.false_negatives
+        f1_trace.append(m.f1)
+        inference_trace.append(infer_s)
+        candidate_trace.append(len(candidates))
+        version_trace.append(serve_out.version)
 
-            m = compute_metrics(detections, gt_boxes)
-            agg_tp += m.true_positives
-            agg_fp += m.false_positives
-            agg_fn += m.false_negatives
-            f1_trace.append(m.f1)
-            inference_trace.append(infer_s)
-            candidate_trace.append(len(candidates))
-            version_trace.append(serve_out.version)
+        done = start + decode_s + infer_s + nms_s
+        prev_done = done
+        wall = max(wall, done)
 
-            done = start + decode_s + infer_s + nms_s
-            prev_done = done
-            wall = max(wall, done)
-
-            if config.trains:
-                if config.kfs_enabled:
-                    selected = selector.select_key_frame(frame)
-                else:
-                    selected = in_flight is None
-                if selected:
-                    if in_flight is not None:
-                        raise RuntimeError("busy gate violated: overlapping jobs")
-                    key_frames.append(i)
-                    dispatch(i, frame, serve_out, oracle_out, done)
-
-        elif kind == _EDGE_RECV:
-            # the edge's reply is decoded once here and sent down as itself
-            reply = decode_message(edge.serve(payload))
-            res = down.transmit(reply, t + edge_s)
-            if isinstance(reply, WeightUpdate):
-                result = (reply.weights, reply.loss, res.serialize_s)
-            else:
-                result = (None, None, res.serialize_s)
-            schedule(res.delivery_time, _JOB_DONE, result)
-
-        else:  # _JOB_DONE: (weights or None on failure, loss, receive seconds)
-            weights, loss, receive_s = payload
-            job, in_flight = in_flight, None
-            if receive_s is not None:
-                ledger.charge("Receive", receive_s)
-                radio_accum_s += receive_s
-            if weights is None:
-                logger.warning("training job failed on frame %d", job.frame_id)
-            else:
-                new_student = swap_decoder(student, weights)
-                if new_student is student:
-                    # stale version: drop and re-sync the clone next round trip
-                    # (a local job's weights are always one version newer)
-                    logger.warning("stale weight update v%d for frame %d dropped",
-                                   weights.version, job.frame_id)
-                    if edge is not None:
-                        edge.sync_clone(student)
-                else:
-                    student = new_student
-                    pending_swap_s += cost.swap_seconds(weights.byte_size())
-                    swap_log.append({"frame_id": job.frame_id, "version": student.version,
-                                     "checksum": student.adaptive_checksum()})
-                training_times.append(t - job.dispatched_at)
-                logger.debug("job for frame %d done after %r s", job.frame_id,
-                             training_times[-1])
+        if config.trains:
             if config.kfs_enabled:
-                selector.complete(None if loss is None else loss / loss_scale)
+                selected = selector.select_key_frame(frame)
+            else:
+                selected = in_flight is None
+            if selected:
+                if in_flight is not None:
+                    raise RuntimeError("busy gate violated: overlapping jobs")
+                key_frames.append(i)
+                in_flight = dispatch(i, frame, inputs, serve_out, oracle_out, done)
+
+    if in_flight is not None:
+        complete(in_flight)
 
     idle_s = max(0.0, wall - ledger.total_active_seconds)
     ledger.charge("Idle", idle_s)
@@ -444,11 +438,10 @@ def scenario_config(name: str, seed: int = 0, precision: str = "full",
 
 
 def run_named_scenario(name: str, script: SceneScript, seed: int = 0,
-                       precision: str = "full", kfs: bool = True,
-                       cost: CostModel | None = None) -> RunReport:
+                       precision: str = "full", kfs: bool = True) -> RunReport:
     logger.info("running scenario %s", name)
     cfg = scenario_config(name, seed=seed, precision=precision, kfs=kfs)
-    return run_scenario(cfg, script, cost=cost, scenario_name=name)
+    return run_scenario(cfg, script, scenario_name=name)
 
 
 def compare(script: SceneScript | None = None, seed: int = 0,

@@ -1,23 +1,23 @@
 """User-end / edge node runtime pieces: scenario configuration, the edge
 request server (oracle + student clone + trainer) and training-job records.
 
-The per-module threads are realized as logical tasks under the harness's
-virtual-time event loop: inference, selection and training dispatch on the
-user node, a single request-serving task on the edge. Run-to-completion
-event processing plus the single-slot weight swap give the same observable
-contract (atomic swaps, at most one adaptation in flight, no queuing).
+The per-module threads are realized under the harness's virtual clock as
+one pass over the frames: the user node serves each frame in turn, and a
+training job, on the user node or the edge, is run to its outcome when it
+is dispatched and applied at its end time. That plus the single-slot weight
+swap gives the same observable contract (atomic swaps, at most one
+adaptation in flight, no queuing).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
-from .models import (ModelConfig, OracleModel, Precision, StudentModel,
+from .models import (DecoderWeights, ModelConfig, OracleModel, Precision, StudentModel,
                      adapt_decoder, distill_loss, swap_decoder)
 from .netproto import (Ack, AckStatus, ChannelConfig, FrameUpload, WeightUpdate,
                        decode_message, encode_message, tensor_from_frame_upload)
-from .selector import SelectorConfig
 
 
 class Mode(str, Enum):
@@ -37,7 +37,6 @@ class ScenarioConfig:
     channel: ChannelConfig | None = None
     precision: Precision = Precision.FULL
     kfs_enabled: bool = True
-    selector: SelectorConfig = field(default_factory=SelectorConfig)
     adapt_steps: int = 20
     adapt_lr: float = 0.05
     edge_speed: float = 12.0  # edge compute speedup over the user device
@@ -61,10 +60,17 @@ class ScenarioConfig:
         return self.mode in (Mode.LOCAL, Mode.NETWORK)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainJob:
+    """One training job, resolved at dispatch; its outcome takes effect at
+    ``done_at``."""
+
     frame_id: int
     dispatched_at: float
+    done_at: float
+    weights: DecoderWeights | None  # None when the job failed
+    loss: float | None  # the pre-adaptation loss, the selector's feedback
+    receive_s: float | None = None  # downlink seconds; None for a local job
 
 
 class EdgeNode:

@@ -117,3 +117,27 @@ def test_network_job_encodes_three_and_decodes_two_messages(monkeypatch):
     # upload once (uplink), reply once (edge) and once more (downlink);
     # the edge decodes the upload and the harness decodes the reply
     assert calls == {"encode_message": 3 * jobs, "decode_message": 2 * jobs}
+
+
+def test_job_ending_at_a_frame_arrival_swaps_after_that_frame(monkeypatch):
+    script = fixed_cam_default(duration=24)
+    period = 1.0 / script.fps
+    transmit = netproto.SimulatedChannel.transmit
+    arrivals = []  # (frame index k the update lands on, its version)
+
+    def land_on_next_frame(self, m, now):
+        res = transmit(self, m, now)
+        if not isinstance(m, netproto.WeightUpdate):
+            return res
+        k = int(now // period) + 1
+        arrivals.append((k, m.weights.version))
+        return dataclasses.replace(res, delivery_time=k * period)
+
+    monkeypatch.setattr(netproto.SimulatedChannel, "transmit", land_on_next_frame)
+    report = run_named_scenario("nt-lan", script, seed=0, kfs=False)
+    checked = [(k, v) for k, v in arrivals if k + 1 < script.duration_frames]
+    assert len(checked) >= 3
+    for k, version in checked:
+        # frame k arrives as the update does and is served by the old decoder
+        assert report.version_trace[k] == version - 1
+        assert report.version_trace[k + 1] == version

@@ -143,6 +143,18 @@ def test_edge_serve_extracts_features_once(edge_setup, monkeypatch):
     assert len(features) == 1
 
 
+def test_lt_run_extracts_features_once_per_frame(monkeypatch):
+    script = fixed_cam_default(duration=12)
+    features = _counted(monkeypatch, StudentModel, "features")
+    StudentModel.pretrained(ModelConfig(input_hw=script.size), seed=harness.MODEL_SEED)
+    pretraining = len(features)
+    features.clear()
+    report = run_named_scenario("lt", script, kfs=False)
+    assert report.swap_log  # local jobs ran
+    # serving extracts once per frame and a local job reuses that extraction
+    assert len(features) == pretraining + 12
+
+
 @pytest.mark.parametrize("steps", [1, 7])
 def test_edge_adaptation_runs_one_adam_update_per_step(edge_setup, monkeypatch, steps):
     edge, _, stream = edge_setup
@@ -200,7 +212,7 @@ def test_every_frame_served_during_training(short_script):
 
 def test_local_job_ledger_arithmetic(short_script):
     cost = CostModel()
-    report = run_named_scenario("lt", short_script, seed=0, cost=cost)
+    report = run_named_scenario("lt", short_script, seed=0)
     n_jobs = len(report.swap_log)
     assert n_jobs > 0
     cfg = ModelConfig(input_hw=short_script.size)
@@ -219,8 +231,8 @@ def test_local_job_ledger_arithmetic(short_script):
 
 def test_nt_round_trip_faster_than_lt_job(short_script):
     cost = CostModel()
-    nt = run_named_scenario("nt-lan", short_script, seed=0, cost=cost)
-    lt = run_named_scenario("lt", short_script, seed=0, cost=cost)
+    nt = run_named_scenario("nt-lan", short_script, seed=0)
+    lt = run_named_scenario("lt", short_script, seed=0)
     assert nt.mean_training_s < lt.mean_training_s
     # LAN has no jitter: the round trip equals uplink + edge compute + downlink
     cfg = ModelConfig(input_hw=short_script.size)
