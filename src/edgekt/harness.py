@@ -16,8 +16,8 @@ import logging
 from dataclasses import asdict, dataclass, field
 
 from .detection import MetricsReport, compute_metrics, decode_boxes, nms
-from .models import (ModelConfig, OracleModel, StudentModel, adapt_decoder,
-                     distill_loss, swap_decoder)
+from .models import (ADAPT_LR, ADAPT_STEPS, ModelConfig, OracleModel, StudentModel,
+                     adapt_decoder, distill_loss, swap_decoder)
 from .netproto import (SimulatedChannel, WeightUpdate, decode_message,
                        frame_upload_from_tensor, lan_config, wifi_config)
 from .runtime import ConfigError, EdgeNode, Mode, ScenarioConfig, TrainJob
@@ -182,12 +182,10 @@ def run_scenario(config: ScenarioConfig, script: SceneScript,
     """
     cost = COST
     try:
-        model_cfg = config.model or ModelConfig(input_hw=script.size)
+        model_cfg = ModelConfig(input_hw=script.size)
     except ValueError as exc:
         raise ConfigError(f"stream size {script.size} does not fit the student model: "
                           f"{exc}") from exc
-    if model_cfg.input_hw != script.size:
-        raise ConfigError("model input size does not match the stream size")
     student = StudentModel.pretrained(model_cfg, seed=MODEL_SEED)
     oracle = OracleModel(model_cfg, seed=MODEL_SEED)
     selector = KeyFrameSelector(SelectorConfig(seed=config.seed * 31 + 1))
@@ -200,8 +198,7 @@ def run_scenario(config: ScenarioConfig, script: SceneScript,
         up = SimulatedChannel(config.channel, direction=0)
         down = SimulatedChannel(config.channel, direction=1)
     if config.mode is Mode.NETWORK:
-        edge = EdgeNode(oracle, student.clone(), stream.truth_at,
-                        config.adapt_steps, config.adapt_lr)
+        edge = EdgeNode(oracle, student.clone(), stream.truth_at)
 
     period = 1.0 / script.fps
     n_frames = script.duration_frames
@@ -226,7 +223,7 @@ def run_scenario(config: ScenarioConfig, script: SceneScript,
     student_macs = student.mac_count()
     oracle_macs = oracle.mac_count()
     train_macs = (student.train_overhead_mac_count()
-                  + config.adapt_steps * student.train_step_mac_count())
+                  + ADAPT_STEPS * student.train_step_mac_count())
     oracle_s = oracle_macs * cost.op_seconds
     train_s = train_macs * cost.op_seconds
     edge_s = (oracle_macs + train_macs) * cost.op_seconds / config.edge_speed
@@ -242,8 +239,7 @@ def run_scenario(config: ScenarioConfig, script: SceneScript,
             ledger.charge("TrainLocal", train_s)
             try:
                 pre_loss = distill_loss(serve_out, oracle_out)
-                weights, _ = adapt_decoder(student, inputs, oracle_out,
-                                           steps=config.adapt_steps, lr=config.adapt_lr)
+                weights = adapt_decoder(student, inputs, oracle_out)
             except ValueError:
                 weights = pre_loss = None
             local_end = now + oracle_s + train_s
@@ -375,8 +371,8 @@ def run_scenario(config: ScenarioConfig, script: SceneScript,
         "precision": config.precision.value,
         "kfs": config.kfs_enabled,
         "seed": config.seed,
-        "adapt_steps": config.adapt_steps,
-        "adapt_lr": config.adapt_lr,
+        "adapt_steps": ADAPT_STEPS,
+        "adapt_lr": ADAPT_LR,
         "stream": script.name,
         "stream_seed": script.seed,
         "channel": None if config.channel is None else {

@@ -3,7 +3,9 @@
 The student splits into a frozen feature extractor, a frozen general decoder
 and a trainable adaptive decoder whose per-scale linear heads add onto the
 general heads (a zero adaptive decoder is a no-op). The finest scale carries
-an extra stack in the adaptive decoder for small objects. The oracle is a
+an extra stack in the adaptive decoder for small objects. Each adaptation
+follows one policy, ``ADAPT_STEPS`` Adam updates at ``ADAPT_LR``, and
+distills the adaptive decoder alone towards the oracle output. The oracle is a
 much deeper frozen model realized as a near-perfect encoder of scene truth
 into detection tensors plus small deterministic noise, so its decoded output
 can serve as evaluation ground truth.
@@ -356,6 +358,10 @@ def _quadrant_pool(feats: np.ndarray, k: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Adaptation
 
+# the one adaptation policy: Adam steps per key frame and their learning rate
+ADAPT_STEPS = 20
+ADAPT_LR = 0.05
+
 
 class DistillInputs(NamedTuple):
     """Per-scale terms of the distillation loss that do not depend on the
@@ -391,33 +397,32 @@ def prepare_distill(model: StudentModel,
     return DistillInputs(base, xs, [x.T for x in xs], targets)
 
 
-def distill_gradients(prepared: DistillInputs, blocks: Sequence[np.ndarray]):
-    """Loss and analytic gradients of the distillation loss with respect to
-    every adaptive block, at the given blocks: ``(W, b)`` per scale, in the
-    dtype ``prepared`` was built with."""
-    loss = 0.0
+def distill_gradients(prepared: DistillInputs,
+                      blocks: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Analytic gradients of the distillation loss with respect to every
+    adaptive block, at the given blocks: ``(W, b)`` per scale, in the dtype
+    ``prepared`` was built with."""
     grads: list[np.ndarray] = []
     for base, x, xt, target, w, b in zip(*prepared, blocks[0::2], blocks[1::2]):
-        diff = base + x @ w + b - target
-        resid = 2.0 * diff
+        resid = 2.0 * (base + x @ w + b - target)
         grads.extend([xt @ resid, resid.sum(axis=0)])
-        loss += float(np.sum(diff.astype(np.float64) ** 2))
-    return loss, grads
+    return grads
 
 
 def adapt_decoder(model: StudentModel,
                   inputs: tuple[list[np.ndarray], list[np.ndarray]],
-                  oracle_out: DetectionTensorSet, steps: int = 20,
-                  lr: float = 1e-3) -> tuple[DecoderWeights, float]:
-    """Run Adam on the adaptive decoder against the oracle output.
+                  oracle_out: DetectionTensorSet, steps: int = ADAPT_STEPS,
+                  lr: float = ADAPT_LR) -> DecoderWeights:
+    """Run ``steps`` Adam updates on the adaptive decoder against the oracle
+    output and return the new versioned weights.
 
     ``inputs`` are the frame's ``model.head_inputs``, so the caller extracts
     features once per adaptation. Frozen parts are untouched; the model
     itself is not mutated. The adaptive blocks are reshaped views of one
-    flat vector, so each step is one Adam update over all of them. Returns
-    the new versioned weights and the loss after the final step (the
-    selector's loss-trend input). A non-finite loss aborts and discards
-    the weights.
+    flat vector, so each step is one gradient evaluation and one Adam update
+    over all of them. A non-finite gradient (any non-finite residual makes
+    its bias gradient non-finite) or update raises ValueError in
+    ``adam_step``, and the weights are discarded.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -433,17 +438,10 @@ def adapt_decoder(model: StudentModel,
     flat = np.concatenate([b.data for b in model._adaptive])
     state = AdamState.for_param(flat, lr=lr)
     for _ in range(steps):
-        loss, grads = distill_gradients(prepared, views(flat))
-        if not np.isfinite(loss):
-            raise ValueError("non-finite distillation loss; weights discarded")
+        grads = distill_gradients(prepared, views(flat))
         flat = adam_step(flat, np.concatenate([g.reshape(-1) for g in grads]), state)
-    blocks = views(flat)
-    final_loss, _ = distill_gradients(prepared, blocks)
-    if not np.isfinite(final_loss):
-        raise ValueError("non-finite distillation loss; weights discarded")
-    weights = DecoderWeights(version=model.version + 1,
-                             blocks=tuple(Tensor(a) for a in blocks))
-    return weights, final_loss
+    return DecoderWeights(version=model.version + 1,
+                          blocks=tuple(Tensor(a) for a in views(flat)))
 
 
 def swap_decoder(model: StudentModel, weights: DecoderWeights) -> StudentModel:
@@ -473,8 +471,7 @@ class OracleModel:
     Functionally it encodes the scene truth into output tensors and adds a
     small deterministic perturbation derived from the frame content, so the
     same frame always yields the same tensors and decoding recovers the
-    truth almost exactly. Its frozen stage parameters exist to define its
-    depth and compute cost.
+    truth almost exactly. Its stage plan defines its depth and compute cost.
     """
 
     OBJ_ON = 2.5    # sigmoid 0.924, comfortably above the 0.5 decode threshold
@@ -493,11 +490,6 @@ class OracleModel:
         self.config = config or ModelConfig()
         self.seed = seed
         self.noise_amp = noise_amp
-        rng = np.random.Generator(np.random.PCG64(seed ^ 0x5EED))
-        self.stages = tuple(
-            Tensor(rng.normal(0.0, 0.1, (cin, cout)).astype(np.float32))
-            for _, cin, cout in self._STAGE_PLAN
-        )
 
     @property
     def layer_count(self) -> int:

@@ -6,7 +6,9 @@ one pass over the frames: the user node serves each frame in turn, and a
 training job, on the user node or the edge, is run to its outcome when it
 is dispatched and applied at its end time. That plus the single-slot weight
 swap gives the same observable contract (atomic swaps, at most one
-adaptation in flight, no queuing).
+adaptation in flight, no queuing). Wherever a job trains, it runs the one
+adaptation policy of ``models`` and reports the student's loss on its key
+frame before the update, which is the selector's feedback.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .models import (DecoderWeights, ModelConfig, OracleModel, Precision, StudentModel,
-                     adapt_decoder, distill_loss, swap_decoder)
+from .models import (DecoderWeights, OracleModel, Precision, StudentModel, adapt_decoder,
+                     distill_loss, swap_decoder)
 from .netproto import (Ack, AckStatus, ChannelConfig, FrameUpload, WeightUpdate,
                        decode_message, encode_message, tensor_from_frame_upload)
 
@@ -37,11 +39,8 @@ class ScenarioConfig:
     channel: ChannelConfig | None = None
     precision: Precision = Precision.FULL
     kfs_enabled: bool = True
-    adapt_steps: int = 20
-    adapt_lr: float = 0.05
     edge_speed: float = 12.0  # edge compute speedup over the user device
     seed: int = 0
-    model: ModelConfig | None = None
 
     def __post_init__(self):
         if isinstance(self.mode, str) and not isinstance(self.mode, Mode):
@@ -50,8 +49,6 @@ class ScenarioConfig:
             self.precision = Precision(self.precision)
         if self.mode is Mode.NETWORK and self.channel is None:
             raise ConfigError(f"mode {self.mode.value} requires a channel")
-        if self.adapt_steps < 1:
-            raise ConfigError("adapt_steps must be >= 1")
         if self.edge_speed <= 0:
             raise ConfigError("edge_speed must be > 0")
 
@@ -77,19 +74,17 @@ class EdgeNode:
     """Edge device: oracle plus a clone of the student's adaptive decoder.
 
     Serves FrameUpload messages by retraining the clone against the oracle
-    output for the uploaded frame and answering with the new weights plus
-    the loss the stale clone scored on that frame (the selector's feedback
-    signal). A request that is malformed, or whose adaptation or reply
-    encoding fails, gets an error Ack.
+    output for the uploaded frame (one ``adapt_decoder`` call with the
+    default policy) and answering with the new weights plus the loss the
+    stale clone scored on that frame before the update (the selector's
+    feedback signal). A request that is malformed, or whose adaptation or
+    reply encoding fails, gets an error Ack.
     """
 
-    def __init__(self, oracle: OracleModel, clone: StudentModel, truth_provider,
-                 adapt_steps: int = 20, adapt_lr: float = 0.05):
+    def __init__(self, oracle: OracleModel, clone: StudentModel, truth_provider):
         self.oracle = oracle
         self.clone = clone
         self.truth_provider = truth_provider
-        self.adapt_steps = adapt_steps
-        self.adapt_lr = adapt_lr
 
     def sync_clone(self, student: StudentModel) -> None:
         """Re-align the clone with the user-end model (stale-swap recovery)."""
@@ -111,8 +106,7 @@ class EdgeNode:
             # one feature extraction scores the stale clone and trains it
             inputs = self.clone.head_inputs(frame)
             pre_loss = distill_loss(self.clone.outputs(inputs), oracle_out)
-            weights, _ = adapt_decoder(self.clone, inputs, oracle_out,
-                                       steps=self.adapt_steps, lr=self.adapt_lr)
+            weights = adapt_decoder(self.clone, inputs, oracle_out)
             # the reply travels at the request's precision; binary16 overflow
             # raises OverflowError, and the clone only advances once the
             # reply is encoded

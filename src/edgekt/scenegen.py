@@ -274,22 +274,22 @@ def _background_pixels(style: int, size: int, dx: int, dy: int) -> np.ndarray:
     return np.clip(img, 0.0, 1.0)
 
 
-def _draw_object(img: np.ndarray, obj: ObjectSpec, cx: float, cy: float, size: int) -> None:
-    w_px = max(2, int(round(obj.w * size)))
-    h_px = max(2, int(round(obj.h * size)))
-    x1 = max(0, int(round(cx * size - w_px / 2)))
-    y1 = max(0, int(round(cy * size - h_px / 2)))
+def _draw_object(img: np.ndarray, box: Box, size: int) -> None:
+    w_px = max(2, int(round(box.w * size)))
+    h_px = max(2, int(round(box.h * size)))
+    x1 = max(0, int(round(box.x * size - w_px / 2)))
+    y1 = max(0, int(round(box.y * size - h_px / 2)))
     x2 = min(size, x1 + w_px)
     y2 = min(size, y1 + h_px)
     if x2 <= x1 or y2 <= y1:
         return
-    primary, secondary = _CLASS_COLORS.get(obj.class_id % 3, _CLASS_COLORS[0])
+    primary, secondary = _CLASS_COLORS.get(box.class_id % 3, _CLASS_COLORS[0])
     patch = np.empty((y2 - y1, x2 - x1, 3), dtype=np.float64)
     patch[:] = primary
-    if obj.class_id % 3 == 1:  # horizontal stripes, 2 px period pairs
+    if box.class_id % 3 == 1:  # horizontal stripes, 2 px period pairs
         rows = (np.arange(y1, y2) // 2) % 2 == 1
         patch[rows] = secondary
-    elif obj.class_id % 3 == 2:  # checker, 2 px tiles
+    elif box.class_id % 3 == 2:  # checker, 2 px tiles
         xx, yy = np.meshgrid(np.arange(x1, x2) // 2, np.arange(y1, y2) // 2)
         patch[(xx + yy) % 2 == 1] = secondary
     img[y1:y2, x1:x2] = patch
@@ -303,17 +303,15 @@ def _texture_drift_px(script: SceneScript, t: int) -> tuple[int, int]:
 
 
 def render_frame(script: SceneScript, t: int) -> Tensor:
-    """Render frame ``t`` deterministically (pure function of the script)."""
-    if not 0 <= t < script.duration_frames:
-        raise IndexError(f"frame {t} out of range [0, {script.duration_frames})")
-    objects, background = _active_scene(script, t)
+    """Render frame ``t`` deterministically (pure function of the script):
+    its ``truth_boxes`` drawn over its background, plus sensor noise."""
+    boxes = truth_boxes(script, t)  # raises IndexError for t out of range
+    _, background = _active_scene(script, t)
     dx, dy = _camera_offset_px(script, t)
     tx, ty = _texture_drift_px(script, t)
     img = _background_pixels(background, script.size, dx + tx, dy + ty)
-    cam_x, cam_y = dx / script.size, dy / script.size
-    for i, obj in enumerate(objects):
-        wx, wy = _object_center(obj, t, script, i)
-        _draw_object(img, obj, wx - cam_x, wy - cam_y, script.size)
+    for box in boxes:
+        _draw_object(img, box, script.size)
     sigma = script.noise_level
     if script.noise_breath > 0.0:
         sigma *= 1.0 + script.noise_breath * math.sin(

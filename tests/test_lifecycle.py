@@ -5,13 +5,16 @@ import dataclasses
 import logging
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from edgekt import harness, netproto, runtime
 from edgekt.harness import run_named_scenario
+from edgekt.models import DetectionTensorSet
 from edgekt.netproto import decode_message, encode_message
 from edgekt.runtime import EdgeNode
 from edgekt.scenegen import fixed_cam_default
+from edgekt.tensor import Tensor
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +52,25 @@ def _assert_job_dropped(report, caplog, frame_id, warning):
 def test_failed_local_job_is_logged_and_releases_gate(script, monkeypatch, caplog):
     caplog.set_level(logging.DEBUG, logger="edgekt.harness")
     monkeypatch.setattr(harness, "adapt_decoder", _fail_on_call(harness.adapt_decoder, 2))
+    report = run_named_scenario("lt", script, seed=0)
+    failed = report.key_frame_indices[1]
+    _assert_job_dropped(report, caplog, failed, f"training job failed on frame {failed}")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_local_adaptation_is_a_failed_job(script, monkeypatch, caplog):
+    caplog.set_level(logging.DEBUG, logger="edgekt.harness")
+    adapt, calls = harness.adapt_decoder, []
+
+    def overflow_second_target(model, inputs, oracle_out, **kwargs):
+        # the second job distills towards a target near the float32 maximum
+        calls.append(1)
+        if len(calls) == 2:
+            oracle_out = DetectionTensorSet(scales=tuple(
+                Tensor(np.full(s.shape, 3e38, np.float32)) for s in oracle_out.scales))
+        return adapt(model, inputs, oracle_out, **kwargs)
+
+    monkeypatch.setattr(harness, "adapt_decoder", overflow_second_target)
     report = run_named_scenario("lt", script, seed=0)
     failed = report.key_frame_indices[1]
     _assert_job_dropped(report, caplog, failed, f"training job failed on frame {failed}")

@@ -139,8 +139,8 @@ def test_oracle_rejects_out_of_bounds_truth(oracle):
 def test_adapt_self_target_is_fixpoint(student):
     f = _frame(seed=11)
     own = student.forward(f)
-    weights, loss = adapt_decoder(student, student.head_inputs(f), own, steps=5)
-    assert loss == 0.0
+    weights = adapt_decoder(student, student.head_inputs(f), own, steps=5)
+    assert distill_loss(swap_decoder(student, weights).forward(f), own) == 0.0
     assert weights.version == student.version + 1
     for new, old in zip(weights.blocks, student.adaptive_blocks):
         assert new == old
@@ -150,15 +150,16 @@ def test_adapt_reduces_loss(student, oracle):
     f = _frame(seed=12)
     target = oracle.forward(f, _truth())
     before = distill_loss(student.forward(f), target)
-    weights, after = adapt_decoder(student, student.head_inputs(f), target, steps=50, lr=0.05)
+    weights = adapt_decoder(student, student.head_inputs(f), target, steps=50, lr=0.05)
+    after = distill_loss(swap_decoder(student, weights).forward(f), target)
     assert after < before
 
 
 def test_adapt_leaves_frozen_parts_untouched(student, oracle):
     f = _frame(seed=13)
     checksum = student.frozen_checksum()
-    weights, _ = adapt_decoder(student, student.head_inputs(f), oracle.forward(f, _truth()),
-                               steps=20, lr=0.05)
+    weights = adapt_decoder(student, student.head_inputs(f), oracle.forward(f, _truth()),
+                            steps=20, lr=0.05)
     m2 = swap_decoder(student, weights)
     assert student.frozen_checksum() == checksum
     assert m2.frozen_checksum() == checksum
@@ -179,6 +180,23 @@ def test_adapt_rejects_shape_mismatch(student):
         adapt_decoder(student, inputs, bad, steps=1)
 
 
+def _reference_loss(prepared, blocks):
+    """The distillation loss at ``blocks``, from float64 ``prepare_distill`` terms."""
+    return sum(((base + x @ w + b - target) ** 2).sum()
+               for base, x, _, target, w, b in zip(*prepared, blocks[0::2], blocks[1::2]))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_adapt_rejects_overflowing_target(student):
+    # a residual near the float32 maximum doubles to inf in the gradient, and
+    # adam_step's finiteness check rejects it before any weights are built
+    f = _frame(seed=16)
+    huge = DetectionTensorSet(scales=tuple(
+        Tensor(np.full(s.shape, 3e38, np.float32)) for s in student.forward(f).scales))
+    with pytest.raises(ValueError, match="non-finite gradient"):
+        adapt_decoder(student, student.head_inputs(f), huge)
+
+
 def test_gradients_match_finite_differences():
     oracle = OracleModel(MINI, seed=3)
     model = StudentModel.seeded(MINI, seed=3)
@@ -187,16 +205,16 @@ def test_gradients_match_finite_differences():
     target = oracle.forward(frame, [Box(0.4, 0.5, 0.3, 0.3, 1)])
     blocks = tuple(rng.normal(0, 0.2, b.shape) for b in model.adaptive_blocks)
     prepared = prepare_distill(model, model.head_inputs(frame), target, dtype=np.float64)
-    _, grads = distill_gradients(prepared, blocks)
+    grads = distill_gradients(prepared, blocks)
     h = 1e-5
     for k, b in enumerate(blocks):
         flat = b.reshape(-1)
         for idx in range(0, flat.size, max(1, flat.size // 9)):
             orig = flat[idx]
             flat[idx] = orig + h
-            lp, _ = distill_gradients(prepared, blocks)
+            lp = _reference_loss(prepared, blocks)
             flat[idx] = orig - h
-            lm, _ = distill_gradients(prepared, blocks)
+            lm = _reference_loss(prepared, blocks)
             flat[idx] = orig
             fd = (lp - lm) / (2 * h)
             an = grads[k].reshape(-1)[idx]
@@ -216,7 +234,7 @@ def test_distillation_beats_never_adapted():
     for i in range(5):
         frame = stream.frame_at(i)
         target = oracle.forward(frame, stream.truth_at(i))
-        w, _ = adapt_decoder(adapted, adapted.head_inputs(frame), target, steps=20, lr=0.05)
+        w = adapt_decoder(adapted, adapted.head_inputs(frame), target, steps=20, lr=0.05)
         adapted = swap_decoder(adapted, w)
 
     def agg_f1(model):
@@ -237,8 +255,8 @@ def test_distillation_beats_never_adapted():
 
 def test_swap_equals_fresh_model(student, oracle):
     f = _frame(seed=14)
-    weights, _ = adapt_decoder(student, student.head_inputs(f), oracle.forward(f, _truth()),
-                               steps=10, lr=0.05)
+    weights = adapt_decoder(student, student.head_inputs(f), oracle.forward(f, _truth()),
+                            steps=10, lr=0.05)
     swapped = swap_decoder(student, weights)
     fresh = StudentModel(student.config, student._extractor, student._general,
                          weights.blocks, version=weights.version)
@@ -261,8 +279,8 @@ def test_swap_rejects_bad_shapes(student):
 
 def test_swap_half_precision_weights_equal_f16_round_trip(student, oracle):
     f = _frame(seed=15)
-    weights, _ = adapt_decoder(student, student.head_inputs(f), oracle.forward(f, _truth()),
-                               steps=10, lr=0.05)
+    weights = adapt_decoder(student, student.head_inputs(f), oracle.forward(f, _truth()),
+                            steps=10, lr=0.05)
     wire = decode_weights(encode_weights(
         DecoderWeights(weights.version, weights.blocks, Precision.HALF)))
     swapped = swap_decoder(student, wire)
@@ -275,8 +293,8 @@ def test_frozen_hash_constant_across_adapt_swap_sequence(student, oracle):
     model = student.clone()
     for i in range(3):
         f = _frame(seed=20 + i)
-        w, _ = adapt_decoder(model, model.head_inputs(f), oracle.forward(f, _truth()),
-                             steps=5, lr=0.05)
+        w = adapt_decoder(model, model.head_inputs(f), oracle.forward(f, _truth()),
+                          steps=5, lr=0.05)
         model = swap_decoder(model, w)
         assert model.frozen_checksum() == checksum
 

@@ -3,10 +3,13 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgekt.detection import decode_boxes, iou, nms
 from edgekt.models import ModelConfig, OracleModel
-from edgekt.scenegen import (ObjectSpec, SceneScript, SceneStream, Shift, fixed_cam_default,
+from edgekt.scenegen import (_CLASS_COLORS, REGIMES, TRAJECTORY_KINDS, ObjectSpec,
+                             SceneScript, SceneStream, Shift, fixed_cam_default,
                              moving_cam_default, pretrain_script, render_frame,
                              truth_boxes, write_ppm)
 from edgekt.selector import scene_change_statistic
@@ -167,3 +170,35 @@ def test_ppm_dump(tmp_path):
     data = path.read_bytes()
     assert data.startswith(b"P6\n64 64\n255\n")
     assert len(data) == len(b"P6\n64 64\n255\n") + 64 * 64 * 3
+
+
+_unit = st.floats(0.0, 1.0)
+_TRAJECTORIES = {
+    "static": st.fixed_dictionaries({"x": _unit, "y": _unit}),
+    "linear": st.fixed_dictionaries({"x": _unit, "y": _unit, "vx": st.floats(-0.1, 0.1),
+                                     "vy": st.floats(-0.1, 0.1)}),
+    "orbit": st.fixed_dictionaries({"cx": _unit, "cy": _unit, "radius": st.floats(0.0, 0.4),
+                                    "omega": st.floats(-1.0, 1.0),
+                                    "phase": st.floats(0.0, 6.3)}),
+    "scatter": st.just({}),
+}
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+@pytest.mark.parametrize("kind", TRAJECTORY_KINDS)
+@settings(max_examples=12, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_truth_box_centre_has_its_class_colour(kind, regime, data):
+    trajectory = {"kind": kind, **data.draw(_TRAJECTORIES[kind])}
+    obj = ObjectSpec(data.draw(st.integers(0, 2)), data.draw(st.floats(0.08, 0.5)),
+                     data.draw(st.floats(0.08, 0.5)), trajectory)
+    script = SceneScript(regime=regime, duration_frames=200,
+                         size=data.draw(st.sampled_from([32, 64])), objects=(obj,),
+                         noise_level=0.0, background=data.draw(st.integers(0, 2)),
+                         seed=data.draw(st.integers(0, 1000)))
+    t = data.draw(st.integers(0, script.duration_frames - 1))
+    frame = render_frame(script, t).array
+    for box in truth_boxes(script, t):
+        pixel = frame[int(box.y * script.size), int(box.x * script.size)]
+        colours = {tuple(np.float32(c)) for c in _CLASS_COLORS[box.class_id]}
+        assert tuple(pixel) in colours
