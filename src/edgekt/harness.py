@@ -2,6 +2,12 @@
 over the frames with at most one training job in flight, metric aggregation
 and report emission.
 
+The scenarios of one run go through the stream in lockstep. Each frame is
+rendered, scored by the oracle and decoded once into a ``FrameRecord`` that
+every scenario reads, and the student is pretrained once. Each scenario is a
+generator process with its own serving student, selector, ledger, channels
+and edge node, so its report is the same as when it runs alone.
+
 All stage durations come from an operation-count proxy (multiply-accumulate
 counts times a per-op virtual time) and configured power draws, so runs are
 machine-independent and reproducible. The power/time coefficients are
@@ -13,16 +19,21 @@ from __future__ import annotations
 import csv
 import json
 import logging
+from collections.abc import Generator, Sequence
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
-from .detection import MetricsReport, compute_metrics, decode_boxes, nms
-from .models import (ADAPT_LR, ADAPT_STEPS, ModelConfig, OracleModel, StudentModel,
-                     adapt_decoder, distill_loss, swap_decoder)
+import numpy as np
+
+from .detection import Box, MetricsReport, compute_metrics, decode_boxes, nms
+from .models import (ADAPT_LR, ADAPT_STEPS, DetectionTensorSet, ModelConfig, OracleModel,
+                     StudentModel, adapt_decoder, distill_loss, swap_decoder)
 from .netproto import (SimulatedChannel, WeightUpdate, decode_message,
                        frame_upload_from_tensor, lan_config, wifi_config)
 from .runtime import ConfigError, EdgeNode, Mode, ScenarioConfig, TrainJob
 from .scenegen import PRESETS, SceneScript, SceneStream
 from .selector import KeyFrameSelector, SelectorConfig
+from .tensor import Tensor
 
 logger = logging.getLogger("edgekt.harness")
 
@@ -169,27 +180,45 @@ MODEL_SEED = 7
 COST = CostModel()
 
 
-def run_scenario(config: ScenarioConfig, script: SceneScript,
-                 scenario_name: str | None = None) -> RunReport:
-    """Drive the full pipeline over the stream under virtual time.
+@dataclass(frozen=True, eq=False)
+class FrameRecord:
+    """What every scenario sees of frame ``index``, computed once and shared.
 
-    One pass over the frames; a training job's outcome is computed at
-    dispatch and applied at its end time, after a frame arriving just then.
+    All of it is pure in the frame: the oracle's noise is keyed by the frame
+    bytes and the model seed, and the head inputs read only the frozen
+    extractor, which every ``swap_decoder`` result shares with ``student``.
+    """
 
-    Ground truth for the metrics is the oracle's decoded output for every
-    frame (the deep model plays ground truth); the scene generator's truth
-    only feeds the oracle encoder. Deterministic given the config seeds.
+    index: int
+    frame: Tensor
+    oracle_out: DetectionTensorSet
+    gt_boxes: tuple[Box, ...]  # the oracle's decoded output, the metric ground truth
+    student: StudentModel = field(repr=False)  # the pretrained student
+
+    @cached_property
+    def head_inputs(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """The student's head inputs, extracted on first access, so a run
+        whose scenarios all serve the oracle extracts none. The scenarios
+        share them, so the arrays are read-only."""
+        inputs = self.student.head_inputs(self.frame)
+        for a in (*inputs[0], *inputs[1]):
+            a.flags.writeable = False
+        return inputs
+
+
+def _scenario(config: ScenarioConfig, script: SceneScript, name: str,
+              student: StudentModel, oracle: OracleModel,
+              stream: SceneStream) -> Generator[None, FrameRecord, RunReport]:
+    """One scenario's process: takes each frame's record in order at
+    ``rec = yield`` and returns the scenario's report after the last frame.
+
+    A training job's outcome is computed at dispatch and applied at its end
+    time, after a frame arriving just then. Everything the scenario changes
+    (serving student, selector, ledger, channels, edge node) is its own.
     """
     cost = COST
-    try:
-        model_cfg = ModelConfig(input_hw=script.size)
-    except ValueError as exc:
-        raise ConfigError(f"stream size {script.size} does not fit the student model: "
-                          f"{exc}") from exc
-    student = StudentModel.pretrained(model_cfg, seed=MODEL_SEED)
-    oracle = OracleModel(model_cfg, seed=MODEL_SEED)
+    model_cfg = student.config
     selector = KeyFrameSelector(SelectorConfig(seed=config.seed * 31 + 1))
-    stream = SceneStream(script)
     ledger = EnergyLedger(cost.power_w)
 
     up = down = None
@@ -290,23 +319,23 @@ def run_scenario(config: ScenarioConfig, script: SceneScript,
             selector.complete(None if job.loss is None else job.loss / loss_scale)
 
     for i in range(n_frames):
+        rec = yield
+        if rec.index != i:
+            raise RuntimeError(f"frame record {rec.index} delivered as frame {i}")
         t = i * period
         # a job ending exactly at a frame's arrival takes effect after it
         if in_flight is not None and in_flight.done_at < t:
             complete(in_flight)
             in_flight = None
         wall = max(wall, t)
-        frame = stream.frame_at(i)
-        truth = stream.truth_at(i)
+        frame = rec.frame
         start = max(t, prev_done)
 
         decode_s = cost.decode_seconds(frame.size)
         ledger.charge("Decode", decode_s)
 
-        # evaluation oracle run; never charged (the deep model's decoded
-        # output is the metric ground truth)
-        oracle_out = oracle.forward(frame, truth)
-        gt_boxes = nms(decode_boxes(oracle_out, OBJ_THRESHOLD), NMS_IOU)
+        oracle_out = rec.oracle_out
+        gt_boxes = rec.gt_boxes
 
         inputs = None
         if config.mode is Mode.DEEP_ONLY:
@@ -314,7 +343,7 @@ def run_scenario(config: ScenarioConfig, script: SceneScript,
             infer_s = oracle_s
             infer_activity = "OracleLocal"
         else:
-            inputs = student.head_inputs(frame)
+            inputs = rec.head_inputs
             serve_out = student.outputs(inputs)
             infer_s = student_macs * cost.op_seconds
             if start < local_end:
@@ -384,7 +413,7 @@ def run_scenario(config: ScenarioConfig, script: SceneScript,
     }
     return RunReport(
         schema_version=SCHEMA_VERSION,
-        scenario=scenario_name or config.mode.value,
+        scenario=name,
         config=cfg_echo,
         frame_count=n_frames,
         aggregate=aggregate,
@@ -404,6 +433,51 @@ def run_scenario(config: ScenarioConfig, script: SceneScript,
                             for a in ACTIVITIES},
         swap_log=swap_log,
     )
+
+
+def run_scenario(configs: Sequence[ScenarioConfig], script: SceneScript,
+                 names: Sequence[str] | None = None) -> list[RunReport]:
+    """Run scenarios over one stream in lockstep under virtual time; one
+    report per config, in order, named by ``names`` (default: each mode).
+
+    The student is pretrained once, and each frame is rendered,
+    oracle-scored and decoded once into a ``FrameRecord`` that goes to every
+    scenario's process in config order; a scenario's report does not depend
+    on the others. Ground truth for the metrics is the oracle's decoded
+    output for every frame (the deep model plays ground truth); the scene
+    generator's truth only feeds the oracle encoder. Deterministic given the
+    config seeds.
+    """
+    try:
+        model_cfg = ModelConfig(input_hw=script.size)
+    except ValueError as exc:
+        raise ConfigError(f"stream size {script.size} does not fit the student model: "
+                          f"{exc}") from exc
+    student = StudentModel.pretrained(model_cfg, seed=MODEL_SEED)
+    oracle = OracleModel(model_cfg, seed=MODEL_SEED)
+    stream = SceneStream(script)
+    names = names or [c.mode.value for c in configs]
+    procs = []
+    for config, name in zip(configs, names, strict=True):
+        logger.info("running scenario %s", name)
+        procs.append(_scenario(config, script, name, student, oracle, stream))
+        next(procs[-1])  # run the set-up up to the first frame
+    reports = []
+    for i in range(script.duration_frames):
+        frame = stream.frame_at(i)
+        # evaluation oracle run; never charged (the deep model's decoded
+        # output is the metric ground truth)
+        oracle_out = oracle.forward(frame, stream.truth_at(i))
+        rec = FrameRecord(index=i, frame=frame, oracle_out=oracle_out,
+                          gt_boxes=tuple(nms(decode_boxes(oracle_out, OBJ_THRESHOLD),
+                                             NMS_IOU)),
+                          student=student)
+        for proc in procs:
+            try:
+                proc.send(rec)
+            except StopIteration as done:  # every process ends on the last frame
+                reports.append(done.value)
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -435,20 +509,18 @@ def scenario_config(name: str, seed: int = 0, precision: str = "full",
 
 def run_named_scenario(name: str, script: SceneScript, seed: int = 0,
                        precision: str = "full", kfs: bool = True) -> RunReport:
-    logger.info("running scenario %s", name)
     cfg = scenario_config(name, seed=seed, precision=precision, kfs=kfs)
-    return run_scenario(cfg, script, scenario_name=name)
+    return run_scenario([cfg], script, [name])[0]
 
 
 def compare(script: SceneScript | None = None, seed: int = 0,
             out_path: str | None = None) -> dict:
-    """Run the five named scenarios (full precision, KFS on) and tabulate
-    energy, inference time, F1 and overall score per scenario."""
+    """Run the five named scenarios (full precision, KFS on) in lockstep and
+    tabulate energy, inference time, F1 and overall score per scenario."""
     from .scenegen import fixed_cam_default
     script = script or fixed_cam_default()
-    reports = {}
-    for name in SCENARIO_NAMES:
-        reports[name] = run_named_scenario(name, script, seed=seed)
+    configs = [scenario_config(name, seed=seed) for name in SCENARIO_NAMES]
+    reports = dict(zip(SCENARIO_NAMES, run_scenario(configs, script, SCENARIO_NAMES)))
     if out_path is not None:
         with open(out_path, "w", encoding="utf-8", newline="") as f:
             writer = csv.writer(f)

@@ -422,7 +422,8 @@ def adapt_decoder(model: StudentModel,
     flat vector, so each step is one gradient evaluation and one Adam update
     over all of them. A non-finite gradient (any non-finite residual makes
     its bias gradient non-finite) or update raises ValueError in
-    ``adam_step``, and the weights are discarded.
+    ``adam_step``, and the weights are discarded; the overflow itself emits
+    no numpy warning.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -437,9 +438,10 @@ def adapt_decoder(model: StudentModel,
 
     flat = np.concatenate([b.data for b in model._adaptive])
     state = AdamState.for_param(flat, lr=lr)
-    for _ in range(steps):
-        grads = distill_gradients(prepared, views(flat))
-        flat = adam_step(flat, np.concatenate([g.reshape(-1) for g in grads]), state)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(steps):
+            grads = distill_gradients(prepared, views(flat))
+            flat = adam_step(flat, np.concatenate([g.reshape(-1) for g in grads]), state)
     return DecoderWeights(version=model.version + 1,
                           blocks=tuple(Tensor(a) for a in views(flat)))
 

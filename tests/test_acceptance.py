@@ -245,9 +245,9 @@ def test_criterion_8_cli_determinism(tmp_path, run_cli):
 def test_criterion_9_location_independent_training():
     start = time.monotonic()
     script = fixed_cam_default()
-    lt = run_scenario(ScenarioConfig(mode=Mode.LOCAL, seed=0), script)
-    nt = run_scenario(ScenarioConfig(mode=Mode.NETWORK, channel=zero_cost_config(0),
-                                     edge_speed=1.0, seed=0), script)
+    lt, nt = run_scenario([ScenarioConfig(mode=Mode.LOCAL, seed=0),
+                           ScenarioConfig(mode=Mode.NETWORK, channel=zero_cost_config(0),
+                                          edge_speed=1.0, seed=0)], script)
     keys_ok = lt.key_frame_indices == nt.key_frame_indices
     weights_ok = ([e["checksum"] for e in lt.swap_log]
                   == [e["checksum"] for e in nt.swap_log])

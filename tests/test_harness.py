@@ -4,11 +4,13 @@ import json
 
 import pytest
 
-from edgekt.harness import (ACTIVITIES, CostModel, EnergyLedger, compare,
-                            emit_report, parse_report, resolve_stream,
+from edgekt import harness
+from edgekt.harness import (ACTIVITIES, SCENARIO_NAMES, CostModel, EnergyLedger,
+                            FrameRecord, compare, emit_report, parse_report, resolve_stream,
                             run_named_scenario, scenario_config)
+from edgekt.models import ModelConfig, OracleModel, StudentModel
 from edgekt.runtime import ConfigError
-from edgekt.scenegen import fixed_cam_default
+from edgekt.scenegen import PRESETS, SceneStream, fixed_cam_default, pretrain_script
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +140,60 @@ def test_compare_writes_table(tmp_path):
                        "f1", "overall_score"]
     by_name = {r[0]: r for r in rows[1:]}
     assert float(by_name["deep"][3]) == 1.0
+
+
+@pytest.mark.parametrize("preset", ["fixed_cam_default", "moving_cam_default"])
+def test_compare_equals_separate_runs(preset):
+    script = PRESETS[preset](duration=80)
+    reports = compare(script, seed=0)
+    for name in SCENARIO_NAMES:
+        assert reports[name].to_json() == run_named_scenario(name, script, seed=0).to_json()
+
+
+def _counted(monkeypatch, owner, name):
+    original, calls = getattr(owner, name), []
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def test_compare_renders_each_frame_and_pretrains_once(monkeypatch):
+    script = fixed_cam_default(duration=12)
+    frames = _counted(monkeypatch, SceneStream, "frame_at")
+    pretrains = _counted(monkeypatch, StudentModel, "pretrained")
+    compare(script, seed=0)
+    # pretraining renders its own stream (60 frames) once
+    assert len(frames) == 12 + pretrain_script(size=script.size).duration_frames
+    assert len(pretrains) == 1
+
+
+def test_record_for_the_wrong_frame_raises(monkeypatch):
+    record = harness.FrameRecord
+
+    def skipping(**fields):  # frame 3's record arrives in frame 2's place
+        return record(**{**fields, "index": fields["index"] + (fields["index"] == 2)})
+    monkeypatch.setattr(harness, "FrameRecord", skipping)
+    with pytest.raises(RuntimeError, match="frame record 3 delivered as frame 2"):
+        run_named_scenario("shallow", fixed_cam_default(duration=6))
+
+
+def test_record_head_inputs_are_extracted_once_and_read_only():
+    script = fixed_cam_default(duration=12)
+    cfg = ModelConfig(input_hw=script.size)
+    student = StudentModel.pretrained(cfg, seed=harness.MODEL_SEED)
+    stream = SceneStream(script)
+    frame = stream.frame_at(0)
+    rec = FrameRecord(index=0, frame=frame,
+                      oracle_out=OracleModel(cfg).forward(frame, stream.truth_at(0)),
+                      gt_boxes=(), student=student)
+    phis, ada_x = rec.head_inputs
+    assert rec.head_inputs is rec.head_inputs
+    for a in (*phis, *ada_x):
+        with pytest.raises(ValueError):
+            a[0, 0] = 0.0
 
 
 def test_f1_ordering_on_moving_camera_stream():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -186,15 +188,17 @@ def _reference_loss(prepared, blocks):
                for base, x, _, target, w, b in zip(*prepared, blocks[0::2], blocks[1::2]))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_adapt_rejects_overflowing_target(student):
     # a residual near the float32 maximum doubles to inf in the gradient, and
-    # adam_step's finiteness check rejects it before any weights are built
+    # adam_step's finiteness check rejects it before any weights are built;
+    # the overflow raises no numpy RuntimeWarning on the way
     f = _frame(seed=16)
     huge = DetectionTensorSet(scales=tuple(
         Tensor(np.full(s.shape, 3e38, np.float32)) for s in student.forward(f).scales))
-    with pytest.raises(ValueError, match="non-finite gradient"):
-        adapt_decoder(student, student.head_inputs(f), huge)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite gradient"):
+            adapt_decoder(student, student.head_inputs(f), huge)
 
 
 def test_gradients_match_finite_differences():

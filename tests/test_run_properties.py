@@ -4,7 +4,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from edgekt.harness import DEFAULT_POWER_W, run_named_scenario
+from edgekt.harness import (DEFAULT_POWER_W, SCENARIO_NAMES, run_named_scenario,
+                            run_scenario, scenario_config)
 from edgekt.scenegen import REGIMES, TRAJECTORY_KINDS, ObjectSpec, SceneScript, Shift
 
 _unit = st.floats(0.0, 1.0)
@@ -80,3 +81,16 @@ def test_run_invariants(scenario, kfs, script, seed):
     assert report.total_joules == pytest.approx(sum(e["joules"] for e in energy.values()),
                                                 rel=1e-9)
     assert energy["Idle"]["seconds"] >= 0.0
+
+
+@pytest.mark.parametrize("kfs", [True, False], ids=["kfs_on", "kfs_off"])
+@settings(max_examples=4, derandomize=True, database=None, deadline=None)
+@given(script=scene_scripts(), seed=st.integers(0, 3))
+@example(script=_EDGES, seed=1)
+def test_lockstep_reports_equal_separate_runs(kfs, script, seed):
+    # a scenario's report does not depend on the scenarios run beside it
+    configs = [scenario_config(name, seed=seed, kfs=kfs) for name in SCENARIO_NAMES]
+    lockstep = run_scenario(configs, script, SCENARIO_NAMES)
+    assert [r.to_json() for r in lockstep] == [
+        run_named_scenario(name, script, seed=seed, kfs=kfs).to_json()
+        for name in SCENARIO_NAMES]

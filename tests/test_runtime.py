@@ -245,9 +245,9 @@ def test_nt_round_trip_faster_than_lt_job(short_script):
 
 
 def test_zero_cost_channel_matches_local_training(short_script):
-    lt = run_scenario(ScenarioConfig(mode=Mode.LOCAL, seed=1), short_script)
-    nt = run_scenario(ScenarioConfig(mode=Mode.NETWORK, channel=zero_cost_config(1),
-                                     edge_speed=1.0, seed=1), short_script)
+    lt, nt = run_scenario([ScenarioConfig(mode=Mode.LOCAL, seed=1),
+                           ScenarioConfig(mode=Mode.NETWORK, channel=zero_cost_config(1),
+                                          edge_speed=1.0, seed=1)], short_script)
     assert lt.key_frame_indices == nt.key_frame_indices
     assert [e["checksum"] for e in lt.swap_log] == [e["checksum"] for e in nt.swap_log]
 
