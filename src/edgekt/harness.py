@@ -28,8 +28,8 @@ import numpy as np
 from .detection import Box, MetricsReport, compute_metrics, decode_boxes, nms
 from .models import (ADAPT_LR, ADAPT_STEPS, DetectionTensorSet, ModelConfig, OracleModel,
                      StudentModel, adapt_decoder, distill_loss, swap_decoder)
-from .netproto import (SimulatedChannel, WeightUpdate, decode_message,
-                       frame_upload_from_tensor, lan_config, wifi_config)
+from .netproto import (FrameUpload, SimulatedChannel, WeightUpdate, decode_message,
+                       lan_config, weights_byte_size, wifi_config)
 from .runtime import ConfigError, EdgeNode, Mode, ScenarioConfig, TrainJob
 from .scenegen import PRESETS, SceneScript, SceneStream
 from .selector import KeyFrameSelector, SelectorConfig
@@ -85,7 +85,6 @@ class EnergyLedger:
 
     def __init__(self, power_w: dict | None = None):
         self.power_w = dict(power_w or DEFAULT_POWER_W)
-        self.entries: list[tuple[str, float, float]] = []
         self.seconds: dict[str, float] = {a: 0.0 for a in ACTIVITIES}
         self.joules: dict[str, float] = {a: 0.0 for a in ACTIVITIES}
 
@@ -94,10 +93,8 @@ class EnergyLedger:
             raise ValueError(f"unknown activity {activity!r}")
         if duration_s < 0:
             raise ValueError("duration must be >= 0")
-        power = self.power_w[activity]
-        self.entries.append((activity, duration_s, power))
         self.seconds[activity] += duration_s
-        self.joules[activity] += duration_s * power
+        self.joules[activity] += duration_s * self.power_w[activity]
 
     @property
     def total_joules(self) -> float:
@@ -273,7 +270,7 @@ def _scenario(config: ScenarioConfig, script: SceneScript, name: str,
                 weights = pre_loss = None
             local_end = now + oracle_s + train_s
             return TrainJob(frame_id, now, local_end, weights, pre_loss)
-        res = up.transmit(frame_upload_from_tensor(frame_id, frame, config.precision), now)
+        res = up.transmit(FrameUpload(frame_id, frame, config.precision), now)
         ledger.charge("Transmit", res.serialize_s)
         radio_accum_s += res.serialize_s
         # the edge's reply is decoded once here and sent down as itself
@@ -309,7 +306,7 @@ def _scenario(config: ScenarioConfig, script: SceneScript, name: str,
                     edge.sync_clone(student)
             else:
                 student = new_student
-                pending_swap_s += cost.swap_seconds(weights.byte_size())
+                pending_swap_s += cost.swap_seconds(weights_byte_size(weights))
                 swap_log.append({"frame_id": job.frame_id, "version": student.version,
                                  "checksum": student.adaptive_checksum()})
             training_times.append(job.done_at - job.dispatched_at)

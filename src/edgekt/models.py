@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import struct
 import zlib
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -26,16 +25,13 @@ import numpy as np
 
 from .detection import (BOX_CHANNELS, CH_OBJ, CH_TH, CH_TW, CH_TX, CH_TY,
                         COORD_LOGIT_SCALE, SIZE_PRIOR, Box, logit)
-from .tensor import AdamState, Tensor, adam_step, f16_decode, f16_encode, l2_sq_distance
+from .tensor import AdamState, Tensor, adam_step, l2_sq_distance
 
 
 class Precision(str, Enum):
     FULL = "full"
     HALF = "half"
 
-
-_PRECISION_TAG = {Precision.FULL: 0, Precision.HALF: 1}
-_TAG_PRECISION = {v: k for k, v in _PRECISION_TAG.items()}
 
 # base-training ridge fit: L2 penalty on the head weights, and the weight of
 # object-cell rows against background rows
@@ -97,11 +93,6 @@ class DecoderWeights:
     def __post_init__(self):
         if self.version <= 0:
             raise ValueError("weight version must be positive")
-
-    def byte_size(self) -> int:
-        """Length of ``encode_weights(self)``, from the block shapes alone."""
-        width = 2 if self.precision is Precision.HALF else 4
-        return 9 + sum(1 + 4 * len(b.shape) + width * b.size for b in self.blocks)
 
 
 def distill_loss(student_out: DetectionTensorSet, oracle_out: DetectionTensorSet) -> float:
@@ -411,10 +402,9 @@ def distill_gradients(prepared: DistillInputs,
 
 def adapt_decoder(model: StudentModel,
                   inputs: tuple[list[np.ndarray], list[np.ndarray]],
-                  oracle_out: DetectionTensorSet, steps: int = ADAPT_STEPS,
-                  lr: float = ADAPT_LR) -> DecoderWeights:
-    """Run ``steps`` Adam updates on the adaptive decoder against the oracle
-    output and return the new versioned weights.
+                  oracle_out: DetectionTensorSet, steps: int = ADAPT_STEPS) -> DecoderWeights:
+    """Run ``steps`` Adam updates at ``ADAPT_LR`` on the adaptive decoder
+    against the oracle output and return the new versioned weights.
 
     ``inputs`` are the frame's ``model.head_inputs``, so the caller extracts
     features once per adaptation. Frozen parts are untouched; the model
@@ -437,7 +427,7 @@ def adapt_decoder(model: StudentModel,
         return [vec[span].reshape(shape) for span, shape in layout]
 
     flat = np.concatenate([b.data for b in model._adaptive])
-    state = AdamState.for_param(flat, lr=lr)
+    state = AdamState.for_param(flat, lr=ADAPT_LR)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(steps):
             grads = distill_gradients(prepared, views(flat))
@@ -562,54 +552,3 @@ class OracleModel:
                 t += nrng.uniform(-self.noise_amp, self.noise_amp,
                                   t.shape).astype(np.float32)
         return DetectionTensorSet(scales=tuple(Tensor(t) for t in targets))
-
-
-# ---------------------------------------------------------------------------
-# DecoderWeights wire codec
-# layout: version u64 LE | precision u8 | per block: rank u8, dims u32 LE
-# each, payload (f32 or binary16, little-endian)
-
-
-def encode_weights(w: DecoderWeights) -> bytes:
-    out = bytearray()
-    out += struct.pack("<QB", w.version, _PRECISION_TAG[w.precision])
-    for block in w.blocks:
-        out += struct.pack("<B", len(block.shape))
-        for d in block.shape:
-            out += struct.pack("<I", d)
-        if w.precision is Precision.HALF:
-            out += f16_encode(block)
-        else:
-            out += block.tobytes()
-    return bytes(out)
-
-
-def decode_weights(data: bytes) -> DecoderWeights:
-    if len(data) < 9:
-        raise ValueError("weight blob shorter than its fixed header")
-    version, tag = struct.unpack_from("<QB", data, 0)
-    if tag not in _TAG_PRECISION:
-        raise ValueError(f"unknown precision tag {tag}")
-    precision = _TAG_PRECISION[tag]
-    offset = 9
-    blocks: list[Tensor] = []
-    while offset < len(data):
-        rank = data[offset]
-        offset += 1
-        if rank == 0:  # a Tensor has rank >= 1, so this could not re-encode as sent
-            raise ValueError("rank-0 weight block")
-        if offset + 4 * rank > len(data):
-            raise ValueError("truncated block dims")
-        dims = struct.unpack_from(f"<{rank}I", data, offset)
-        offset += 4 * rank
-        n = math.prod(dims)
-        width = 2 if precision is Precision.HALF else 4
-        if offset + width * n > len(data):
-            raise ValueError("truncated block payload")
-        payload = data[offset:offset + width * n]
-        offset += width * n
-        if precision is Precision.HALF:
-            blocks.append(f16_decode(payload, dims))
-        else:
-            blocks.append(Tensor(np.frombuffer(payload, dtype="<f4").reshape(dims)))
-    return DecoderWeights(version=version, blocks=tuple(blocks), precision=precision)

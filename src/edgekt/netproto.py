@@ -2,7 +2,9 @@
 virtual-time channel with LAN/Wi-Fi bandwidth and latency characteristics.
 
 Framing is [magic 'EKTP'][type u8][length u32 LE][body], little-endian
-throughout. The channel is lossless and FIFO; delivery time is
+throughout. Frames and weights travel as tensor blocks of one layout,
+``rank u8 | dims u32 each | payload`` with f32 or binary16 values. The
+channel is lossless and FIFO; delivery time is
 now + base latency + jitter draw + size_bits / bandwidth.
 """
 
@@ -15,16 +17,22 @@ from enum import IntEnum
 
 import numpy as np
 
-from .models import (_PRECISION_TAG, _TAG_PRECISION, DecoderWeights, Precision,
-                     decode_weights, encode_weights)
+from .models import DecoderWeights, Precision
 from .tensor import Tensor, f16_decode, f16_encode
 
 MAGIC = b"EKTP"
 _HEADER = struct.Struct("<4sBI")
+# a u64 id (frame id or weight version) and a u8 (precision tag or ack status)
+_ID_U8 = struct.Struct("<QB")
 
 TYPE_FRAME_UPLOAD = 1
 TYPE_WEIGHT_UPDATE = 2
 TYPE_ACK = 3
+
+# per precision: its wire tag and the bytes of one tensor value
+_TAG = {Precision.FULL: 0, Precision.HALF: 1}
+_PRECISION = {tag: p for p, tag in _TAG.items()}
+_WIDTH = {Precision.FULL: 4, Precision.HALF: 2}
 
 
 class AckStatus(IntEnum):
@@ -43,9 +51,8 @@ class ProtocolError(ValueError):
 @dataclass(frozen=True)
 class FrameUpload:
     frame_id: int
-    precision: Precision
-    shape: tuple[int, ...]
-    payload: bytes
+    frame: Tensor
+    precision: Precision = Precision.FULL
 
 
 @dataclass(frozen=True)
@@ -75,34 +82,81 @@ class Ack:
 Message = FrameUpload | WeightUpdate | Ack
 
 
-def frame_upload_from_tensor(frame_id: int, frame: Tensor,
-                             precision: Precision = Precision.FULL) -> FrameUpload:
-    payload = f16_encode(frame) if precision is Precision.HALF else frame.tobytes()
-    return FrameUpload(frame_id=frame_id, precision=precision,
-                       shape=frame.shape, payload=payload)
+# ---------------------------------------------------------------------------
+# Tensor blocks
 
 
-def tensor_from_frame_upload(m: FrameUpload) -> Tensor:
-    if m.precision is Precision.HALF:
-        return f16_decode(m.payload, m.shape)
-    n = math.prod(m.shape)
-    if len(m.payload) != 4 * n:
-        raise ProtocolError("bad_body", "payload length inconsistent with shape")
-    return Tensor(np.frombuffer(m.payload, dtype="<f4").reshape(m.shape))
+def _encode_block(t: Tensor, precision: Precision) -> bytes:
+    """``rank u8 | dims u32 each | payload``; binary16 overflow raises
+    OverflowError."""
+    payload = f16_encode(t) if precision is Precision.HALF else t.tobytes()
+    return struct.pack(f"<B{len(t.shape)}I", len(t.shape), *t.shape) + payload
+
+
+def _decode_block(data: bytes, offset: int, precision: Precision) -> tuple[Tensor, int]:
+    """The block at ``offset`` and the offset just past it. A rank-0 block
+    or a non-finite value is rejected: neither re-encodes as sent."""
+    if offset >= len(data):
+        raise ProtocolError("bad_body", "missing tensor block")
+    rank = data[offset]
+    if rank == 0:
+        raise ProtocolError("bad_body", "rank-0 tensor block")
+    start = offset + 1 + 4 * rank
+    if start > len(data):
+        raise ProtocolError("bad_body", "truncated block dims")
+    dims = struct.unpack_from(f"<{rank}I", data, offset + 1)
+    end = start + _WIDTH[precision] * math.prod(dims)
+    if end > len(data):
+        raise ProtocolError("bad_body", "truncated block payload")
+    payload = data[start:end]
+    if precision is Precision.HALF:
+        return f16_decode(payload, dims), end
+    return Tensor(np.frombuffer(payload, dtype="<f4").reshape(dims)), end
+
+
+def _decode_id_tag(data: bytes) -> tuple[int, Precision]:
+    if len(data) < _ID_U8.size:
+        raise ProtocolError("bad_body", "shorter than its id and precision tag")
+    ident, tag = _ID_U8.unpack_from(data, 0)
+    if tag not in _PRECISION:
+        raise ProtocolError("bad_body", f"unknown precision tag {tag}")
+    return ident, _PRECISION[tag]
+
+
+def encode_weights(w: DecoderWeights) -> bytes:
+    """``version u64 | precision u8`` and one block per adaptive block."""
+    return _ID_U8.pack(w.version, _TAG[w.precision]) + b"".join(
+        _encode_block(b, w.precision) for b in w.blocks)
+
+
+def decode_weights(data: bytes) -> DecoderWeights:
+    version, precision = _decode_id_tag(data)
+    offset, blocks = _ID_U8.size, []
+    while offset < len(data):
+        block, offset = _decode_block(data, offset, precision)
+        blocks.append(block)
+    return DecoderWeights(version=version, blocks=tuple(blocks), precision=precision)
+
+
+def weights_byte_size(w: DecoderWeights) -> int:
+    """Length of ``encode_weights(w)``, from the block shapes alone."""
+    return _ID_U8.size + sum(1 + 4 * len(b.shape) + _WIDTH[w.precision] * b.size
+                              for b in w.blocks)
+
+
+# ---------------------------------------------------------------------------
+# Messages
 
 
 def encode_message(m: Message) -> bytes:
     if isinstance(m, FrameUpload):
-        body = struct.pack("<QBB", m.frame_id, _PRECISION_TAG[m.precision], len(m.shape))
-        body += struct.pack(f"<{len(m.shape)}I", *m.shape)
-        body += m.payload
+        body = _ID_U8.pack(m.frame_id, _TAG[m.precision]) + _encode_block(m.frame, m.precision)
         mtype = TYPE_FRAME_UPLOAD
     elif isinstance(m, WeightUpdate):
-        body = struct.pack("<Qf", m.frame_id, m.loss)
-        body += encode_weights(m.weights)
+        body = struct.pack("<Qf", m.frame_id, m.loss) + encode_weights(m.weights)
         mtype = TYPE_WEIGHT_UPDATE
     elif isinstance(m, Ack):
-        body = struct.pack("<QB", m.frame_id, int(m.status))
+        body = _ID_U8.pack(m.frame_id, int(m.status))
         mtype = TYPE_ACK
     else:
         raise TypeError(f"not a protocol message: {type(m)!r}")
@@ -120,24 +174,18 @@ def decode_message(data: bytes) -> Message:
         raise ProtocolError("truncated", f"declared {length} body bytes, got {len(body)}")
     try:
         if mtype == TYPE_FRAME_UPLOAD:
-            frame_id, tag, rank = struct.unpack_from("<QBB", body, 0)
-            shape = struct.unpack_from(f"<{rank}I", body, 10)
-            payload = body[10 + 4 * rank:]
-            if tag not in _TAG_PRECISION:
-                raise ProtocolError("bad_body", f"unknown precision tag {tag}")
-            precision = _TAG_PRECISION[tag]
-            n = math.prod(shape)
-            width = 4 if precision is Precision.FULL else 2
-            if len(payload) != width * n:
-                raise ProtocolError("bad_body", "payload inconsistent with shape")
-            return FrameUpload(frame_id, precision, tuple(int(s) for s in shape), payload)
+            frame_id, precision = _decode_id_tag(body)
+            frame, end = _decode_block(body, _ID_U8.size, precision)
+            if end != len(body):
+                raise ProtocolError("bad_body", "bytes after the frame block")
+            return FrameUpload(frame_id, frame, precision)
         if mtype == TYPE_WEIGHT_UPDATE:
             frame_id, loss = struct.unpack_from("<Qf", body, 0)
             return WeightUpdate(frame_id, decode_weights(body[12:]), float(loss))
         if mtype == TYPE_ACK:
-            if len(body) != 9:
+            if len(body) != _ID_U8.size:
                 raise ProtocolError("bad_body", f"ack body is {len(body)} bytes, not 9")
-            frame_id, status = struct.unpack_from("<QB", body, 0)
+            frame_id, status = _ID_U8.unpack_from(body, 0)
             return Ack(frame_id, AckStatus(status))
     except ProtocolError:
         raise

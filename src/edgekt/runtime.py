@@ -19,7 +19,7 @@ from enum import Enum
 from .models import (DecoderWeights, OracleModel, Precision, StudentModel, adapt_decoder,
                      distill_loss, swap_decoder)
 from .netproto import (Ack, AckStatus, ChannelConfig, FrameUpload, WeightUpdate,
-                       decode_message, encode_message, tensor_from_frame_upload)
+                       decode_message, encode_message)
 
 
 class Mode(str, Enum):
@@ -100,11 +100,10 @@ class EdgeNode:
             return encode_message(Ack(frame_id=getattr(m, "frame_id", 0),
                                       status=AckStatus.ERROR))
         try:
-            frame = tensor_from_frame_upload(m)
             truth = self.truth_provider(m.frame_id)
-            oracle_out = self.oracle.forward(frame, truth)
+            oracle_out = self.oracle.forward(m.frame, truth)
             # one feature extraction scores the stale clone and trains it
-            inputs = self.clone.head_inputs(frame)
+            inputs = self.clone.head_inputs(m.frame)
             pre_loss = distill_loss(self.clone.outputs(inputs), oracle_out)
             weights = adapt_decoder(self.clone, inputs, oracle_out)
             # the reply travels at the request's precision; binary16 overflow

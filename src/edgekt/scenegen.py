@@ -100,24 +100,16 @@ class SceneScript:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SceneScript":
+        """The script ``to_dict`` wrote. ``duration_frames`` is required; any
+        other omitted key keeps the field's default."""
+        kwargs = {key: parse(d[key]) for key, parse in _SCALAR_KEYS if key in d}
         cam = d.get("camera", {})
-        return cls(
-            name=d.get("name", "custom"),
-            regime=d.get("regime", "fixed_camera"),
-            duration_frames=int(d["duration_frames"]),
-            size=int(d.get("size", 64)),
-            fps=float(d.get("fps", 4.0)),
-            noise_level=float(d.get("noise_level", 0.0)),
-            background=int(d.get("background", 0)),
-            seed=int(d.get("seed", 0)),
-            camera_amplitude_px=float(cam.get("amplitude_px", 6.0)),
-            camera_period_frames=float(cam.get("period_frames", 120.0)),
-            texture_drift_period=int(d.get("texture_drift_period", 0)),
-            noise_breath=float(d.get("noise_breath", 0.0)),
-            noise_breath_period=float(d.get("noise_breath_period", 50.0)),
-            objects=tuple(_object_from_dict(o) for o in d.get("objects", [])),
-            shifts=tuple(_shift_from_dict(s) for s in d.get("shifts", [])),
-        )
+        kwargs.update((f"camera_{key}", float(cam[key]))
+                      for key in ("amplitude_px", "period_frames") if key in cam)
+        return cls(duration_frames=int(d["duration_frames"]),
+                   objects=tuple(_object_from_dict(o) for o in d.get("objects", [])),
+                   shifts=tuple(_shift_from_dict(s) for s in d.get("shifts", [])),
+                   **kwargs)
 
     @classmethod
     def load(cls, path: str) -> "SceneScript":
@@ -127,6 +119,13 @@ class SceneScript:
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as f:
             json.dump(self.to_dict(), f, indent=2, sort_keys=True)
+
+
+# ``to_dict`` keys that hold one scalar field of the same name, and their parsers
+_SCALAR_KEYS = (("name", str), ("regime", str), ("size", int), ("fps", float),
+                ("noise_level", float), ("background", int), ("seed", int),
+                ("texture_drift_period", int), ("noise_breath", float),
+                ("noise_breath_period", float))
 
 
 def _object_from_dict(d: dict) -> ObjectSpec:

@@ -13,6 +13,11 @@ import numpy as np
 # Largest finite binary16 value; anything beyond it must not be encoded.
 F16_MAX = 65504.0
 
+# Adam's moment decay rates and its denominator guard
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 class Tensor:
     """Immutable dense tensor of finite float32 values, row-major."""
@@ -85,16 +90,12 @@ class AdamState:
     v: np.ndarray
     step: int = 0
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def for_param(cls, param: np.ndarray, lr: float = 1e-3, beta1: float = 0.9,
-                  beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
+    def for_param(cls, param: np.ndarray, lr: float = 1e-3) -> "AdamState":
         """Fresh zero-moment float32 state matching a parameter's shape."""
         return cls(m=np.zeros(param.shape, np.float32), v=np.zeros(param.shape, np.float32),
-                   step=0, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+                   step=0, lr=lr)
 
 
 def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> np.ndarray:
@@ -103,7 +104,8 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> np.ndarr
 
     The update follows the standard rule: moment estimates are decayed
     averages of the gradient and its square, corrected by 1/(1-beta^t),
-    and the parameter moves by lr * m_hat / (sqrt(v_hat) + eps). A
+    and the parameter moves by lr * m_hat / (sqrt(v_hat) + eps), with the
+    module's ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``. A
     non-finite gradient, or a moment or parameter that overflows, raises
     ValueError and leaves ``state`` unchanged.
     """
@@ -113,11 +115,11 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> np.ndarr
         raise ValueError("non-finite gradient")
 
     t = state.step + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    m_hat = m / (1.0 - state.beta1 ** t)
-    v_hat = v / (1.0 - state.beta2 ** t)
-    new = param - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = m / (1.0 - ADAM_BETA1 ** t)
+    v_hat = v / (1.0 - ADAM_BETA2 ** t)
+    new = param - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     if not (np.all(np.isfinite(m)) and np.all(np.isfinite(v)) and np.all(np.isfinite(new))):
         raise ValueError("Adam update overflowed to a non-finite value")
 

@@ -14,7 +14,7 @@ from edgekt.detection import Box, compute_metrics, iou, nms
 from edgekt.harness import compare, run_named_scenario, run_scenario
 from edgekt.models import (ModelConfig, OracleModel, Precision, StudentModel,
                            adapt_decoder, distill_gradients, prepare_distill)
-from edgekt.netproto import encode_message, frame_upload_from_tensor, zero_cost_config
+from edgekt.netproto import FrameUpload, encode_message, zero_cost_config
 from edgekt.runtime import Mode, ScenarioConfig
 from edgekt.scenegen import fixed_cam_default
 from edgekt.selector import KeyFrameSelector, SelectorConfig
@@ -99,8 +99,8 @@ def test_criterion_5_half_precision():
     sizes_ok = True
     for shape in ((8, 8, 3), (64, 64, 3)):
         t = Tensor(rng.uniform(0, 1, shape).astype(np.float32))
-        full = len(encode_message(frame_upload_from_tensor(1, t, Precision.FULL)))
-        half = len(encode_message(frame_upload_from_tensor(1, t, Precision.HALF)))
+        full = len(encode_message(FrameUpload(1, t, Precision.FULL)))
+        half = len(encode_message(FrameUpload(1, t, Precision.HALF)))
         sizes_ok = sizes_ok and (half == full / 2 + 15.5) and (2 * half - full == 31)
 
     script = fixed_cam_default()

@@ -24,7 +24,7 @@ def test_ledger_zero_duration_keeps_total():
     ledger = EnergyLedger()
     ledger.charge("Inference", 0.0)
     assert ledger.total_joules == 0.0
-    assert len(ledger.entries) == 1
+    assert ledger.seconds["Inference"] == 0.0 and ledger.joules["Inference"] == 0.0
 
 
 def test_ledger_product():
@@ -54,10 +54,16 @@ def test_ledger_replay_consistency(report):
 
 def test_ledger_totals_match_entry_sum():
     ledger = EnergyLedger()
+    charged = {a: 0.0 for a in ACTIVITIES}
     for k in range(20):
-        ledger.charge(ACTIVITIES[k % len(ACTIVITIES)], 0.01 * k)
+        activity = ACTIVITIES[k % len(ACTIVITIES)]
+        ledger.charge(activity, 0.01 * k)
+        charged[activity] += 0.01 * k
+    for a in ACTIVITIES:
+        assert ledger.seconds[a] == pytest.approx(charged[a])
+        assert ledger.joules[a] == pytest.approx(ledger.seconds[a] * ledger.power_w[a])
     assert ledger.total_joules == pytest.approx(
-        sum(d * p for _, d, p in ledger.entries))
+        sum(ledger.seconds[a] * ledger.power_w[a] for a in ACTIVITIES))
 
 
 # -- reports --------------------------------------------------------------------

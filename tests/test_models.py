@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from edgekt.detection import Box, compute_metrics, decode_boxes, nms
 from edgekt.models import (DecoderWeights, DetectionTensorSet, ModelConfig, OracleModel,
-                           Precision, StudentModel, adapt_decoder, decode_weights,
-                           distill_gradients, distill_loss, encode_weights, prepare_distill,
-                           swap_decoder)
+                           Precision, StudentModel, adapt_decoder, distill_gradients,
+                           distill_loss, prepare_distill, swap_decoder)
+from edgekt.netproto import decode_weights, encode_weights, weights_byte_size
 from edgekt.tensor import Tensor, f16_decode, f16_encode, l2_sq_distance
 
 MINI = ModelConfig(input_hw=16, grids=(4, 2, 1), feat1=4, feat2=6)
@@ -152,7 +152,7 @@ def test_adapt_reduces_loss(student, oracle):
     f = _frame(seed=12)
     target = oracle.forward(f, _truth())
     before = distill_loss(student.forward(f), target)
-    weights = adapt_decoder(student, student.head_inputs(f), target, steps=50, lr=0.05)
+    weights = adapt_decoder(student, student.head_inputs(f), target, steps=50)
     after = distill_loss(swap_decoder(student, weights).forward(f), target)
     assert after < before
 
@@ -161,7 +161,7 @@ def test_adapt_leaves_frozen_parts_untouched(student, oracle):
     f = _frame(seed=13)
     checksum = student.frozen_checksum()
     weights = adapt_decoder(student, student.head_inputs(f), oracle.forward(f, _truth()),
-                            steps=20, lr=0.05)
+                            steps=20)
     m2 = swap_decoder(student, weights)
     assert student.frozen_checksum() == checksum
     assert m2.frozen_checksum() == checksum
@@ -238,7 +238,7 @@ def test_distillation_beats_never_adapted():
     for i in range(5):
         frame = stream.frame_at(i)
         target = oracle.forward(frame, stream.truth_at(i))
-        w = adapt_decoder(adapted, adapted.head_inputs(frame), target, steps=20, lr=0.05)
+        w = adapt_decoder(adapted, adapted.head_inputs(frame), target, steps=20)
         adapted = swap_decoder(adapted, w)
 
     def agg_f1(model):
@@ -260,7 +260,7 @@ def test_distillation_beats_never_adapted():
 def test_swap_equals_fresh_model(student, oracle):
     f = _frame(seed=14)
     weights = adapt_decoder(student, student.head_inputs(f), oracle.forward(f, _truth()),
-                            steps=10, lr=0.05)
+                            steps=10)
     swapped = swap_decoder(student, weights)
     fresh = StudentModel(student.config, student._extractor, student._general,
                          weights.blocks, version=weights.version)
@@ -284,7 +284,7 @@ def test_swap_rejects_bad_shapes(student):
 def test_swap_half_precision_weights_equal_f16_round_trip(student, oracle):
     f = _frame(seed=15)
     weights = adapt_decoder(student, student.head_inputs(f), oracle.forward(f, _truth()),
-                            steps=10, lr=0.05)
+                            steps=10)
     wire = decode_weights(encode_weights(
         DecoderWeights(weights.version, weights.blocks, Precision.HALF)))
     swapped = swap_decoder(student, wire)
@@ -298,7 +298,7 @@ def test_frozen_hash_constant_across_adapt_swap_sequence(student, oracle):
     for i in range(3):
         f = _frame(seed=20 + i)
         w = adapt_decoder(model, model.head_inputs(f), oracle.forward(f, _truth()),
-                          steps=5, lr=0.05)
+                          steps=5)
         model = swap_decoder(model, w)
         assert model.frozen_checksum() == checksum
 
@@ -343,4 +343,4 @@ def test_mini_config_shapes():
 def test_weights_byte_size_equals_encoded_length(shapes, precision, version):
     blocks = tuple(Tensor(np.full(s, 0.5, np.float32)) for s in shapes)
     w = DecoderWeights(version=version, blocks=blocks, precision=precision)
-    assert w.byte_size() == len(encode_weights(w))
+    assert weights_byte_size(w) == len(encode_weights(w))

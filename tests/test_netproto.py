@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgekt.models import DecoderWeights, Precision
-from edgekt.netproto import (Ack, AckStatus, ChannelConfig, LognormalJitter,
+from edgekt.netproto import (Ack, AckStatus, ChannelConfig, FrameUpload, LognormalJitter,
                              ProtocolError, SimulatedChannel, WeightUpdate, decode_message,
-                             encode_message, frame_upload_from_tensor, lan_config,
-                             tensor_from_frame_upload, wifi_config, zero_cost_config)
+                             encode_message, lan_config, wifi_config, zero_cost_config)
 from edgekt.tensor import Tensor, f16_decode, f16_encode
 
 
@@ -24,7 +23,7 @@ def _random_message(rng):
     kind = int(rng.integers(0, 3))
     if kind == 0:
         t = Tensor(rng.uniform(0, 1, (int(rng.integers(2, 6)), 3)).astype(np.float32))
-        return frame_upload_from_tensor(int(rng.integers(0, 1000)), t)
+        return FrameUpload(int(rng.integers(0, 1000)), t)
     if kind == 1:
         return WeightUpdate(int(rng.integers(0, 1000)), _random_weights(rng),
                             float(rng.uniform(0, 10)))
@@ -46,15 +45,15 @@ def test_round_trip_randomized_thousand():
 def test_frame_upload_payload_round_trip():
     rng = np.random.Generator(np.random.PCG64(31))
     t = Tensor(rng.uniform(0, 1, (8, 8, 3)).astype(np.float32))
-    m = frame_upload_from_tensor(7, t)
-    assert tensor_from_frame_upload(decode_message(encode_message(m))) == t
+    m = FrameUpload(7, t)
+    assert decode_message(encode_message(m)).frame == t
 
 
 def test_half_precision_round_trip_is_f16():
     rng = np.random.Generator(np.random.PCG64(32))
     t = Tensor(rng.uniform(0, 1, (6, 6, 3)).astype(np.float32))
-    m = frame_upload_from_tensor(9, t, Precision.HALF)
-    back = tensor_from_frame_upload(decode_message(encode_message(m)))
+    m = FrameUpload(9, t, Precision.HALF)
+    back = decode_message(encode_message(m)).frame
     assert back == f16_decode(f16_encode(t), t.shape)
 
 
@@ -93,8 +92,8 @@ def test_half_size_is_half_payload_plus_constant_header():
     rng = np.random.Generator(np.random.PCG64(34))
     for shape in ((4, 4, 3), (8, 8, 3), (16, 16, 3)):
         t = Tensor(rng.uniform(0, 1, shape).astype(np.float32))
-        full = len(encode_message(frame_upload_from_tensor(1, t, Precision.FULL)))
-        half = len(encode_message(frame_upload_from_tensor(1, t, Precision.HALF)))
+        full = len(encode_message(FrameUpload(1, t, Precision.FULL)))
+        half = len(encode_message(FrameUpload(1, t, Precision.HALF)))
         # framing + id + precision + rank + dims = 31 bytes for rank-3 shapes
         assert 2 * half - full == 31
         assert half == full / 2 + 15.5
@@ -107,7 +106,7 @@ def _valid_encodings():
     frame = Tensor(rng.uniform(0, 1, (2, 2, 3)).astype(np.float32))
     out = [encode_message(Ack(7, status)) for status in AckStatus]
     for precision in Precision:
-        out.append(encode_message(frame_upload_from_tensor(3, frame, precision)))
+        out.append(encode_message(FrameUpload(3, frame, precision)))
         blocks = tuple(Tensor(rng.uniform(-1, 1, s).astype(np.float32)) for s in ((2, 3), (3,)))
         out.append(encode_message(WeightUpdate(5, DecoderWeights(2, blocks, precision), 1.25)))
     return out
@@ -169,8 +168,10 @@ def _weight_update_with(loss=1.0, dims=(2,), payload=b"\0" * 8):
     _weight_update_with(loss=math.inf),
     # 65536**4 wraps to 0 in int64, which an empty payload would match
     _frame_upload_with(dims=(65536,) * 4, payload=b""),
+    _frame_upload_with(payload=struct.pack("<f", math.nan)),
+    _frame_upload_with(dims=(), payload=b"\0" * 4),
 ], ids=["unknown_tag", "ack_trailing_bytes", "rank0_block", "nan_loss", "inf_loss",
-        "int64_wrapping_shape"])
+        "int64_wrapping_shape", "nan_frame", "rank0_frame"])
 def test_non_canonical_inputs_rejected(data):
     with pytest.raises(ProtocolError) as err:
         decode_message(data)
@@ -181,6 +182,23 @@ def test_non_canonical_inputs_rejected(data):
 def test_hand_built_inputs_valid_by_default(data):
     # the rejections above come from the one field each case changes
     assert encode_message(decode_message(data)) == data
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(shape=st.lists(st.integers(1, 6), min_size=1, max_size=3).map(tuple),
+       precision=st.sampled_from(list(Precision)), seed=st.integers(0, 2**32 - 1))
+def test_frame_and_weight_blocks_share_one_layout(shape, precision, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    t = Tensor(rng.uniform(-1, 1, shape).astype(np.float32))
+    tag = {Precision.FULL: 0, Precision.HALF: 1}[precision]
+    frame_body = encode_message(FrameUpload(3, t, precision))[9:]
+    weight_body = encode_message(WeightUpdate(4, DecoderWeights(1, (t,), precision), 0.5))[9:]
+    # frame body: frame id u64, tag u8, one block
+    assert frame_body[:9] == struct.pack("<QB", 3, tag)
+    assert frame_body[9:].startswith(struct.pack(f"<B{len(shape)}I", len(shape), *shape))
+    # weight body: frame id u64, loss f32, version u64, tag u8, one block per weight block
+    assert weight_body[12:21] == struct.pack("<QB", 1, tag)
+    assert weight_body[21:] == frame_body[9:]
 
 
 # -- channel -------------------------------------------------------------------
@@ -198,7 +216,7 @@ def test_transmit_serialization_arithmetic():
 def test_transmit_bandwidth_ratio():
     rng = np.random.Generator(np.random.PCG64(35))
     t = Tensor(rng.uniform(0, 1, (64, 64, 3)).astype(np.float32))
-    m = frame_upload_from_tensor(0, t)
+    m = FrameUpload(0, t)
     lan = SimulatedChannel(ChannelConfig(bandwidth_bps=100e6), 0).transmit(m, 0.0)
     wifi = SimulatedChannel(ChannelConfig(bandwidth_bps=13e6), 0).transmit(m, 0.0)
     assert wifi.serialize_s / lan.serialize_s == pytest.approx(100 / 13)
@@ -206,8 +224,8 @@ def test_transmit_bandwidth_ratio():
 
 def test_transmit_monotone_in_payload():
     ch = SimulatedChannel(ChannelConfig(bandwidth_bps=13e6), 0)
-    small = frame_upload_from_tensor(0, Tensor(np.zeros((4, 4, 3), np.float32)))
-    large = frame_upload_from_tensor(0, Tensor(np.zeros((16, 16, 3), np.float32)))
+    small = FrameUpload(0, Tensor(np.zeros((4, 4, 3), np.float32)))
+    large = FrameUpload(0, Tensor(np.zeros((16, 16, 3), np.float32)))
     assert ch.transmit(small, 0.0).serialize_s < ch.transmit(large, 0.0).serialize_s
 
 
@@ -242,7 +260,7 @@ def test_wifi_jitter_positive_and_lan_jitter_absent():
 
 def test_zero_cost_channel():
     ch = SimulatedChannel(zero_cost_config(), 0)
-    res = ch.transmit(frame_upload_from_tensor(0, Tensor(np.zeros((64, 64, 3), np.float32))), 5.0)
+    res = ch.transmit(FrameUpload(0, Tensor(np.zeros((64, 64, 3), np.float32))), 5.0)
     assert res.serialize_s == 0.0
     assert res.delivery_time == 5.0
 

@@ -7,8 +7,8 @@ from edgekt import harness, models, runtime
 from edgekt.harness import CostModel, run_named_scenario, run_scenario
 from edgekt.models import (ADAPT_STEPS, DecoderWeights, ModelConfig, OracleModel, Precision,
                            StudentModel, adapt_decoder, swap_decoder)
-from edgekt.netproto import (Ack, AckStatus, WeightUpdate, decode_message, encode_message,
-                             frame_upload_from_tensor, lan_config, zero_cost_config)
+from edgekt.netproto import (Ack, AckStatus, FrameUpload, WeightUpdate, decode_message,
+                             encode_message, lan_config, zero_cost_config)
 from edgekt.runtime import ConfigError, EdgeNode, Mode, ScenarioConfig
 from edgekt.scenegen import SceneStream, fixed_cam_default
 from edgekt.tensor import Tensor, f16_decode, f16_encode
@@ -48,7 +48,7 @@ def test_mode_accepts_strings():
 def test_edge_serve_returns_weight_update(edge_setup):
     edge, student, stream = edge_setup
     frame = stream.frame_at(0)
-    reply = decode_message(edge.serve(encode_message(frame_upload_from_tensor(0, frame))))
+    reply = decode_message(edge.serve(encode_message(FrameUpload(0, frame))))
     assert isinstance(reply, WeightUpdate)
     assert reply.frame_id == 0
     assert reply.weights.version == student.version + 1
@@ -62,7 +62,7 @@ def test_edge_serve_fifo_versions(edge_setup):
     versions = []
     for i in (1, 2):
         reply = decode_message(edge.serve(encode_message(
-            frame_upload_from_tensor(i, stream.frame_at(i)))))
+            FrameUpload(i, stream.frame_at(i)))))
         assert reply.frame_id == i
         versions.append(reply.weights.version)
     assert versions == sorted(versions)
@@ -91,10 +91,10 @@ def test_edge_reply_beyond_half_range_is_error_ack(edge_setup):
     edge = EdgeNode(edge.oracle, swap_decoder(student, huge), stream.truth_at)
     frame = stream.frame_at(3)
     half = decode_message(edge.serve(encode_message(
-        frame_upload_from_tensor(3, frame, Precision.HALF))))
+        FrameUpload(3, frame, Precision.HALF))))
     assert half == Ack(3, AckStatus.ERROR)
     assert edge.clone.version == huge.version  # a failed reply leaves the clone as it was
-    full = decode_message(edge.serve(encode_message(frame_upload_from_tensor(3, frame))))
+    full = decode_message(edge.serve(encode_message(FrameUpload(3, frame))))
     assert isinstance(full, WeightUpdate)
     assert full.weights.version == huge.version + 1
 
@@ -106,7 +106,7 @@ def test_edge_half_precision_trains_on_rounded_frame():
     stream = SceneStream(fixed_cam_default(duration=40))
     edge = EdgeNode(oracle, student.clone(), stream.truth_at)
     frame = stream.frame_at(3)
-    upload = frame_upload_from_tensor(3, frame, Precision.HALF)
+    upload = FrameUpload(3, frame, Precision.HALF)
     reply = decode_message(edge.serve(encode_message(upload)))
 
     rounded = f16_decode(f16_encode(frame), frame.shape)
@@ -134,7 +134,7 @@ def test_edge_serve_extracts_features_once(edge_setup, monkeypatch):
     edge = EdgeNode(edge.oracle, edge.clone, stream.truth_at)
     features = _counted(monkeypatch, StudentModel, "features")
     reply = decode_message(edge.serve(encode_message(
-        frame_upload_from_tensor(4, stream.frame_at(4)))))
+        FrameUpload(4, stream.frame_at(4)))))
     assert isinstance(reply, WeightUpdate)
     assert len(features) == 1
 
@@ -164,7 +164,7 @@ def test_edge_adaptation_runs_one_adam_update_per_step(edge_setup, monkeypatch, 
     adam = _counted(monkeypatch, models, "adam_step")
     gradients = _counted(monkeypatch, models, "distill_gradients")
     reply = decode_message(edge.serve(encode_message(
-        frame_upload_from_tensor(5, stream.frame_at(5)))))
+        FrameUpload(5, stream.frame_at(5)))))
     assert isinstance(reply, WeightUpdate)
     assert len(adam) == steps
     assert len(gradients) == steps

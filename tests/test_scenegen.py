@@ -157,6 +157,14 @@ def test_script_json_round_trip(tmp_path):
     assert {"regime", "duration_frames", "size", "objects", "shifts"} <= set(d)
 
 
+def test_script_from_dict_omitted_keys_take_dataclass_defaults():
+    script = SceneScript.from_dict({"duration_frames": 5})
+    assert script == SceneScript(duration_frames=5)
+    assert render_frame(script, 2) == render_frame(SceneScript(duration_frames=5), 2)
+    with pytest.raises(KeyError):
+        SceneScript.from_dict({"size": 64})
+
+
 def test_render_functions_pure():
     script = _static_script(noise_level=0.03)
     assert render_frame(script, 7) == render_frame(script, 7)

@@ -1,11 +1,14 @@
 """Print the SHA-256 of every CLI output in the report matrix.
 
-The matrix has 54 files, written to a temporary directory:
+The matrix has 62 files, written to a temporary directory:
 
 - ``run`` JSON report and ``--trace-csv`` trace for both presets, all five
   scenarios and ``--precision full|half``, with ``--kfs on`` (40 files);
 - the same two outputs for ``lt``, ``nt-lan`` and ``nt-wifi`` with ``--kfs off``
   at full precision on both presets (12 files);
+- the same two outputs for ``nt-lan`` and ``nt-wifi`` with ``--kfs off`` at half
+  precision on both presets (8 files), so every frame of a run crosses the
+  binary16 wire codec;
 - the ``compare`` CSV of both presets (2 files).
 
 All runs use seed 0. Each output prints as one ``sha256  name`` line, so two
@@ -37,10 +40,11 @@ def matrix():
                 yield (f"{stream}-{scenario}-{precision}-kfs_on",
                        ["run", "--scenario", scenario, "--stream", stream,
                         "--precision", precision, "--kfs", "on", "--seed", "0"], False)
-        for scenario in ("lt", "nt-lan", "nt-wifi"):
-            yield (f"{stream}-{scenario}-full-kfs_off",
+        for scenario, precision in (("lt", "full"), ("nt-lan", "full"), ("nt-wifi", "full"),
+                                    ("nt-lan", "half"), ("nt-wifi", "half")):
+            yield (f"{stream}-{scenario}-{precision}-kfs_off",
                    ["run", "--scenario", scenario, "--stream", stream,
-                    "--precision", "full", "--kfs", "off", "--seed", "0"], False)
+                    "--precision", precision, "--kfs", "off", "--seed", "0"], False)
         yield (f"{stream}-compare", ["compare", "--stream", stream, "--seed", "0"], True)
 
 
