@@ -46,8 +46,7 @@ class Box:
 
     def corners(self) -> tuple[float, float, float, float]:
         """(x1, y1, x2, y2) corner coordinates."""
-        return (self.x - self.w / 2.0, self.y - self.h / 2.0,
-                self.x + self.w / 2.0, self.y + self.h / 2.0)
+        return _geometry(self)[:4]
 
 
 @dataclass
@@ -69,17 +68,32 @@ class MetricsReport:
         return cls(tp, fp, fn, precision, recall, f1)
 
 
-def iou(a: Box, b: Box) -> float:
-    """Intersection over union of two boxes, in [0, 1]."""
-    ax1, ay1, ax2, ay2 = a.corners()
-    bx1, by1, bx2, by2 = b.corners()
+# added to the scaled box channels before the sigmoid: the width and height
+# logits are relative to the size prior, in float32 like the channels
+_COORD_OFFSETS = np.array([0.0, 0.0, logit(SIZE_PRIOR), logit(SIZE_PRIOR)], dtype=np.float32)
+
+
+def _geometry(b: Box) -> tuple[float, float, float, float, float]:
+    """(x1, y1, x2, y2, area) of a box, as ``iou`` reads it."""
+    x, y, w, h = b.x, b.y, b.w, b.h
+    return (x - w / 2.0, y - h / 2.0, x + w / 2.0, y + h / 2.0, w * h)
+
+
+def _iou(a: tuple, b: tuple) -> float:
+    ax1, ay1, ax2, ay2, a_area = a
+    bx1, by1, bx2, by2, b_area = b
     iw = min(ax2, bx2) - max(ax1, bx1)
     ih = min(ay2, by2) - max(ay1, by1)
     if iw <= 0.0 or ih <= 0.0:
         return 0.0
     inter = iw * ih
-    union = a.w * a.h + b.w * b.h - inter
+    union = a_area + b_area - inter
     return inter / union
+
+
+def iou(a: Box, b: Box) -> float:
+    """Intersection over union of two boxes, in [0, 1]."""
+    return _iou(_geometry(a), _geometry(b))
 
 
 def decode_boxes(out: "DetectionTensorSet", obj_threshold: float = 0.5) -> list[Box]:
@@ -89,6 +103,9 @@ def decode_boxes(out: "DetectionTensorSet", obj_threshold: float = 0.5) -> list[
     size from sigmoid of the width/height channels, class by argmax, score
     is the objectness probability. Candidates are emitted scale by scale,
     row-major within a scale, which fixes the tie-break order downstream.
+    Each scale is decoded in one masked pass: the passing cells' box
+    channels are scaled and offset by the size prior in float32, then
+    widened to float64 for the sigmoid, as a per-cell decode does.
     """
     if not 0.0 <= obj_threshold <= 1.0:
         raise ValueError("obj_threshold must be in [0, 1]")
@@ -97,19 +114,19 @@ def decode_boxes(out: "DetectionTensorSet", obj_threshold: float = 0.5) -> list[
         arr = scale.array
         g = arr.shape[0]
         obj = sigmoid(arr[:, :, CH_OBJ])
-        for r in range(g):
-            for c in range(g):
-                score = float(obj[r, c])
-                if score < obj_threshold:
-                    continue
-                cell = arr[r, c]
-                prior = logit(SIZE_PRIOR)
-                x = (c + float(sigmoid(cell[CH_TX] / COORD_LOGIT_SCALE))) / g
-                y = (r + float(sigmoid(cell[CH_TY] / COORD_LOGIT_SCALE))) / g
-                w = float(sigmoid(cell[CH_TW] / COORD_LOGIT_SCALE + prior))
-                h = float(sigmoid(cell[CH_TH] / COORD_LOGIT_SCALE + prior))
-                class_id = int(np.argmax(cell[BOX_CHANNELS:]))
-                boxes.append(Box(x, y, w, h, class_id, score))
+        # a NaN objectness is not below the threshold, so it passes
+        rows, cols = np.nonzero(~(obj < obj_threshold))
+        if not len(rows):
+            continue
+        cells = arr[rows, cols]
+        coords = sigmoid(cells[:, CH_TX:CH_TH + 1] / COORD_LOGIT_SCALE + _COORD_OFFSETS)
+        coords[:, CH_TX] += cols
+        coords[:, CH_TY] += rows
+        coords[:, CH_TX:CH_TY + 1] /= g
+        for (x, y, w, h), class_id, score in zip(
+                coords.tolist(), cells[:, BOX_CHANNELS:].argmax(axis=1).tolist(),
+                obj[rows, cols].tolist()):
+            boxes.append(Box(x, y, w, h, class_id, score))
     return boxes
 
 
@@ -123,15 +140,14 @@ def nms(boxes: Sequence[Box], iou_threshold: float = 0.45) -> list[Box]:
     """
     if not 0.0 <= iou_threshold <= 1.0:
         raise ValueError("iou_threshold must be in [0, 1]")
-    order = sorted(range(len(boxes)), key=lambda i: (-boxes[i].score, i))
     kept: list[Box] = []
-    for i in order:
-        cand = boxes[i]
-        suppressed = any(
-            k.class_id == cand.class_id and iou(k, cand) > iou_threshold
-            for k in kept
-        )
-        if not suppressed:
+    kept_geometry: dict[int, list[tuple]] = {}  # per class, in keeping order
+    # a stable sort keeps input order among equal scores
+    for cand in sorted(boxes, key=lambda b: -b.score):
+        rivals = kept_geometry.setdefault(cand.class_id, [])
+        geo = _geometry(cand)
+        if not any(_iou(k, geo) > iou_threshold for k in rivals):
+            rivals.append(geo)
             kept.append(cand)
     return kept
 
@@ -144,17 +160,18 @@ def compute_metrics(predicted: Sequence[Box], truth: Sequence[Box],
     IoU >= threshold with, a not-yet-matched truth box (best IoU wins,
     earlier truth index on ties). Each truth box matches at most once.
     """
-    order = sorted(range(len(predicted)), key=lambda i: (-predicted[i].score, i))
+    truth_geometry = [_geometry(t) for t in truth]
     matched = [False] * len(truth)
     tp = 0
-    for i in order:
-        p = predicted[i]
+    # a stable sort keeps input order among equal scores
+    for p in sorted(predicted, key=lambda b: -b.score):
+        geo = _geometry(p)
         best_j = -1
         best_iou = 0.0
         for j, t in enumerate(truth):
             if matched[j] or t.class_id != p.class_id:
                 continue
-            v = iou(p, t)
+            v = _iou(geo, truth_geometry[j])
             if v >= iou_threshold and v > best_iou:
                 best_iou = v
                 best_j = j

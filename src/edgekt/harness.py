@@ -189,7 +189,8 @@ class FrameRecord:
     index: int
     frame: Tensor
     oracle_out: DetectionTensorSet
-    gt_boxes: tuple[Box, ...]  # the oracle's decoded output, the metric ground truth
+    candidates: tuple[Box, ...]  # the oracle output's decoded boxes, before NMS
+    gt_boxes: tuple[Box, ...]  # their NMS survivors, the metric ground truth
     student: StudentModel = field(repr=False)  # the pretrained student
 
     @cached_property
@@ -254,27 +255,29 @@ def _scenario(config: ScenarioConfig, script: SceneScript, name: str,
     train_s = train_macs * cost.op_seconds
     edge_s = (oracle_macs + train_macs) * cost.op_seconds / config.edge_speed
 
-    def dispatch(frame_id: int, frame, inputs, serve_out, oracle_out, now: float) -> TrainJob:
-        """Run the one training job to its outcome, which ``complete``
-        applies: nothing a frame reads changes before the job ends, and the
-        edge clone and downlink serve one job at a time."""
+    def dispatch(rec: FrameRecord, serve_out, now: float) -> TrainJob:
+        """Run the one training job on frame ``rec`` to its outcome, which
+        ``complete`` applies: nothing a frame reads changes before the job
+        ends, and the edge clone and downlink serve one job at a time."""
         nonlocal local_end, radio_accum_s
+        frame_id = rec.index
         if config.mode is Mode.LOCAL:
-            # inputs, serve_out and oracle_out are this frame's
+            # serve_out is this frame's, from the record's head inputs
             ledger.charge("OracleLocal", oracle_s)
             ledger.charge("TrainLocal", train_s)
             try:
-                pre_loss = distill_loss(serve_out, oracle_out)
-                weights = adapt_decoder(student, inputs, oracle_out)
+                pre_loss = distill_loss(serve_out, rec.oracle_out)
+                weights = adapt_decoder(student, rec.head_inputs, rec.oracle_out)
             except ValueError:
                 weights = pre_loss = None
             local_end = now + oracle_s + train_s
             return TrainJob(frame_id, now, local_end, weights, pre_loss)
-        res = up.transmit(FrameUpload(frame_id, frame, config.precision), now)
+        res = up.transmit(FrameUpload(frame_id, rec.frame, config.precision), now)
         ledger.charge("Transmit", res.serialize_s)
         radio_accum_s += res.serialize_s
-        # the edge's reply is decoded once here and sent down as itself
-        reply = decode_message(edge.serve(res.data))
+        # the edge's reply is decoded once here and sent down as itself; the
+        # edge reuses the record's work when the upload is byte-equal to it
+        reply = decode_message(edge.serve(res.data, rec))
         res = down.transmit(reply, res.delivery_time + edge_s)
         if isinstance(reply, WeightUpdate):
             return TrainJob(frame_id, now, res.delivery_time, reply.weights, reply.loss,
@@ -331,17 +334,15 @@ def _scenario(config: ScenarioConfig, script: SceneScript, name: str,
         decode_s = cost.decode_seconds(frame.size)
         ledger.charge("Decode", decode_s)
 
-        oracle_out = rec.oracle_out
-        gt_boxes = rec.gt_boxes
-
-        inputs = None
         if config.mode is Mode.DEEP_ONLY:
-            serve_out = oracle_out
+            serve_out = rec.oracle_out
+            candidates, detections = rec.candidates, rec.gt_boxes  # decoded by the record
             infer_s = oracle_s
             infer_activity = "OracleLocal"
         else:
-            inputs = rec.head_inputs
-            serve_out = student.outputs(inputs)
+            serve_out = student.outputs(rec.head_inputs)
+            candidates = decode_boxes(serve_out, OBJ_THRESHOLD)
+            detections = nms(candidates, NMS_IOU)
             infer_s = student_macs * cost.op_seconds
             if start < local_end:
                 infer_s *= 1.0 + cost.train_contention
@@ -351,12 +352,10 @@ def _scenario(config: ScenarioConfig, script: SceneScript, name: str,
         radio_accum_s = 0.0
         ledger.charge(infer_activity, infer_s)
 
-        candidates = decode_boxes(serve_out, OBJ_THRESHOLD)
-        detections = nms(candidates, NMS_IOU)
         nms_s = cost.nms_seconds(len(candidates))
         ledger.charge("NMS", nms_s)
 
-        m = compute_metrics(detections, gt_boxes)
+        m = compute_metrics(detections, rec.gt_boxes)
         agg_tp += m.true_positives
         agg_fp += m.false_positives
         agg_fn += m.false_negatives
@@ -378,7 +377,7 @@ def _scenario(config: ScenarioConfig, script: SceneScript, name: str,
                 if in_flight is not None:
                     raise RuntimeError("busy gate violated: overlapping jobs")
                 key_frames.append(i)
-                in_flight = dispatch(i, frame, inputs, serve_out, oracle_out, done)
+                in_flight = dispatch(rec, serve_out, done)
 
     if in_flight is not None:
         complete(in_flight)
@@ -450,6 +449,10 @@ def run_scenario(configs: Sequence[ScenarioConfig], script: SceneScript,
     except ValueError as exc:
         raise ConfigError(f"stream size {script.size} does not fit the student model: "
                           f"{exc}") from exc
+    for o in script.all_objects():
+        if o.class_id >= model_cfg.classes:
+            raise ConfigError(f"object class_id {o.class_id} is not one of the "
+                              f"model's {model_cfg.classes} classes")
     student = StudentModel.pretrained(model_cfg, seed=MODEL_SEED)
     oracle = OracleModel(model_cfg, seed=MODEL_SEED)
     stream = SceneStream(script)
@@ -465,9 +468,9 @@ def run_scenario(configs: Sequence[ScenarioConfig], script: SceneScript,
         # evaluation oracle run; never charged (the deep model's decoded
         # output is the metric ground truth)
         oracle_out = oracle.forward(frame, stream.truth_at(i))
+        candidates = tuple(decode_boxes(oracle_out, OBJ_THRESHOLD))
         rec = FrameRecord(index=i, frame=frame, oracle_out=oracle_out,
-                          gt_boxes=tuple(nms(decode_boxes(oracle_out, OBJ_THRESHOLD),
-                                             NMS_IOU)),
+                          candidates=candidates, gt_boxes=tuple(nms(candidates, NMS_IOU)),
                           student=student)
         for proc in procs:
             try:

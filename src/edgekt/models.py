@@ -108,6 +108,18 @@ def distill_loss(student_out: DetectionTensorSet, oracle_out: DetectionTensorSet
 
 
 def _avg_pool(a: np.ndarray, k: int) -> np.ndarray:
+    """Mean over each k x k block of an (H, W, C) float32 map.
+
+    For k = 2 and C > 1 the block is a row-order slice sum,
+    ``((a00 + a01) + a10) + a11``, divided by 4. That is bit-identical to
+    numpy's ``mean`` over the block, which sums in the same order, and
+    several times faster than its strided reduction. With one channel
+    ``mean`` sums in another order, and for k >= 4 it is the faster of the
+    two, so both cases keep ``mean``.
+    """
+    if k == 2 and a.shape[2] > 1:
+        return (((a[0::2, 0::2] + a[0::2, 1::2]) + a[1::2, 0::2])
+                + a[1::2, 1::2]) / np.float32(4)
     h, w = a.shape[0], a.shape[1]
     return a.reshape(h // k, k, w // k, k, a.shape[2]).mean(axis=(1, 3))
 
@@ -338,12 +350,12 @@ def _quadrant_pool(feats: np.ndarray, k: int) -> np.ndarray:
     """
     if k == 1:
         return np.concatenate([feats] * 4, axis=2)
-    half = k // 2
     g = feats.shape[0] // k
     c = feats.shape[2]
-    # split each k-wide cell into 2x2 half-cells and average within each
-    r = feats.reshape(g, 2, half, g, 2, half, c).mean(axis=(2, 5))
-    return r.transpose(0, 3, 1, 2, 4).reshape(g, g, 4 * c)
+    # average each k-wide cell's 2x2 half-cells; a half-cell of width 1 is
+    # the feature itself
+    halves = feats if k == 2 else _avg_pool(feats, k // 2)
+    return halves.reshape(g, 2, g, 2, c).transpose(0, 3, 1, 2, 4).reshape(g, g, 4 * c)
 
 
 # ---------------------------------------------------------------------------

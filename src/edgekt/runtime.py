@@ -15,11 +15,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import TYPE_CHECKING
 
 from .models import (DecoderWeights, OracleModel, Precision, StudentModel, adapt_decoder,
                      distill_loss, swap_decoder)
 from .netproto import (Ack, AckStatus, ChannelConfig, FrameUpload, WeightUpdate,
                        decode_message, encode_message)
+
+if TYPE_CHECKING:
+    from .harness import FrameRecord
 
 
 class Mode(str, Enum):
@@ -90,8 +94,17 @@ class EdgeNode:
         """Re-align the clone with the user-end model (stale-swap recovery)."""
         self.clone = student.clone()
 
-    def serve(self, data: bytes) -> bytes:
-        """Handle one request; returns the encoded response message."""
+    def serve(self, data: bytes, record: FrameRecord | None = None) -> bytes:
+        """Handle one request; returns the encoded response message.
+
+        ``record`` is an optional frame record made with this node's oracle
+        and a student whose frozen extractor the clone shares. An upload of
+        the record's frame id and exact frame bytes (any full-precision
+        upload of it) takes the record's oracle output and head inputs,
+        which are what this request would compute: the oracle's noise is
+        keyed by the frame bytes. Any other upload, such as a rounded
+        half-precision frame, is computed afresh.
+        """
         try:
             m = decode_message(data)
         except ValueError:
@@ -100,10 +113,14 @@ class EdgeNode:
             return encode_message(Ack(frame_id=getattr(m, "frame_id", 0),
                                       status=AckStatus.ERROR))
         try:
-            truth = self.truth_provider(m.frame_id)
-            oracle_out = self.oracle.forward(m.frame, truth)
+            if (record is not None and m.frame_id == record.index
+                    and m.frame.shape == record.frame.shape
+                    and m.frame.tobytes() == record.frame.tobytes()):
+                oracle_out, inputs = record.oracle_out, record.head_inputs
+            else:
+                oracle_out = self.oracle.forward(m.frame, self.truth_provider(m.frame_id))
+                inputs = self.clone.head_inputs(m.frame)
             # one feature extraction scores the stale clone and trains it
-            inputs = self.clone.head_inputs(m.frame)
             pre_loss = distill_loss(self.clone.outputs(inputs), oracle_out)
             weights = adapt_decoder(self.clone, inputs, oracle_out)
             # the reply travels at the request's precision; binary16 overflow

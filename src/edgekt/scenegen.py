@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .detection import Box
 from .tensor import Tensor
@@ -98,6 +99,12 @@ class SceneScript:
             "shifts": [s.to_dict() for s in self.shifts],
         }
 
+    def all_objects(self) -> Iterator[ObjectSpec]:
+        """Every object the script places, at the start and in its shifts."""
+        yield from self.objects
+        for s in self.shifts:
+            yield from s.objects or ()
+
     @classmethod
     def from_dict(cls, d: dict) -> "SceneScript":
         """The script ``to_dict`` wrote. ``duration_frames`` is required; any
@@ -149,10 +156,10 @@ def validate_script(script: SceneScript) -> None:
         raise ValueError("duration_frames must be >= 1")
     if script.size % 4 != 0 or script.size < 16:
         raise ValueError("frame size must be a multiple of 4 and >= 16")
-    if script.fps <= 0:
-        raise ValueError("fps must be positive")
-    if script.noise_level < 0:
-        raise ValueError("noise_level must be >= 0")
+    if not (math.isfinite(script.fps) and script.fps > 0):
+        raise ValueError("fps must be finite and positive")
+    if not (math.isfinite(script.noise_level) and script.noise_level >= 0):
+        raise ValueError("noise_level must be finite and >= 0")
     last = -1
     for s in script.shifts:
         if s.frame_index <= last:
@@ -160,15 +167,14 @@ def validate_script(script: SceneScript) -> None:
         if s.frame_index >= script.duration_frames:
             raise ValueError("shift index beyond stream duration")
         last = s.frame_index
-    for group in [script.objects] + [s.objects for s in script.shifts if s.objects]:
-        for o in group:
-            if o.class_id < 0:
-                raise ValueError("class_id must be >= 0")
-            if not (0.0 < o.w <= 1.0 and 0.0 < o.h <= 1.0):
-                raise ValueError("object size must be in (0, 1]")
-            kind = o.trajectory.get("kind", "static")
-            if kind not in TRAJECTORY_KINDS:
-                raise ValueError(f"unknown trajectory kind {kind!r}")
+    for o in script.all_objects():
+        if o.class_id < 0:
+            raise ValueError("class_id must be >= 0")
+        if not (0.0 < o.w <= 1.0 and 0.0 < o.h <= 1.0):
+            raise ValueError("object size must be in (0, 1]")
+        kind = o.trajectory.get("kind", "static")
+        if kind not in TRAJECTORY_KINDS:
+            raise ValueError(f"unknown trajectory kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +254,20 @@ def _active_scene(script: SceneScript, t: int) -> tuple[tuple[ObjectSpec, ...], 
 
 
 def _background_pixels(style: int, size: int, dx: int, dy: int) -> np.ndarray:
-    xs = np.arange(size, dtype=np.float64) + dx
-    ys = np.arange(size, dtype=np.float64) + dy
-    xx, yy = np.meshgrid(xs, ys)
-    img = np.zeros((size, size, 3), dtype=np.float64)
+    """The (size, size, 3) float64 background of ``style`` (0, 1 or 2), shifted
+    by (dx, dy) pixels, clipped to [0, 1].
+
+    With ``xx`` and ``yy`` the shifted column and row coordinates, each term
+    is computed over the values it varies over and broadcast: a term in
+    ``xx`` or ``yy`` alone on one axis, and a diagonal texture in ``xx + yy``
+    or ``xx - yy`` once per integer sum or difference (``2 * size - 1``
+    values), laid out as a sliding-window view. Every element is the same
+    float expression of the same coordinates as on a full grid.
+    """
+    r = np.arange(size, dtype=np.float64)
+    xx = (r + dx)[None, :]
+    yy = (r + dy)[:, None]
+    img = np.empty((size, size, 3), dtype=np.float64)
     if style == 0:
         base = 0.22 + 0.18 * (xx / size)
         tex = 0.05 * np.sin(2.0 * np.pi * yy / 7.0)
@@ -260,17 +276,22 @@ def _background_pixels(style: int, size: int, dx: int, dy: int) -> np.ndarray:
         img[:, :, 2] = 0.30 - 0.5 * tex
     elif style == 1:
         base = 0.20 + 0.20 * (yy / size)
-        tex = 0.08 * np.sin(2.0 * np.pi * (xx + yy) / 11.0)
+        # row j, column i reads sums[i + j] = (i + dx) + (j + dy)
+        sums = np.arange(2 * size - 1, dtype=np.float64) + (dx + dy)
+        tex = sliding_window_view(0.08 * np.sin(2.0 * np.pi * sums / 11.0), size)
         img[:, :, 0] = base + tex
         img[:, :, 1] = 0.28 + 0.06 * np.sin(2.0 * np.pi * xx / 6.0)
         img[:, :, 2] = base - tex
     else:
         base = 0.34 - 0.16 * (xx / size)
-        tex = 0.07 * np.sin(2.0 * np.pi * (xx - yy) / 13.0)
+        # row j, column i reads diffs[i - j + size - 1] = (i + dx) - (j + dy)
+        diffs = np.arange(1 - size, size, dtype=np.float64) + (dx - dy)
+        tex = sliding_window_view(0.07 * np.sin(2.0 * np.pi * diffs / 13.0), size)[::-1]
         img[:, :, 0] = 0.38 + tex
         img[:, :, 1] = base - tex
         img[:, :, 2] = 0.22 + 0.05 * np.sin(2.0 * np.pi * yy / 9.0)
-    return np.clip(img, 0.0, 1.0)
+    # the styles stay inside [0, 1] unless the shift is large against size
+    return np.clip(img, 0.0, 1.0, out=img)
 
 
 def _draw_object(img: np.ndarray, box: Box, size: int) -> None:
@@ -317,8 +338,9 @@ def render_frame(script: SceneScript, t: int) -> Tensor:
             2.0 * math.pi * t / script.noise_breath_period)
     if sigma > 0:
         rng = np.random.Generator(np.random.PCG64(script.seed * 1_000_003 + t))
-        img = img + rng.normal(0.0, sigma, img.shape)
-    return Tensor(np.clip(img, 0.0, 1.0).astype(np.float32))
+        img += rng.normal(0.0, sigma, img.shape)
+    # noise and clip in place: one float64 frame buffer per render
+    return Tensor(np.clip(img, 0.0, 1.0, out=img).astype(np.float32))
 
 
 def truth_boxes(script: SceneScript, t: int) -> list[Box]:

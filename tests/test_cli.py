@@ -69,3 +69,27 @@ def test_compare_writes_table(tmp_path, run_cli):
     rows = out.read_text().strip().splitlines()
     assert len(rows) == 6
     assert rows[0].startswith("scenario,")
+
+
+def _script_with(tmp_path, edit):
+    d = fixed_cam_default(duration=10).to_dict()
+    edit(d)
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps(d))  # NaN is written as the bare token NaN
+    return path
+
+
+def test_non_finite_fps_exits_2(tmp_path, run_cli):
+    stream = _script_with(tmp_path, lambda d: d.update(fps=float("nan")))
+    proc = run_cli(["run", "--scenario", "shallow", "--stream", str(stream),
+                    "--out", str(tmp_path / "r.json")])
+    assert proc.returncode == 2
+    assert "config error" in proc.stderr and "fps" in proc.stderr
+
+
+def test_class_id_beyond_the_model_classes_exits_2(tmp_path, run_cli):
+    stream = _script_with(tmp_path, lambda d: d["objects"][0].update(class_id=5))
+    proc = run_cli(["run", "--scenario", "shallow", "--stream", str(stream),
+                    "--out", str(tmp_path / "r.json")])
+    assert proc.returncode == 2
+    assert "config error" in proc.stderr and "class_id 5" in proc.stderr

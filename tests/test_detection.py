@@ -2,9 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from edgekt.detection import (BOX_CHANNELS, CH_OBJ, COORD_LOGIT_SCALE, SIZE_PRIOR,
-                              Box, compute_metrics, decode_boxes, iou, logit, nms)
+from edgekt.detection import (BOX_CHANNELS, CH_OBJ, CH_TH, CH_TW, CH_TX, CH_TY,
+                              COORD_LOGIT_SCALE, SIZE_PRIOR, Box, compute_metrics,
+                              decode_boxes, iou, logit, nms, sigmoid)
 from edgekt.models import DetectionTensorSet
 from edgekt.tensor import Tensor
 
@@ -222,3 +225,78 @@ def test_metrics_harmonic_mean_bounds():
         if m.precision + m.recall > 0:
             assert m.f1 <= max(m.precision, m.recall) + 1e-12
             assert m.f1 >= min(m.precision, m.recall) - 1e-12
+
+
+# -- array decode against the per-cell loop -------------------------------------
+
+def _reference_iou(a, b):
+    """IoU exactly as the per-pair scalar code computed it."""
+    ax1, ay1, ax2, ay2 = a.x - a.w / 2.0, a.y - a.h / 2.0, a.x + a.w / 2.0, a.y + a.h / 2.0
+    bx1, by1, bx2, by2 = b.x - b.w / 2.0, b.y - b.h / 2.0, b.x + b.w / 2.0, b.y + b.h / 2.0
+    iw = min(ax2, bx2) - max(ax1, bx1)
+    ih = min(ay2, by2) - max(ay1, by1)
+    if iw <= 0.0 or ih <= 0.0:
+        return 0.0
+    inter = iw * ih
+    union = a.w * a.h + b.w * b.h - inter
+    return inter / union
+
+
+def _reference_decode_boxes(out, obj_threshold=0.5):
+    """The per-cell loop with scalar sigmoids that the array decode replaced."""
+    boxes = []
+    for scale in out.scales:
+        arr = scale.array
+        g = arr.shape[0]
+        obj = sigmoid(arr[:, :, CH_OBJ])
+        for r in range(g):
+            for c in range(g):
+                score = float(obj[r, c])
+                if score < obj_threshold:
+                    continue
+                cell = arr[r, c]
+                prior = logit(SIZE_PRIOR)
+                x = (c + float(sigmoid(cell[CH_TX] / COORD_LOGIT_SCALE))) / g
+                y = (r + float(sigmoid(cell[CH_TY] / COORD_LOGIT_SCALE))) / g
+                w = float(sigmoid(cell[CH_TW] / COORD_LOGIT_SCALE + prior))
+                h = float(sigmoid(cell[CH_TH] / COORD_LOGIT_SCALE + prior))
+                class_id = int(np.argmax(cell[BOX_CHANNELS:]))
+                boxes.append(Box(x, y, w, h, class_id, score))
+    return boxes
+
+
+@st.composite
+def _detection_tensors(draw):
+    """Random (8, 4, 2)-grid tensor sets: spread-out values, grids where no
+    cell or every cell passes, and grids of tied scores and classes."""
+    classes = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["random", "none_pass", "all_pass", "tied"]))
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
+    scales = []
+    for g in (8, 4, 2):
+        arr = rng.normal(0.0, draw(st.sampled_from([0.5, 3.0, 30.0])),
+                         (g, g, BOX_CHANNELS + classes))
+        if kind == "none_pass":
+            arr[:, :, CH_OBJ] = -rng.uniform(1.0, 50.0, (g, g))
+        elif kind == "all_pass":
+            arr[:, :, CH_OBJ] = rng.uniform(0.0, 50.0, (g, g))
+        elif kind == "tied":
+            arr[:, :, CH_OBJ] = draw(st.sampled_from([0.0, 0.7, 2.5]))
+            arr[:, :, BOX_CHANNELS:] = rng.integers(0, 2, (g, g, classes))
+        scales.append(Tensor(arr.astype(np.float32)))
+    return DetectionTensorSet(scales=tuple(scales))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(out=_detection_tensors(), threshold=st.sampled_from([0.0, 0.3, 0.5, 0.6667, 1.0]))
+def test_array_decode_equals_per_cell_loop(out, threshold):
+    assert decode_boxes(out, threshold) == _reference_decode_boxes(out, threshold)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8))
+def test_iou_keeps_the_scalar_float_order(v):
+    a = Box(v[0], v[1], v[2] + 1e-3, v[3] + 1e-3, 0)
+    b = Box(v[4], v[5], v[6] + 1e-3, v[7] + 1e-3, 0)
+    assert iou(a, b) == _reference_iou(a, b)
+    assert iou(b, a) == _reference_iou(b, a)

@@ -194,7 +194,7 @@ def test_record_head_inputs_are_extracted_once_and_read_only():
     frame = stream.frame_at(0)
     rec = FrameRecord(index=0, frame=frame,
                       oracle_out=OracleModel(cfg).forward(frame, stream.truth_at(0)),
-                      gt_boxes=(), student=student)
+                      candidates=(), gt_boxes=(), student=student)
     phis, ada_x = rec.head_inputs
     assert rec.head_inputs is rec.head_inputs
     for a in (*phis, *ada_x):

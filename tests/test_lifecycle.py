@@ -92,9 +92,9 @@ def test_stale_reply_is_dropped_and_clone_resynced(script, monkeypatch, caplog):
     serve, sync_clone = EdgeNode.serve, EdgeNode.sync_clone
     calls = Counter()
 
-    def stale_second_reply(self, data):
+    def stale_second_reply(self, data, record=None):
         calls["serve"] += 1
-        reply = serve(self, data)
+        reply = serve(self, data, record)
         if calls["serve"] != 2:
             return reply
         m = decode_message(reply)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edgekt import models
 from edgekt.detection import Box, compute_metrics, decode_boxes, nms
 from edgekt.models import (DecoderWeights, DetectionTensorSet, ModelConfig, OracleModel,
                            Precision, StudentModel, adapt_decoder, distill_gradients,
@@ -344,3 +345,42 @@ def test_weights_byte_size_equals_encoded_length(shapes, precision, version):
     blocks = tuple(Tensor(np.full(s, 0.5, np.float32)) for s in shapes)
     w = DecoderWeights(version=version, blocks=blocks, precision=precision)
     assert weights_byte_size(w) == len(encode_weights(w))
+
+
+# -- pools against the reshape-mean reductions they replaced --------------------
+
+def _reference_avg_pool(a, k):
+    h, w = a.shape[0], a.shape[1]
+    return a.reshape(h // k, k, w // k, k, a.shape[2]).mean(axis=(1, 3))
+
+
+def _reference_quadrant_pool(feats, k):
+    if k == 1:
+        return np.concatenate([feats] * 4, axis=2)
+    half = k // 2
+    g = feats.shape[0] // k
+    c = feats.shape[2]
+    r = feats.reshape(g, 2, half, g, 2, half, c).mean(axis=(2, 5))
+    return r.transpose(0, 3, 1, 2, 4).reshape(g, g, 4 * c)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(cells=st.tuples(st.integers(1, 24), st.integers(1, 24)), channels=st.integers(1, 24),
+       k=st.sampled_from([2, 4, 8]), scale=st.sampled_from([1e-3, 1.0, 1e3]),
+       tanh=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_avg_pool_equals_reshape_mean(cells, channels, k, scale, tanh, seed):
+    # even sizes only (k = 2) or multiples of k; tanh maps give feature-map ranges
+    rng = np.random.Generator(np.random.PCG64(seed))
+    a = rng.normal(0.0, scale, (cells[0] * k, cells[1] * k, channels))
+    a = (np.tanh(a) if tanh else a).astype(np.float32)
+    assert np.array_equal(models._avg_pool(a, k), _reference_avg_pool(a, k))
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(g=st.integers(1, 8), k=st.sampled_from([1, 2, 4, 8]), channels=st.integers(1, 24),
+       seed=st.integers(0, 2**32 - 1))
+def test_quadrant_pool_equals_reshape_mean(g, k, channels, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    feats = np.tanh(rng.normal(0.0, 2.0, (g * k, g * k, channels))).astype(np.float32)
+    assert np.array_equal(models._quadrant_pool(feats, k),
+                          _reference_quadrant_pool(feats, k))

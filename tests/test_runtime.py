@@ -151,6 +151,43 @@ def test_lt_run_extracts_features_once_per_frame(monkeypatch):
     assert len(features) == pretraining + 12
 
 
+def test_network_run_extracts_and_scores_each_frame_once(monkeypatch):
+    script = fixed_cam_default(duration=12)
+    features = _counted(monkeypatch, StudentModel, "features")
+    oracle = _counted(monkeypatch, OracleModel, "forward")
+    StudentModel.pretrained(ModelConfig(input_hw=script.size), seed=harness.MODEL_SEED)
+    pretraining = (len(features), len(oracle))
+    features.clear()
+    oracle.clear()
+    report = run_named_scenario("nt-lan", script, kfs=False)
+    assert len(report.key_frame_indices) == 12  # every frame went to the edge
+    # the edge reuses the frame record for each byte-equal full-precision upload
+    assert len(features) == pretraining[0] + 12
+    assert len(oracle) == pretraining[1] + 12
+
+
+@pytest.mark.parametrize("precision", list(Precision))
+def test_edge_serve_with_record_returns_the_same_bytes(edge_setup, precision, monkeypatch):
+    edge, student, stream = edge_setup
+    frame = stream.frame_at(6)
+    record = harness.FrameRecord(index=6, frame=frame,
+                                 oracle_out=edge.oracle.forward(frame, stream.truth_at(6)),
+                                 candidates=(), gt_boxes=(), student=student)
+    record.head_inputs  # extracted when the user node served the frame
+    data = encode_message(FrameUpload(6, frame, precision))
+    expected = EdgeNode(edge.oracle, edge.clone, stream.truth_at).serve(data)
+    features = _counted(monkeypatch, StudentModel, "features")
+    oracle = _counted(monkeypatch, OracleModel, "forward")
+    assert EdgeNode(edge.oracle, edge.clone, stream.truth_at).serve(data, record) == expected
+    # a full-precision upload is the record's frame; a rounded one is not
+    reused = precision is Precision.FULL
+    assert (len(features), len(oracle)) == ((0, 0) if reused else (1, 1))
+    # the record is only taken for its own frame id
+    other = encode_message(FrameUpload(7, stream.frame_at(7), precision))
+    assert (EdgeNode(edge.oracle, edge.clone, stream.truth_at).serve(other, record)
+            == EdgeNode(edge.oracle, edge.clone, stream.truth_at).serve(other))
+
+
 @pytest.mark.parametrize("steps", [1, 7, None])
 def test_edge_adaptation_runs_one_adam_update_per_step(edge_setup, monkeypatch, steps):
     edge, _, stream = edge_setup

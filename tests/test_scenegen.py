@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from edgekt.detection import decode_boxes, iou, nms
 from edgekt.models import ModelConfig, OracleModel
 from edgekt.scenegen import (_CLASS_COLORS, REGIMES, TRAJECTORY_KINDS, ObjectSpec,
-                             SceneScript, SceneStream, Shift, fixed_cam_default,
-                             moving_cam_default, pretrain_script, render_frame,
-                             truth_boxes, write_ppm)
+                             SceneScript, SceneStream, Shift, _background_pixels,
+                             fixed_cam_default, moving_cam_default, pretrain_script,
+                             render_frame, truth_boxes, write_ppm)
 from edgekt.selector import scene_change_statistic
 
 
@@ -210,3 +210,46 @@ def test_truth_box_centre_has_its_class_colour(kind, regime, data):
         pixel = frame[int(box.y * script.size), int(box.x * script.size)]
         colours = {tuple(np.float32(c)) for c in _CLASS_COLORS[box.class_id]}
         assert tuple(pixel) in colours
+
+
+def test_non_finite_rates_rejected():
+    for field in ("fps", "noise_level"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=field):
+                _static_script(**{field: value})
+
+
+def _reference_background_pixels(style, size, dx, dy):
+    """The full-meshgrid background the separable one replaced."""
+    xs = np.arange(size, dtype=np.float64) + dx
+    ys = np.arange(size, dtype=np.float64) + dy
+    xx, yy = np.meshgrid(xs, ys)
+    img = np.zeros((size, size, 3), dtype=np.float64)
+    if style == 0:
+        base = 0.22 + 0.18 * (xx / size)
+        tex = 0.05 * np.sin(2.0 * np.pi * yy / 7.0)
+        img[:, :, 0] = base + tex
+        img[:, :, 1] = base + 0.04 * np.sin(2.0 * np.pi * xx / 9.0)
+        img[:, :, 2] = 0.30 - 0.5 * tex
+    elif style == 1:
+        base = 0.20 + 0.20 * (yy / size)
+        tex = 0.08 * np.sin(2.0 * np.pi * (xx + yy) / 11.0)
+        img[:, :, 0] = base + tex
+        img[:, :, 1] = 0.28 + 0.06 * np.sin(2.0 * np.pi * xx / 6.0)
+        img[:, :, 2] = base - tex
+    else:
+        base = 0.34 - 0.16 * (xx / size)
+        tex = 0.07 * np.sin(2.0 * np.pi * (xx - yy) / 13.0)
+        img[:, :, 0] = 0.38 + tex
+        img[:, :, 1] = base - tex
+        img[:, :, 2] = 0.22 + 0.05 * np.sin(2.0 * np.pi * yy / 9.0)
+    return np.clip(img, 0.0, 1.0)
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(style=st.integers(0, 2), size=st.integers(4, 64).map(lambda n: 4 * n),
+       dx=st.integers(-40, 40), dy=st.integers(-40, 40))
+def test_background_equals_full_grid_reference(style, size, dx, dy):
+    # sizes 16..256 in steps of 4; large offsets against small sizes leave [0, 1]
+    assert np.array_equal(_background_pixels(style, size, dx, dy),
+                          _reference_background_pixels(style, size, dx, dy))

@@ -1,6 +1,6 @@
 """Print the SHA-256 of every CLI output in the report matrix.
 
-The matrix has 62 files, written to a temporary directory:
+The matrix has 68 files, written to a temporary directory:
 
 - ``run`` JSON report and ``--trace-csv`` trace for both presets, all five
   scenarios and ``--precision full|half``, with ``--kfs on`` (40 files);
@@ -9,7 +9,13 @@ The matrix has 62 files, written to a temporary directory:
 - the same two outputs for ``nt-lan`` and ``nt-wifi`` with ``--kfs off`` at half
   precision on both presets (8 files), so every frame of a run crosses the
   binary16 wire codec;
-- the ``compare`` CSV of both presets (2 files).
+- the ``compare`` CSV of both presets (2 files);
+- the same two outputs for ``nt-wifi --precision half``, ``shallow`` and
+  ``nt-lan --precision full --kfs off`` on the 128x128, 600-frame
+  moving-camera scene script of the ``large-frames`` benchmark workload at
+  seed 0 (``bench/scenes.py``), which this tool writes next to the outputs
+  (6 files). Its background shifts render all three background styles, and
+  its ``nt-lan`` run sends every frame it can at full precision to the edge.
 
 All runs use seed 0. Each output prints as one ``sha256  name`` line, so two
 versions of the program produce byte-identical reports iff ``diff`` of their
@@ -24,16 +30,20 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import sys
 import tempfile
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parents[1]
 PRESETS = ("fixed_cam_default", "moving_cam_default")
 SCENARIOS = ("shallow", "deep", "lt", "nt-lan", "nt-wifi")
+LARGE_SCRIPT = "large_frames_0.json"
 
 
-def matrix():
-    """Yield (output stem, CLI arguments without output paths, is_compare)."""
+def matrix(large: str = LARGE_SCRIPT):
+    """Yield (output stem, CLI arguments without output paths, is_compare);
+    ``large`` is the path of the 128x128 scene script file."""
     for stream in PRESETS:
         for scenario in SCENARIOS:
             for precision in ("full", "half"):
@@ -46,20 +56,30 @@ def matrix():
                    ["run", "--scenario", scenario, "--stream", stream,
                     "--precision", precision, "--kfs", "off", "--seed", "0"], False)
         yield (f"{stream}-compare", ["compare", "--stream", stream, "--seed", "0"], True)
+    for scenario, precision, kfs in (("nt-wifi", "half", "on"), ("shallow", "full", "on"),
+                                     ("nt-lan", "full", "off")):
+        yield (f"large_frames_0-{scenario}-{precision}-kfs_{kfs}",
+               ["run", "--scenario", scenario, "--stream", large,
+                "--precision", precision, "--kfs", kfs, "--seed", "0"], False)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
+    parser.add_argument("--src", default=str(ROOT / "src"),
                         help="directory to import edgekt from (default: this checkout's src)")
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
     from edgekt.cli import main as edgekt_main
 
+    sys.path.insert(0, str(ROOT / "bench"))
+    from scenes import large_frames_script
+
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
+        (out / LARGE_SCRIPT).write_text(json.dumps(large_frames_script(0), indent=2,
+                                                   sort_keys=True))
         names = []
-        for stem, cli_args, is_compare in matrix():
+        for stem, cli_args, is_compare in matrix(str(out / LARGE_SCRIPT)):
             if is_compare:
                 names.append(f"{stem}.csv")
                 cli_args = cli_args + ["--out", str(out / names[-1])]
