@@ -542,5 +542,5 @@ def resolve_stream(spec: str) -> SceneScript:
         return SceneScript.load(spec)
     except FileNotFoundError as exc:
         raise ConfigError(f"stream {spec!r} is neither a preset nor a readable file") from exc
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid scene script {spec!r}: {exc}") from exc

@@ -277,7 +277,7 @@ class StudentModel:
         for g, phi, x, (wg, bg), w, b in zip(cfg.grids, *inputs, self._general,
                                              ada[0::2], ada[1::2]):
             out = phi @ wg.array + bg.array + x @ w.array + b.array
-            scales.append(Tensor(out.reshape(g, g, cfg.channels).astype(np.float32)))
+            scales.append(Tensor(out.reshape(g, g, cfg.channels)))
         return DetectionTensorSet(scales=tuple(scales), version=self.version)
 
     # -- bookkeeping ---------------------------------------------------------
@@ -400,15 +400,31 @@ def prepare_distill(model: StudentModel,
     return DistillInputs(base, xs, [x.T for x in xs], targets)
 
 
-def distill_gradients(prepared: DistillInputs,
-                      blocks: Sequence[np.ndarray]) -> list[np.ndarray]:
+def distill_gradients(prepared: DistillInputs, blocks: Sequence[np.ndarray],
+                      out: Sequence[np.ndarray] | None = None) -> list[np.ndarray]:
     """Analytic gradients of the distillation loss with respect to every
     adaptive block, at the given blocks: ``(W, b)`` per scale, in the dtype
-    ``prepared`` was built with."""
+    ``prepared`` was built with.
+
+    Per scale the residual is ``2.0 * (base + x @ w + b - target)``, built in
+    place in that float order, and the gradients are ``x.T @ resid`` and
+    ``resid.sum(axis=0)``. With ``out``, arrays shaped and typed like the
+    gradients, they are written there and returned; without it they are
+    freshly allocated. The products use ``np.dot``, which makes the
+    same BLAS call as ``@`` on these 2-D operands at less per-call cost.
+    """
     grads: list[np.ndarray] = []
-    for base, x, xt, target, w, b in zip(*prepared, blocks[0::2], blocks[1::2]):
-        resid = 2.0 * (base + x @ w + b - target)
-        grads.extend([xt @ resid, resid.sum(axis=0)])
+    if out is None:
+        out = [None] * len(blocks)
+    for base, x, xt, target, w, b, gw, gb in zip(*prepared, blocks[0::2], blocks[1::2],
+                                                 out[0::2], out[1::2]):
+        r = np.dot(x, w)
+        r += base
+        r += b
+        r -= target
+        r *= 2.0
+        grads.append(np.dot(xt, r, out=gw))
+        grads.append(r.sum(axis=0, out=gb))
     return grads
 
 
@@ -419,13 +435,15 @@ def adapt_decoder(model: StudentModel,
     against the oracle output and return the new versioned weights.
 
     ``inputs`` are the frame's ``model.head_inputs``, so the caller extracts
-    features once per adaptation. Frozen parts are untouched; the model
-    itself is not mutated. The adaptive blocks are reshaped views of one
-    flat vector, so each step is one gradient evaluation and one Adam update
-    over all of them. A non-finite gradient (any non-finite residual makes
-    its bias gradient non-finite) or update raises ValueError in
-    ``adam_step``, and the weights are discarded; the overflow itself emits
-    no numpy warning.
+    features once per adaptation. Frozen parts are untouched; the model,
+    ``inputs`` and ``oracle_out`` are only read. The adaptive blocks are
+    reshaped views of one flat vector, and the gradients are written into
+    views of one flat buffer allocated once per adaptation, so each step is
+    one gradient evaluation and one Adam update over all blocks, whose
+    result is copied back into the parameter vector. A non-finite gradient
+    (any non-finite residual makes its bias gradient non-finite) or update
+    raises ValueError in ``adam_step``, and the weights are discarded; the
+    overflow itself emits no numpy warning.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -439,13 +457,15 @@ def adapt_decoder(model: StudentModel,
         return [vec[span].reshape(shape) for span, shape in layout]
 
     flat = np.concatenate([b.data for b in model._adaptive])
+    grad = np.empty_like(flat)
+    params, grads = views(flat), views(grad)
     state = AdamState.for_param(flat, lr=ADAPT_LR)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(steps):
-            grads = distill_gradients(prepared, views(flat))
-            flat = adam_step(flat, np.concatenate([g.reshape(-1) for g in grads]), state)
+            distill_gradients(prepared, params, out=grads)
+            flat[...] = adam_step(flat, grad, state)
     return DecoderWeights(version=model.version + 1,
-                          blocks=tuple(Tensor(a) for a in views(flat)))
+                          blocks=tuple(Tensor(a) for a in params))
 
 
 def swap_decoder(model: StudentModel, weights: DecoderWeights) -> StudentModel:

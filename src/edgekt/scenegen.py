@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -21,7 +22,14 @@ from .detection import Box
 from .tensor import Tensor
 
 REGIMES = ("fixed_camera", "moving_camera")
-TRAJECTORY_KINDS = ("static", "linear", "orbit", "scatter")
+# trajectory kind -> (required keys, optional keys); every value is a number
+_TRAJECTORY_KEYS = {
+    "static": (("x", "y"), ()),
+    "linear": (("x", "y"), ("vx", "vy")),
+    "orbit": (("cx", "cy"), ("omega", "phase", "radius")),
+    "scatter": ((), ()),
+}
+TRAJECTORY_KINDS = tuple(_TRAJECTORY_KEYS)
 
 # class fill colors: (primary, secondary); secondary is used by the stripe
 # and checker patterns
@@ -109,13 +117,16 @@ class SceneScript:
     def from_dict(cls, d: dict) -> "SceneScript":
         """The script ``to_dict`` wrote. ``duration_frames`` is required; any
         other omitted key keeps the field's default."""
+        d = _json_object(d, "a scene script")
         kwargs = {key: parse(d[key]) for key, parse in _SCALAR_KEYS if key in d}
-        cam = d.get("camera", {})
+        cam = _json_object(d.get("camera", {}), "camera")
         kwargs.update((f"camera_{key}", float(cam[key]))
                       for key in ("amplitude_px", "period_frames") if key in cam)
         return cls(duration_frames=int(d["duration_frames"]),
-                   objects=tuple(_object_from_dict(o) for o in d.get("objects", [])),
-                   shifts=tuple(_shift_from_dict(s) for s in d.get("shifts", [])),
+                   objects=tuple(_object_from_dict(o)
+                                 for o in _json_objects(d.get("objects", []), "objects")),
+                   shifts=tuple(_shift_from_dict(s)
+                                for s in _json_objects(d.get("shifts", []), "shifts")),
                    **kwargs)
 
     @classmethod
@@ -135,18 +146,38 @@ _SCALAR_KEYS = (("name", str), ("regime", str), ("size", int), ("fps", float),
                 ("noise_breath_period", float))
 
 
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, not {type(value).__name__}")
+    return value
+
+
+def _json_objects(value, what: str) -> list[dict]:
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{what} must be a list, not {type(value).__name__}")
+    return [_json_object(v, f"each entry of {what}") for v in value]
+
+
 def _object_from_dict(d: dict) -> ObjectSpec:
+    trajectory = d.get("trajectory", {"kind": "static", "x": 0.5, "y": 0.5})
     return ObjectSpec(class_id=int(d["class_id"]), w=float(d["w"]), h=float(d["h"]),
-                      trajectory=dict(d.get("trajectory", {"kind": "static", "x": 0.5, "y": 0.5})))
+                      trajectory=dict(_json_object(trajectory, "trajectory")))
 
 
 def _shift_from_dict(d: dict) -> Shift:
     objs = d.get("objects")
     return Shift(
         frame_index=int(d["frame_index"]),
-        objects=tuple(_object_from_dict(o) for o in objs) if objs is not None else None,
+        objects=(tuple(_object_from_dict(o) for o in _json_objects(objs, "shift objects"))
+                 if objs is not None else None),
         background=int(d["background"]) if d.get("background") is not None else None,
     )
+
+
+# float fields that must be finite, and whether each must be > 0 (else >= 0);
+# the two periods divide the frame index
+_FLOAT_FIELDS = (("fps", True), ("noise_level", False), ("noise_breath", False),
+                 ("noise_breath_period", True), ("camera_period_frames", True))
 
 
 def validate_script(script: SceneScript) -> None:
@@ -156,10 +187,12 @@ def validate_script(script: SceneScript) -> None:
         raise ValueError("duration_frames must be >= 1")
     if script.size % 4 != 0 or script.size < 16:
         raise ValueError("frame size must be a multiple of 4 and >= 16")
-    if not (math.isfinite(script.fps) and script.fps > 0):
-        raise ValueError("fps must be finite and positive")
-    if not (math.isfinite(script.noise_level) and script.noise_level >= 0):
-        raise ValueError("noise_level must be finite and >= 0")
+    for name, positive in _FLOAT_FIELDS:
+        value = getattr(script, name)
+        if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+            raise ValueError(f"{name} must be finite and {'> 0' if positive else '>= 0'}")
+    if not math.isfinite(script.camera_amplitude_px):
+        raise ValueError("camera_amplitude_px must be finite")
     last = -1
     for s in script.shifts:
         if s.frame_index <= last:
@@ -167,6 +200,11 @@ def validate_script(script: SceneScript) -> None:
         if s.frame_index >= script.duration_frames:
             raise ValueError("shift index beyond stream duration")
         last = s.frame_index
+    shift_styles = [s.background for s in script.shifts if s.background is not None]
+    for style in [script.background] + shift_styles:
+        if style not in range(BACKGROUND_STYLES):
+            raise ValueError(f"background must be a style in 0..{BACKGROUND_STYLES - 1}, "
+                             f"not {style!r}")
     for o in script.all_objects():
         if o.class_id < 0:
             raise ValueError("class_id must be >= 0")
@@ -175,6 +213,13 @@ def validate_script(script: SceneScript) -> None:
         kind = o.trajectory.get("kind", "static")
         if kind not in TRAJECTORY_KINDS:
             raise ValueError(f"unknown trajectory kind {kind!r}")
+        required, optional = _TRAJECTORY_KEYS[kind]
+        for key in required + tuple(k for k in optional if k in o.trajectory):
+            value = o.trajectory.get(key)
+            if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                    and math.isfinite(value)):
+                raise ValueError(f"{kind} trajectory key {key!r} must be a finite "
+                                 f"number, not {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +296,10 @@ def _active_scene(script: SceneScript, t: int) -> tuple[tuple[ObjectSpec, ...], 
             if s.background is not None:
                 background = s.background
     return objects, background
+
+
+# background styles 0, 1 and 2, drawn by ``_background_pixels``
+BACKGROUND_STYLES = 3
 
 
 def _background_pixels(style: int, size: int, dx: int, dy: int) -> np.ndarray:
@@ -338,7 +387,10 @@ def render_frame(script: SceneScript, t: int) -> Tensor:
             2.0 * math.pi * t / script.noise_breath_period)
     if sigma > 0:
         rng = np.random.Generator(np.random.PCG64(script.seed * 1_000_003 + t))
-        img += rng.normal(0.0, sigma, img.shape)
+        # bit-equal to rng.normal(0.0, sigma, img.shape), without its loc add
+        noise = rng.standard_normal(img.shape)
+        noise *= sigma
+        img += noise
     # noise and clip in place: one float64 frame buffer per render
     return Tensor(np.clip(img, 0.0, 1.0, out=img).astype(np.float32))
 

@@ -28,7 +28,7 @@ class Tensor:
         a = np.asarray(values, dtype=np.float32)
         if shape is not None:
             a = a.reshape(shape)
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise ValueError("tensor values must be finite (no NaN/Inf)")
         a = np.ascontiguousarray(a)
         a.flags.writeable = False
@@ -108,19 +108,38 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> np.ndarr
     module's ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``. A
     non-finite gradient, or a moment or parameter that overflows, raises
     ValueError and leaves ``state`` unchanged.
+
+    The new moments and parameters are the three rows of one fresh float32
+    block, computed with in-place ufuncs in the float order of
+    ``0.9 * m + 0.1 * g``, ``0.999 * v + 0.001 * g * g`` and
+    ``param - lr * (m / c1) / (sqrt(v / c2) + eps)``, so one finiteness
+    check covers all three. ``state.m``, ``state.v`` and the returned array
+    are views of that block; the caller's ``param`` and ``grad`` are only
+    read.
     """
     if param.shape != grad.shape or param.shape != state.m.shape:
         raise ValueError("param, grad and state moments must share one shape")
-    if not np.all(np.isfinite(grad)):
+    if not np.isfinite(grad).all():
         raise ValueError("non-finite gradient")
 
     t = state.step + 1
-    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
-    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad * grad
-    m_hat = m / (1.0 - ADAM_BETA1 ** t)
-    v_hat = v / (1.0 - ADAM_BETA2 ** t)
-    new = param - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    if not (np.all(np.isfinite(m)) and np.all(np.isfinite(v)) and np.all(np.isfinite(new))):
+    block = np.empty((3,) + param.shape, np.float32)
+    m, v, new = block[0, ...], block[1, ...], block[2, ...]  # views, also for 0-d params
+    np.multiply(state.m, ADAM_BETA1, out=m)
+    np.multiply(grad, 1.0 - ADAM_BETA1, out=new)  # ``new`` is scratch until the last line
+    m += new
+    np.multiply(state.v, ADAM_BETA2, out=v)
+    np.multiply(grad, 1.0 - ADAM_BETA2, out=new)
+    new *= grad
+    v += new
+    denom = np.divide(v, 1.0 - ADAM_BETA2 ** t, out=np.empty_like(v))
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    np.divide(m, 1.0 - ADAM_BETA1 ** t, out=new)
+    new *= state.lr
+    new /= denom
+    np.subtract(param, new, out=new)
+    if not np.isfinite(block).all():
         raise ValueError("Adam update overflowed to a non-finite value")
 
     state.m = m

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from edgekt.scenegen import fixed_cam_default
 
 
@@ -73,7 +75,7 @@ def test_compare_writes_table(tmp_path, run_cli):
 
 def _script_with(tmp_path, edit):
     d = fixed_cam_default(duration=10).to_dict()
-    edit(d)
+    d = edit(d) or d  # an edit changes d in place or returns a new document
     path = tmp_path / "script.json"
     path.write_text(json.dumps(d))  # NaN is written as the bare token NaN
     return path
@@ -93,3 +95,32 @@ def test_class_id_beyond_the_model_classes_exits_2(tmp_path, run_cli):
                     "--out", str(tmp_path / "r.json")])
     assert proc.returncode == 2
     assert "config error" in proc.stderr and "class_id 5" in proc.stderr
+
+
+def _drop_x(d):
+    del d["objects"][0]["trajectory"]["x"]
+
+
+def _orbit_without_cx(d):
+    d["objects"][0]["trajectory"] = {"kind": "orbit", "cy": 0.5}
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_drop_x, "static trajectory key 'x'"),
+    (_orbit_without_cx, "orbit trajectory key 'cx'"),
+    (lambda d: d.update(objects=5), "objects must be a list"),
+    (lambda d: [d], "must be a JSON object, not list"),
+    (lambda d: d.update(size=None), "NoneType"),
+    (lambda d: d["camera"].update(period_frames=0), "camera_period_frames"),
+    (lambda d: d.update(noise_breath_period=0), "noise_breath_period"),
+    (lambda d: d.update(background=7), "background"),
+    (lambda d: d["shifts"][0].update(background=-1), "background"),
+], ids=["static_without_x", "orbit_without_cx", "objects_not_a_list", "top_level_list",
+        "size_null", "camera_period_0", "noise_breath_period_0", "background_7", "shift_background_-1"])
+def test_malformed_scene_script_exits_2(tmp_path, run_cli, edit, message):
+    stream = _script_with(tmp_path, edit)
+    proc = run_cli(["run", "--scenario", "shallow", "--stream", str(stream),
+                    "--out", str(tmp_path / "r.json")])
+    assert proc.returncode == 2, proc.stderr
+    assert "config error" in proc.stderr and message in proc.stderr
+    assert "Traceback" not in proc.stderr

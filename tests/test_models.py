@@ -226,6 +226,67 @@ def test_gradients_match_finite_differences():
             assert abs(fd - an) <= 1e-3 * max(abs(fd), abs(an), 1e-6)
 
 
+def _reference_gradients(prepared, blocks):
+    """The allocating gradient formulas ``distill_gradients`` replaced."""
+    grads = []
+    for base, x, xt, target, w, b in zip(*prepared, blocks[0::2], blocks[1::2]):
+        resid = 2.0 * (base + x @ w + b - target)
+        grads.extend([xt @ resid, resid.sum(axis=0)])
+    return grads
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(grids=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+       dims=st.lists(st.integers(1, 90), min_size=3, max_size=3), channels=st.integers(1, 9),
+       scale=st.sampled_from([1e-3, 1.0, 1e19]), dtype=st.sampled_from([np.float32, np.float64]),
+       seed=st.integers(0, 2**32 - 1))
+def test_in_place_gradients_equal_allocating_formulas(grids, dims, channels, scale, dtype,
+                                                      seed):
+    # random head shapes, both dtypes, and residuals up to overflow: the
+    # in-place residual and the ``out`` products equal the formulas bit for bit
+    rng = np.random.Generator(np.random.PCG64(seed))
+
+    def draw(*shape):
+        return (scale * rng.normal(0.0, 1.0, shape)).astype(dtype)
+
+    xs = [draw(g * g, d) for g, d in zip(grids, dims)]
+    prepared = models.DistillInputs([draw(g * g, channels) for g in grids], xs,
+                                    [x.T for x in xs], [draw(g * g, channels) for g in grids])
+    blocks = []
+    for d in dims[:len(grids)]:
+        blocks += [rng.normal(0.0, 0.3, (d, channels)).astype(np.float32),
+                   rng.normal(0.0, 0.3, channels).astype(np.float32)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = _reference_gradients(prepared, blocks)
+        allocated = distill_gradients(prepared, blocks)
+        out = [np.full(b.shape, np.nan, dtype) for b in blocks]
+        written = distill_gradients(prepared, blocks, out=out)
+    assert all(w is o for w, o in zip(written, out))
+    for want, a, w in zip(expected, allocated, written):
+        assert a.dtype == w.dtype == want.dtype
+        assert a.tobytes() == w.tobytes() == want.tobytes()
+
+
+def test_adapt_decoder_writes_nothing_it_reads(student, oracle):
+    # the record's head inputs are read-only and shared by scenarios; the
+    # model's blocks and the oracle output are Tensors. All keep their bytes.
+    f = _frame(seed=17)
+    inputs = student.head_inputs(f)
+    for a in (*inputs[0], *inputs[1]):
+        a.flags.writeable = False
+    target = oracle.forward(f, _truth())
+
+    def snapshot():
+        return ([a.tobytes() for a in (*inputs[0], *inputs[1])],
+                [t.tobytes() for t in target.scales],
+                [t.tobytes() for t in student.adaptive_blocks], student.frozen_checksum())
+
+    before = snapshot()
+    weights = adapt_decoder(student, inputs, target)
+    assert snapshot() == before
+    assert weights.blocks != student.adaptive_blocks
+
+
 def test_distillation_beats_never_adapted():
     # stationary scene: a handful of adaptations must beat the base student,
     # scored against the oracle's decoded output as ground truth

@@ -213,7 +213,8 @@ def test_truth_box_centre_has_its_class_colour(kind, regime, data):
 
 
 def test_non_finite_rates_rejected():
-    for field in ("fps", "noise_level"):
+    for field in ("fps", "noise_level", "noise_breath", "noise_breath_period",
+                  "camera_period_frames", "camera_amplitude_px"):
         for value in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match=field):
                 _static_script(**{field: value})
@@ -253,3 +254,38 @@ def test_background_equals_full_grid_reference(style, size, dx, dy):
     # sizes 16..256 in steps of 4; large offsets against small sizes leave [0, 1]
     assert np.array_equal(_background_pixels(style, size, dx, dy),
                           _reference_background_pixels(style, size, dx, dy))
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**63 - 1), sigma=st.floats(0.0, 2.0, exclude_min=True),
+       h=st.integers(1, 130), w=st.integers(1, 130), zeros=st.floats(0.0, 1.0))
+def test_scaled_standard_normal_noise_equals_normal(seed, sigma, h, w, zeros):
+    # render_frame's noise: standard normals scaled in place, added to an
+    # image in [0, 1] with exact zeros, equal rng.normal(0.0, sigma) bit for bit
+    img = np.random.Generator(np.random.PCG64(~seed & (2**64 - 1))).uniform(0.0, 1.0, (h, w, 3))
+    img[img < zeros] = 0.0
+    want = img + np.random.Generator(np.random.PCG64(seed)).normal(0.0, sigma, img.shape)
+    noise = np.random.Generator(np.random.PCG64(seed)).standard_normal(img.shape)
+    noise *= sigma
+    img += noise
+    assert img.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("trajectory", [
+    {"kind": "static", "y": 0.5},
+    {"kind": "orbit", "cx": 0.5},
+    {"kind": "linear", "x": 0.5, "y": float("nan")},
+    {"kind": "linear", "x": 0.5, "y": 0.5, "vx": None},
+    {"kind": "orbit", "cx": 0.5, "cy": 0.5, "radius": "0.1"},
+])
+def test_trajectory_needs_finite_numbers_for_its_kind(trajectory):
+    with pytest.raises(ValueError, match="trajectory key"):
+        _static_script(objects=(ObjectSpec(0, 0.2, 0.2, trajectory),))
+
+
+@pytest.mark.parametrize("background", [-1, 3, 7])
+def test_background_outside_the_styles_rejected(background):
+    with pytest.raises(ValueError, match="background"):
+        _static_script(background=background)
+    with pytest.raises(ValueError, match="background"):
+        _static_script(shifts=(Shift(frame_index=5, background=background),))

@@ -150,6 +150,73 @@ def test_adam_on_concatenation_equals_per_block(shapes, steps, seed):
     assert fused.step == steps and all(st_.step == steps for st_ in per_block)
 
 
+def _reference_adam_step(param, grad, state):
+    """The allocating update rule ``adam_step`` replaced, kept as its reference."""
+    if not np.all(np.isfinite(grad)):
+        raise ValueError("non-finite gradient")
+    t = state.step + 1
+    m = 0.9 * state.m + (1.0 - 0.9) * grad
+    v = 0.999 * state.v + (1.0 - 0.999) * grad * grad
+    m_hat = m / (1.0 - 0.9 ** t)
+    v_hat = v / (1.0 - 0.999 ** t)
+    new = param - state.lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+    if not (np.all(np.isfinite(m)) and np.all(np.isfinite(v)) and np.all(np.isfinite(new))):
+        raise ValueError("Adam update overflowed to a non-finite value")
+    state.m, state.v, state.step = m, v, t
+    return new
+
+
+def _adam_outcome(step, param, grad, state):
+    """(returned bytes or error message, state bytes) of one update."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = step(param, grad, state).tobytes()
+    except ValueError as exc:
+        result = str(exc)
+    return result, (state.m.tobytes(), state.v.tobytes(), state.step)
+
+
+_shapes = st.lists(st.integers(1, 7), max_size=3).map(tuple)
+_specials = st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e21, -1e21])
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(shape=_shapes, steps=st.integers(1, 5), lr=st.floats(1e-4, 1.0),
+       scale=st.sampled_from([1e-3, 1.0, 1e3]), seed=st.integers(0, 2**32 - 1),
+       special=st.none() | st.tuples(st.integers(0, 4), st.integers(0, 10**6), _specials))
+def test_adam_step_equals_allocating_reference(shape, steps, lr, scale, seed, special):
+    # bit for bit: new params, moments and step; a gradient with NaN, inf or
+    # an overflowing 1e21 gives the same message and leaves the state as it was
+    rng = np.random.Generator(np.random.PCG64(seed))
+    param = rng.normal(0.0, 1.0, shape).astype(np.float32)
+    ours, ref = AdamState.for_param(param, lr=lr), AdamState.for_param(param, lr=lr)
+    p_ours = p_ref = param
+    for k in range(steps):
+        grad = (scale * rng.normal(0.0, 1.0, shape)).astype(np.float32)
+        if special is not None and special[0] == k:
+            grad.reshape(-1)[special[1] % grad.size] = special[2]
+        before = (ours.m.tobytes(), ours.v.tobytes(), ours.step)
+        got = _adam_outcome(adam_step, p_ours, grad, ours)
+        assert got == _adam_outcome(_reference_adam_step, p_ref, grad, ref)
+        if isinstance(got[0], str):
+            assert got[1] == before
+            return
+        p_ours = np.frombuffer(got[0], np.float32).reshape(shape)
+        p_ref = p_ours.copy()
+
+
+def test_adam_step_reads_its_inputs_only():
+    param = np.array([1.0, -2.0, 0.5], np.float32)
+    grad = np.array([0.3, 0.0, -4.0], np.float32)
+    state = AdamState.for_param(param, lr=0.1)
+    m, v = state.m, state.v
+    for a in (param, grad, m, v):
+        a.flags.writeable = False
+    new = adam_step(param, grad, state)
+    assert new.dtype == np.float32 and state.m is not m and state.v is not v
+    assert not any(np.shares_memory(new, a) for a in (param, grad, m, v))
+
+
 def test_f16_exact_values_round_trip():
     t = Tensor([0.0, 1.0, -2.0, 0.5])
     back = f16_decode(f16_encode(t), (4,))
