@@ -44,10 +44,6 @@ class Box:
     class_id: int
     score: float = 1.0
 
-    def corners(self) -> tuple[float, float, float, float]:
-        """(x1, y1, x2, y2) corner coordinates."""
-        return _geometry(self)[:4]
-
 
 @dataclass
 class MetricsReport:

@@ -135,7 +135,7 @@ class RunReport:
         return cls(**{**d, "aggregate": MetricsReport(**d["aggregate"])})
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True, allow_nan=False)
 
 
 def emit_report(report: RunReport, fmt: str = "json", path: str | None = None) -> str:

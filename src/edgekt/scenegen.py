@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
-from dataclasses import dataclass, field
+import sys
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Iterator
 
 import numpy as np
@@ -22,14 +22,16 @@ from .detection import Box
 from .tensor import Tensor
 
 REGIMES = ("fixed_camera", "moving_camera")
-# trajectory kind -> (required keys, optional keys); every value is a number
-_TRAJECTORY_KEYS = {
-    "static": (("x", "y"), ()),
-    "linear": (("x", "y"), ("vx", "vy")),
-    "orbit": (("cx", "cy"), ("omega", "phase", "radius")),
-    "scatter": ((), ()),
+# trajectory kind -> {key: its default, or None if the key is required};
+# every value is a finite number
+TRAJECTORIES = {
+    "static": {"x": None, "y": None},
+    "linear": {"x": None, "y": None, "vx": 0.0, "vy": 0.0},
+    "orbit": {"cx": None, "cy": None, "omega": 0.05, "phase": 0.0, "radius": 0.1},
+    "scatter": {},
 }
-TRAJECTORY_KINDS = tuple(_TRAJECTORY_KEYS)
+TRAJECTORY_KINDS = tuple(TRAJECTORIES)
+_LINEAR, _ORBIT = TRAJECTORIES["linear"], TRAJECTORIES["orbit"]  # read per frame
 
 # class fill colors: (primary, secondary); secondary is used by the stripe
 # and checker patterns
@@ -40,6 +42,8 @@ _CLASS_COLORS = {
 }
 
 
+# ObjectSpec, Shift and SceneScript are the scene-script schema: a JSON document
+# holds their fields by name, and ``validate_script`` checks their JSON types
 @dataclass(frozen=True)
 class ObjectSpec:
     class_id: int
@@ -47,24 +51,12 @@ class ObjectSpec:
     h: float
     trajectory: dict = field(default_factory=lambda: {"kind": "static", "x": 0.5, "y": 0.5})
 
-    def to_dict(self) -> dict:
-        return {"class_id": self.class_id, "w": self.w, "h": self.h,
-                "trajectory": dict(self.trajectory)}
-
 
 @dataclass(frozen=True)
 class Shift:
     frame_index: int
     objects: tuple[ObjectSpec, ...] | None = None
     background: int | None = None
-
-    def to_dict(self) -> dict:
-        d: dict = {"frame_index": self.frame_index}
-        if self.objects is not None:
-            d["objects"] = [o.to_dict() for o in self.objects]
-        if self.background is not None:
-            d["background"] = self.background
-        return d
 
 
 @dataclass(frozen=True)
@@ -89,23 +81,10 @@ class SceneScript:
         validate_script(self)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "regime": self.regime,
-            "duration_frames": self.duration_frames,
-            "size": self.size,
-            "fps": self.fps,
-            "noise_level": self.noise_level,
-            "background": self.background,
-            "seed": self.seed,
-            "camera": {"amplitude_px": self.camera_amplitude_px,
-                       "period_frames": self.camera_period_frames},
-            "texture_drift_period": self.texture_drift_period,
-            "noise_breath": self.noise_breath,
-            "noise_breath_period": self.noise_breath_period,
-            "objects": [o.to_dict() for o in self.objects],
-            "shifts": [s.to_dict() for s in self.shifts],
-        }
+        """The JSON document of the script; a shift omits its ``None`` fields."""
+        d = asdict(self, dict_factory=_json_fields)
+        d["camera"] = {key: d.pop(f"camera_{key}") for key in _CAMERA_KEYS}
+        return d
 
     def all_objects(self) -> Iterator[ObjectSpec]:
         """Every object the script places, at the start and in its shifts."""
@@ -115,19 +94,18 @@ class SceneScript:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SceneScript":
-        """The script ``to_dict`` wrote. ``duration_frames`` is required; any
-        other omitted key keeps the field's default."""
-        d = _json_object(d, "a scene script")
-        kwargs = {key: parse(d[key]) for key, parse in _SCALAR_KEYS if key in d}
-        cam = _json_object(d.get("camera", {}), "camera")
-        kwargs.update((f"camera_{key}", float(cam[key]))
-                      for key in ("amplitude_px", "period_frames") if key in cam)
-        return cls(duration_frames=int(d["duration_frames"]),
-                   objects=tuple(_object_from_dict(o)
-                                 for o in _json_objects(d.get("objects", []), "objects")),
-                   shifts=tuple(_shift_from_dict(s)
-                                for s in _json_objects(d.get("shifts", []), "shifts")),
-                   **kwargs)
+        """The script ``to_dict`` wrote, values unconverted. ``duration_frames``
+        is required; any other omitted key keeps the field's default."""
+        d = _json_object(d, "a scene script", _SCRIPT_KEYS)
+        cam = _json_object(d.pop("camera", {}), "camera", _CAMERA_KEYS)
+        d.update((f"camera_{key}", value) for key, value in cam.items())
+        d["objects"] = _objects(d.get("objects", []), "objects")
+        shifts = _json_objects(d.get("shifts", []), "shifts", _SHIFT_KEYS)
+        for s in shifts:
+            if s.get("objects") is not None:
+                s["objects"] = _objects(s["objects"], "shift objects")
+        d["shifts"] = tuple(Shift(**s) for s in shifts)
+        return cls(duration_frames=d.pop("duration_frames"), **d)
 
     @classmethod
     def load(cls, path: str) -> "SceneScript":
@@ -139,39 +117,58 @@ class SceneScript:
             json.dump(self.to_dict(), f, indent=2, sort_keys=True)
 
 
-# ``to_dict`` keys that hold one scalar field of the same name, and their parsers
-_SCALAR_KEYS = (("name", str), ("regime", str), ("size", int), ("fps", float),
-                ("noise_level", float), ("background", int), ("seed", int),
-                ("texture_drift_period", int), ("noise_breath", float),
-                ("noise_breath_period", float))
+# the keys of each JSON object: field names, with the camera fields nested as
+# {"camera": {key: ...}}
+_CAMERA_KEYS = ("amplitude_px", "period_frames")
+_OBJECT_KEYS, _SHIFT_KEYS, _SCRIPT_KEYS = (
+    {f.name for f in fields(cls)} for cls in (ObjectSpec, Shift, SceneScript))
+_SCRIPT_KEYS = _SCRIPT_KEYS - {f"camera_{key}" for key in _CAMERA_KEYS} | {"camera"}
 
 
-def _json_object(value, what: str) -> dict:
+def _json_fields(pairs: list[tuple]) -> dict:
+    """``asdict``'s dict of one dataclass: tuples as lists, ``None`` dropped."""
+    return {key: list(value) if isinstance(value, tuple) else value
+            for key, value in pairs if value is not None}
+
+
+def _json_object(value, what: str, keys) -> dict:
+    """A copy of ``value``, which must be a JSON object with keys in ``keys``."""
     if not isinstance(value, dict):
         raise ValueError(f"{what} must be a JSON object, not {type(value).__name__}")
-    return value
+    for key in value:
+        if key not in keys:
+            raise ValueError(f"unknown key {key!r} in {what}")
+    return dict(value)
 
 
-def _json_objects(value, what: str) -> list[dict]:
+def _json_objects(value, what: str, keys) -> list[dict]:
     if not isinstance(value, (list, tuple)):
         raise ValueError(f"{what} must be a list, not {type(value).__name__}")
-    return [_json_object(v, f"each entry of {what}") for v in value]
+    return [_json_object(v, f"each entry of {what}", keys) for v in value]
 
 
-def _object_from_dict(d: dict) -> ObjectSpec:
-    trajectory = d.get("trajectory", {"kind": "static", "x": 0.5, "y": 0.5})
-    return ObjectSpec(class_id=int(d["class_id"]), w=float(d["w"]), h=float(d["h"]),
-                      trajectory=dict(_json_object(trajectory, "trajectory")))
+def _objects(value, what: str) -> tuple[ObjectSpec, ...]:
+    return tuple(ObjectSpec(**o) for o in _json_objects(value, what, _OBJECT_KEYS))
 
 
-def _shift_from_dict(d: dict) -> Shift:
-    objs = d.get("objects")
-    return Shift(
-        frame_index=int(d["frame_index"]),
-        objects=(tuple(_object_from_dict(o) for o in _json_objects(objs, "shift objects"))
-                 if objs is not None else None),
-        background=int(d["background"]) if d.get("background") is not None else None,
-    )
+# a scalar field's annotation -> the Python types of the JSON values it takes
+_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,),
+               "int | None": (int, type(None))}
+
+
+def _finite(number) -> bool:
+    """An int or a float is finite as a float (a JSON integer can exceed one)."""
+    return abs(number) <= sys.float_info.max
+
+
+def _check_json_types(spec) -> None:
+    """Each scalar field of the dataclass ``spec`` holds its annotated JSON
+    type; a bool is never a number."""
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if f.type in _JSON_TYPES and (isinstance(value, bool)
+                                      or not isinstance(value, _JSON_TYPES[f.type])):
+            raise ValueError(f"{f.name} must be {f.type}, not {type(value).__name__}")
 
 
 # float fields that must be finite, and whether each must be > 0 (else >= 0);
@@ -181,20 +178,24 @@ _FLOAT_FIELDS = (("fps", True), ("noise_level", False), ("noise_breath", False),
 
 
 def validate_script(script: SceneScript) -> None:
+    _check_json_types(script)
     if script.regime not in REGIMES:
         raise ValueError(f"unknown regime {script.regime!r}")
     if script.duration_frames < 1:
         raise ValueError("duration_frames must be >= 1")
     if script.size % 4 != 0 or script.size < 16:
         raise ValueError("frame size must be a multiple of 4 and >= 16")
+    if script.seed < 0:
+        raise ValueError("seed must be >= 0")
     for name, positive in _FLOAT_FIELDS:
         value = getattr(script, name)
-        if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        if not (_finite(value) and (value > 0 if positive else value >= 0)):
             raise ValueError(f"{name} must be finite and {'> 0' if positive else '>= 0'}")
-    if not math.isfinite(script.camera_amplitude_px):
+    if not _finite(script.camera_amplitude_px):
         raise ValueError("camera_amplitude_px must be finite")
     last = -1
     for s in script.shifts:
+        _check_json_types(s)
         if s.frame_index <= last:
             raise ValueError("shift indices must be strictly increasing")
         if s.frame_index >= script.duration_frames:
@@ -206,18 +207,21 @@ def validate_script(script: SceneScript) -> None:
             raise ValueError(f"background must be a style in 0..{BACKGROUND_STYLES - 1}, "
                              f"not {style!r}")
     for o in script.all_objects():
+        _check_json_types(o)
         if o.class_id < 0:
             raise ValueError("class_id must be >= 0")
         if not (0.0 < o.w <= 1.0 and 0.0 < o.h <= 1.0):
             raise ValueError("object size must be in (0, 1]")
-        kind = o.trajectory.get("kind", "static")
+        traj = o.trajectory
+        if not isinstance(traj, dict):
+            raise ValueError(f"trajectory must be a JSON object, not {type(traj).__name__}")
+        kind = traj.get("kind", "static")
         if kind not in TRAJECTORY_KINDS:
             raise ValueError(f"unknown trajectory kind {kind!r}")
-        required, optional = _TRAJECTORY_KEYS[kind]
-        for key in required + tuple(k for k in optional if k in o.trajectory):
-            value = o.trajectory.get(key)
-            if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
-                    and math.isfinite(value)):
+        _json_object(traj, f"{kind} trajectory", {"kind", *TRAJECTORIES[kind]})
+        for key, default in TRAJECTORIES[kind].items():
+            value = traj.get(key, default)
+            if isinstance(value, bool) or not (isinstance(value, (int, float)) and _finite(value)):
                 raise ValueError(f"{kind} trajectory key {key!r} must be a finite "
                                  f"number, not {value!r}")
 
@@ -263,12 +267,14 @@ def _object_center(obj: ObjectSpec, t: int, script: SceneScript, index: int) -> 
     if kind == "static":
         x, y = float(traj["x"]), float(traj["y"])
     elif kind == "linear":
-        x = float(traj["x"]) + float(traj.get("vx", 0.0)) * t
-        y = float(traj["y"]) + float(traj.get("vy", 0.0)) * t
+        x = float(traj["x"]) + float(traj.get("vx", _LINEAR["vx"])) * t
+        y = float(traj["y"]) + float(traj.get("vy", _LINEAR["vy"])) * t
     elif kind == "orbit":
-        ang = float(traj.get("omega", 0.05)) * t + float(traj.get("phase", 0.0))
-        x = float(traj["cx"]) + float(traj.get("radius", 0.1)) * math.cos(ang)
-        y = float(traj["cy"]) + float(traj.get("radius", 0.1)) * math.sin(ang)
+        ang = (float(traj.get("omega", _ORBIT["omega"])) * t
+               + float(traj.get("phase", _ORBIT["phase"])))
+        radius = float(traj.get("radius", _ORBIT["radius"]))
+        x = float(traj["cx"]) + radius * math.cos(ang)
+        y = float(traj["cy"]) + radius * math.sin(ang)
     else:  # scatter: fresh seeded position every frame
         rng = np.random.Generator(np.random.PCG64(
             (script.seed * 1_000_003 + t) * 97 + index))
@@ -491,15 +497,9 @@ def fixed_cam_default(size: int = 64, duration: int = 600) -> SceneScript:
 def moving_cam_default(size: int = 64, duration: int = 600) -> SceneScript:
     """Dash-cam-style stream: the fixed-camera object script plus a global
     sinusoidal camera pan."""
-    base = fixed_cam_default(size=size, duration=duration)
-    return SceneScript(
-        name="moving_cam_default", regime="moving_camera",
-        duration_frames=duration, size=size, fps=base.fps,
-        objects=base.objects, shifts=base.shifts,
-        noise_level=base.noise_level, background=base.background, seed=13,
-        camera_amplitude_px=6.0, camera_period_frames=120.0,
-        noise_breath=base.noise_breath, noise_breath_period=base.noise_breath_period,
-    )
+    return replace(fixed_cam_default(size=size, duration=duration),
+                   name="moving_cam_default", regime="moving_camera", seed=13,
+                   camera_amplitude_px=6.0, camera_period_frames=120.0)
 
 
 def pretrain_script(size: int = 64, duration: int = 60) -> SceneScript:

@@ -105,6 +105,14 @@ def _orbit_without_cx(d):
     d["objects"][0]["trajectory"] = {"kind": "orbit", "cy": 0.5}
 
 
+def _rename(key, new):
+    return lambda d: d.update({new: d.pop(key)})
+
+
+def _misspelled_trajectory_key(d):
+    d["objects"][0]["trajectory"] = {"kind": "orbit", "cx": 0.5, "cy": 0.5, "radious": 0.2}
+
+
 @pytest.mark.parametrize("edit, message", [
     (_drop_x, "static trajectory key 'x'"),
     (_orbit_without_cx, "orbit trajectory key 'cx'"),
@@ -115,8 +123,21 @@ def _orbit_without_cx(d):
     (lambda d: d.update(noise_breath_period=0), "noise_breath_period"),
     (lambda d: d.update(background=7), "background"),
     (lambda d: d["shifts"][0].update(background=-1), "background"),
+    # wrong JSON types and unknown keys, at every level of the document
+    (lambda d: d.update(size="64"), "size must be int, not str"),
+    (lambda d: d.update(size=64.5), "size must be int, not float"),
+    (lambda d: d["objects"][0].update(class_id=True), "class_id must be int, not bool"),
+    (lambda d: d.update(name=5), "name must be str, not int"),
+    (_rename("noise_level", "nosie_level"), "unknown key 'nosie_level'"),
+    (lambda d: _rename("trajectory", "trajectroy")(d["objects"][0]), "unknown key 'trajectroy'"),
+    (_misspelled_trajectory_key, "unknown key 'radious' in orbit trajectory"),
+    (lambda d: d["shifts"][0].update(background=1.5), "background must be int | None, not float"),
+    (lambda d: d.update(camera_amplitude_px=3.0), "unknown key 'camera_amplitude_px'"),
 ], ids=["static_without_x", "orbit_without_cx", "objects_not_a_list", "top_level_list",
-        "size_null", "camera_period_0", "noise_breath_period_0", "background_7", "shift_background_-1"])
+        "size_null", "camera_period_0", "noise_breath_period_0", "background_7",
+        "shift_background_-1", "size_string", "size_64.5", "class_id_true", "name_5",
+        "misspelled_script_key", "misspelled_object_key", "misspelled_trajectory_key",
+        "shift_background_1.5", "flat_camera_amplitude_px"])
 def test_malformed_scene_script_exits_2(tmp_path, run_cli, edit, message):
     stream = _script_with(tmp_path, edit)
     proc = run_cli(["run", "--scenario", "shallow", "--stream", str(stream),

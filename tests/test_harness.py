@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 
@@ -96,6 +97,16 @@ def test_overall_score_consistency(report):
     assert report.overall_score == pytest.approx(expected, rel=1e-12)
     assert report.aggregate.overall_score == report.overall_score
     assert report.energy_per_frame_j == pytest.approx(report.total_joules / report.frame_count)
+
+
+@pytest.mark.parametrize("field", ["mean_inference_s", "f1_trace"])
+def test_report_holding_nan_is_refused(report, tmp_path, field):
+    value = [float("nan")] if field == "f1_trace" else float("nan")
+    broken = dataclasses.replace(report, **{field: value})
+    path = tmp_path / "r.json"
+    with pytest.raises(ValueError):
+        emit_report(broken, "json", str(path))
+    assert not path.exists()
 
 
 def test_report_schema_version(report):

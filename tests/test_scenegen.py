@@ -99,6 +99,19 @@ def test_invalid_scripts_rejected():
         _static_script(objects=(ObjectSpec(0, 0.0, 0.2, {"kind": "static", "x": 0.5, "y": 0.5}),))
 
 
+@pytest.mark.parametrize("overrides, message", [
+    (dict(size=64.0), "size must be int, not float"),
+    (dict(fps=True), "fps must be float, not bool"),
+    (dict(name=None), "name must be str, not NoneType"),
+    (dict(seed=-1), "seed must be >= 0"),
+    (dict(objects=(ObjectSpec(True, 0.2, 0.2),)), "class_id must be int, not bool"),
+    (dict(shifts=(Shift(frame_index=5.0),)), "frame_index must be int, not float"),
+])
+def test_python_built_scripts_are_checked_like_json(overrides, message):
+    with pytest.raises(ValueError, match=message):
+        _static_script(**overrides)
+
+
 def test_frames_are_normalized():
     stream = SceneStream(fixed_cam_default())
     f = stream.frame_at(0)
@@ -163,6 +176,16 @@ def test_script_from_dict_omitted_keys_take_dataclass_defaults():
     assert render_frame(script, 2) == render_frame(SceneScript(duration_frames=5), 2)
     with pytest.raises(KeyError):
         SceneScript.from_dict({"size": 64})
+
+
+def test_json_integer_in_a_float_field_loads_as_its_float():
+    d = fixed_cam_default(duration=10).to_dict()
+    as_int = SceneScript.from_dict({**d, "fps": 4})
+    as_float = SceneScript.from_dict({**d, "fps": 4.0})
+    assert as_int == as_float
+    assert render_frame(as_int, 3) == render_frame(as_float, 3)
+    assert ([e.arrival_time for e in SceneStream(as_int).events()]
+            == [e.arrival_time for e in SceneStream(as_float).events()])
 
 
 def test_render_functions_pure():

@@ -15,8 +15,8 @@ of each end-to-end metric in ``BENCHMARK.json``, the pairs each side won on
 it (ties count for neither), whether every operation was correct and the
 share of failed operations. It adds one ``--trace 1`` run per workload and
 side (per-layer calls and self times), and the output of
-``tools/report_digests.py`` for both sides' sources, with the names of any
-digests that differ.
+``tools/report_digests.py`` for both sides' sources: its environment header
+line per side, and the digests with the names of any that differ.
 """
 
 from __future__ import annotations
@@ -73,13 +73,20 @@ def bench_run(tree: Path, workload: str, seed: int, seconds: float, trace: int) 
             "metrics": {k: m["value"] for k, m in result["metrics"].items()}}
 
 
-def digests(tree: Path) -> dict:
+def digests(tree: Path) -> tuple[str, dict]:
     """``report_digests.py`` of this checkout run on ``tree``'s sources."""
     proc = subprocess.run([sys.executable, str(ROOT / "tools" / "report_digests.py"),
                            "--src", str(tree / "src")],
                           capture_output=True, text=True, check=True)
-    return {name: digest for digest, name in
-            (line.split("  ", 1) for line in proc.stdout.splitlines())}
+    return parse_digests(proc.stdout)
+
+
+def parse_digests(text: str) -> tuple[str, dict]:
+    """The ``# `` header lines of a digest file, and its digests by output name."""
+    lines = text.splitlines()
+    header = "\n".join(line for line in lines if line.startswith("#"))
+    return header, {name: digest for digest, name in
+                    (line.split("  ", 1) for line in lines if not line.startswith("#"))}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -161,7 +168,9 @@ def main(argv: list[str] | None = None) -> int:
                     for side in order), file=sys.stderr, flush=True)
         traced = {w: {side: bench_run(trees[side], w, 0, args.seconds, trace=1)
                       for side in SIDES} for w in workloads}
-        reports = {side: digests(trees[side]) for side in SIDES}
+        environment, reports = {}, {}
+        for side in SIDES:
+            environment[side], reports[side] = digests(trees[side])
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
@@ -179,6 +188,7 @@ def main(argv: list[str] | None = None) -> int:
                           "traced": traced[w]} for w in workloads},
         "report_digests": {
             **reports,
+            "environment": environment,
             "differ": sorted(n for n in reports["base"].keys() | reports["change"].keys()
                              if reports["base"].get(n) != reports["change"].get(n)),
         },

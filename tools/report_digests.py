@@ -24,13 +24,22 @@ outputs is empty::
     python3 tools/report_digests.py > new.txt
     python3 tools/report_digests.py --src ../other-checkout/src > old.txt
     diff old.txt new.txt
+
+The reports also depend on the machine: numpy's SIMD kernels and the BLAS
+core type change float results. So the output starts with one ``# `` line
+naming Python, numpy, the BLAS build and core type, and numpy's enabled
+dispatch targets, and digest files from two machines differ visibly.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
+import glob
 import hashlib
 import json
+import os
+import platform
 import sys
 import tempfile
 from pathlib import Path
@@ -63,6 +72,28 @@ def matrix(large: str = LARGE_SCRIPT):
                 "--precision", precision, "--kfs", kfs, "--seed", "0"], False)
 
 
+def environment() -> str:
+    """The ``# `` header line: what the report bytes depend on besides the source."""
+    import numpy as np
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    blas = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
+    core = None
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
+                       "openblas_get_corename"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_char_p
+                core = fn().decode()
+                break
+    dispatch = ",".join(t for t in __cpu_dispatch__ if __cpu_features__.get(t)) or "none"
+    return (f"# python {platform.python_version()} numpy {np.__version__} "
+            f"blas {blas.get('name')} {blas.get('version')} core {core} dispatch {dispatch}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(ROOT / "src"),
@@ -90,6 +121,7 @@ def main(argv: list[str] | None = None) -> int:
             if edgekt_main(cli_args) != 0:
                 print(f"edgekt {' '.join(cli_args)} failed", file=sys.stderr)
                 return 1
+        print(environment())
         for name in names:
             print(f"{hashlib.sha256((out / name).read_bytes()).hexdigest()}  {name}")
     return 0

@@ -54,6 +54,13 @@ def test_summarize_skips_a_run_without_metrics():
     assert s["base"]["sim_frames_per_s"]["median"] == 10.0
 
 
+def test_digest_files_parse_around_the_environment_header():
+    text = f"{report_digests.environment()}\n{'ab' * 32}  a.json\n{'cd' * 32}  b.trace.csv\n"
+    header, digests = bench_pairs.parse_digests(text)
+    assert header.startswith("# python ") and " numpy " in header and " dispatch " in header
+    assert digests == {"a.json": "ab" * 32, "b.trace.csv": "cd" * 32}
+
+
 def test_one_pair_end_to_end(tmp_path):
     out = tmp_path / "pairs.json"
     assert bench_pairs.main(["--base", "HEAD", "--pairs", "1", "--seconds", "5",
@@ -77,4 +84,5 @@ def test_one_pair_end_to_end(tmp_path):
     files = sum(1 if is_compare else 2 for _, _, is_compare in report_digests.matrix())
     for side in bench_pairs.SIDES:
         assert len(result["report_digests"][side]) == files
+        assert result["report_digests"]["environment"][side].startswith("# python ")
     assert isinstance(result["report_digests"]["differ"], list)
