@@ -9,9 +9,12 @@ generator process with its own serving student, selector, ledger, channels
 and edge node, so its report is the same as when it runs alone.
 
 All stage durations come from an operation-count proxy (multiply-accumulate
-counts times a per-op virtual time) and configured power draws, so runs are
-machine-independent and reproducible. The power/time coefficients are
-calibration knobs of this simulator, not measured hardware values.
+counts times a per-op virtual time) and fixed power draws, so runs do not
+depend on host speed or load. The power/time coefficients are calibration
+constants of this simulator, not measured hardware values. Reports are
+byte-identical for identical flags and seeds on one machine setup: the CPU,
+the numpy build and the BLAS build. Another SIMD kernel or BLAS core type
+can round the student's features differently and change them.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .netproto import (FrameUpload, SimulatedChannel, WeightUpdate, decode_messa
                        lan_config, weights_byte_size, wifi_config)
 from .runtime import ConfigError, EdgeNode, Mode, ScenarioConfig, TrainJob
 from .scenegen import PRESETS, SceneScript, SceneStream
-from .selector import KeyFrameSelector, SelectorConfig
+from .selector import KeyFrameSelector
 from .tensor import Tensor
 
 logger = logging.getLogger("edgekt.harness")
@@ -42,7 +45,9 @@ SCHEMA_VERSION = 1
 ACTIVITIES = ("Decode", "Inference", "NMS", "TrainLocal", "OracleLocal",
               "Transmit", "Receive", "Idle")
 
-DEFAULT_POWER_W = {
+# the user-end device's calibration constants: power draw per activity, and
+# the virtual times and contention factors below
+POWER_W = {
     "Idle": 1.0,
     "Decode": 1.5,
     "Inference": 4.0,
@@ -53,48 +58,28 @@ DEFAULT_POWER_W = {
     "Receive": 2.5,
 }
 
-
-@dataclass(frozen=True)
-class CostModel:
-    """Virtual-time/power coefficients for the user-end device.
-
-    These are calibration knobs chosen so the qualitative behavior of the
-    scenarios is reproducible on any machine; they are not measurements.
-    """
-
-    power_w: dict = field(default_factory=lambda: dict(DEFAULT_POWER_W))
-    op_seconds: float = 1.8e-7         # seconds per multiply-accumulate
-    decode_seconds_per_value: float = 1.6e-6
-    nms_seconds_per_candidate: float = 7e-5
-    swap_seconds_per_byte: float = 5e-7
-    train_contention: float = 0.35     # inference slowdown while training locally
-    radio_contention: float = 0.2      # inference seconds added per radio-active second
-
-    def decode_seconds(self, n_values: int) -> float:
-        return n_values * self.decode_seconds_per_value
-
-    def nms_seconds(self, n_candidates: int) -> float:
-        return n_candidates * self.nms_seconds_per_candidate
-
-    def swap_seconds(self, n_bytes: int) -> float:
-        return n_bytes * self.swap_seconds_per_byte
+OP_SECONDS = 1.8e-7  # seconds per multiply-accumulate
+DECODE_SECONDS_PER_VALUE = 1.6e-6
+NMS_SECONDS_PER_CANDIDATE = 7e-5
+SWAP_SECONDS_PER_BYTE = 5e-7
+TRAIN_CONTENTION = 0.35  # inference slowdown while training locally
+RADIO_CONTENTION = 0.2  # inference seconds added per radio-active second
 
 
 class EnergyLedger:
-    """Per-activity time-times-power accumulation."""
+    """Per-activity time-times-power accumulation at ``POWER_W``."""
 
-    def __init__(self, power_w: dict | None = None):
-        self.power_w = dict(power_w or DEFAULT_POWER_W)
+    def __init__(self):
         self.seconds: dict[str, float] = {a: 0.0 for a in ACTIVITIES}
         self.joules: dict[str, float] = {a: 0.0 for a in ACTIVITIES}
 
     def charge(self, activity: str, duration_s: float) -> None:
-        if activity not in self.power_w:
+        if activity not in POWER_W:
             raise ValueError(f"unknown activity {activity!r}")
         if duration_s < 0:
             raise ValueError("duration must be >= 0")
         self.seconds[activity] += duration_s
-        self.joules[activity] += duration_s * self.power_w[activity]
+        self.joules[activity] += duration_s * POWER_W[activity]
 
     @property
     def total_joules(self) -> float:
@@ -174,7 +159,6 @@ NMS_IOU = 0.45
 # the deployed base detector is one fixed artifact; the run seed only
 # drives runtime randomness (selector draws, channel jitter)
 MODEL_SEED = 7
-COST = CostModel()
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,10 +198,9 @@ def _scenario(config: ScenarioConfig, script: SceneScript, name: str,
     time, after a frame arriving just then. Everything the scenario changes
     (serving student, selector, ledger, channels, edge node) is its own.
     """
-    cost = COST
     model_cfg = student.config
-    selector = KeyFrameSelector(SelectorConfig(seed=config.seed * 31 + 1))
-    ledger = EnergyLedger(cost.power_w)
+    selector = KeyFrameSelector(seed=config.seed * 31 + 1)
+    ledger = EnergyLedger()
 
     up = down = None
     edge = None
@@ -225,7 +208,7 @@ def _scenario(config: ScenarioConfig, script: SceneScript, name: str,
         up = SimulatedChannel(config.channel, direction=0)
         down = SimulatedChannel(config.channel, direction=1)
     if config.mode is Mode.NETWORK:
-        edge = EdgeNode(oracle, student.clone(), stream.truth_at)
+        edge = EdgeNode(oracle, student, stream.truth_at)
 
     period = 1.0 / script.fps
     n_frames = script.duration_frames
@@ -249,11 +232,10 @@ def _scenario(config: ScenarioConfig, script: SceneScript, name: str,
 
     student_macs = student.mac_count()
     oracle_macs = oracle.mac_count()
-    train_macs = (student.train_overhead_mac_count()
-                  + ADAPT_STEPS * student.train_step_mac_count())
-    oracle_s = oracle_macs * cost.op_seconds
-    train_s = train_macs * cost.op_seconds
-    edge_s = (oracle_macs + train_macs) * cost.op_seconds / config.edge_speed
+    train_macs = student.adaptation_mac_count()
+    oracle_s = oracle_macs * OP_SECONDS
+    train_s = train_macs * OP_SECONDS
+    edge_s = (oracle_macs + train_macs) * OP_SECONDS / config.edge_speed
 
     def dispatch(rec: FrameRecord, serve_out, now: float) -> TrainJob:
         """Run the one training job on frame ``rec`` to its outcome, which
@@ -309,7 +291,7 @@ def _scenario(config: ScenarioConfig, script: SceneScript, name: str,
                     edge.sync_clone(student)
             else:
                 student = new_student
-                pending_swap_s += cost.swap_seconds(weights_byte_size(weights))
+                pending_swap_s += weights_byte_size(weights) * SWAP_SECONDS_PER_BYTE
                 swap_log.append({"frame_id": job.frame_id, "version": student.version,
                                  "checksum": student.adaptive_checksum()})
             training_times.append(job.done_at - job.dispatched_at)
@@ -331,7 +313,7 @@ def _scenario(config: ScenarioConfig, script: SceneScript, name: str,
         frame = rec.frame
         start = max(t, prev_done)
 
-        decode_s = cost.decode_seconds(frame.size)
+        decode_s = frame.size * DECODE_SECONDS_PER_VALUE
         ledger.charge("Decode", decode_s)
 
         if config.mode is Mode.DEEP_ONLY:
@@ -343,16 +325,16 @@ def _scenario(config: ScenarioConfig, script: SceneScript, name: str,
             serve_out = student.outputs(rec.head_inputs)
             candidates = decode_boxes(serve_out, OBJ_THRESHOLD)
             detections = nms(candidates, NMS_IOU)
-            infer_s = student_macs * cost.op_seconds
+            infer_s = student_macs * OP_SECONDS
             if start < local_end:
-                infer_s *= 1.0 + cost.train_contention
+                infer_s *= 1.0 + TRAIN_CONTENTION
             infer_activity = "Inference"
-        infer_s += pending_swap_s + cost.radio_contention * radio_accum_s
+        infer_s += pending_swap_s + RADIO_CONTENTION * radio_accum_s
         pending_swap_s = 0.0
         radio_accum_s = 0.0
         ledger.charge(infer_activity, infer_s)
 
-        nms_s = cost.nms_seconds(len(candidates))
+        nms_s = len(candidates) * NMS_SECONDS_PER_CANDIDATE
         ledger.charge("NMS", nms_s)
 
         m = compute_metrics(detections, rec.gt_boxes)

@@ -38,6 +38,10 @@ class Precision(str, Enum):
 _RIDGE_LAMBDA = 1.0
 _POS_WEIGHT = 20.0
 
+# the one adaptation policy: Adam steps per key frame and their learning rate
+ADAPT_STEPS = 20
+ADAPT_LR = 0.05
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -312,10 +316,6 @@ class StudentModel:
         return DecoderWeights(version=self.version, blocks=self._adaptive,
                               precision=precision)
 
-    def clone(self) -> "StudentModel":
-        return StudentModel(self.config, self._extractor, self._general,
-                            self._adaptive, self.version)
-
     def mac_count(self) -> int:
         """Multiply-accumulate count of one forward pass (cost-model proxy)."""
         cfg = self.config
@@ -333,14 +333,11 @@ class StudentModel:
         dims = self._adaptive_in_dims(cfg)
         return sum(g * g * dims[i] * cfg.channels for i, g in enumerate(cfg.grids))
 
-    def train_step_mac_count(self) -> int:
-        # one Adam step touches the adaptive heads only: head forward plus
-        # gradient products (features are extracted once per adaptation)
-        return 3 * self.adaptive_mac_count()
-
-    def train_overhead_mac_count(self) -> int:
-        # per-adaptation one-off work: feature extraction and whitening
-        return self.mac_count()
+    def adaptation_mac_count(self) -> int:
+        """Multiply-accumulate count of one adaptation: one forward pass
+        (features are extracted once), then per Adam step the adaptive head
+        forward and its two gradient products."""
+        return self.mac_count() + ADAPT_STEPS * 3 * self.adaptive_mac_count()
 
 
 def _quadrant_pool(feats: np.ndarray, k: int) -> np.ndarray:
@@ -360,11 +357,6 @@ def _quadrant_pool(feats: np.ndarray, k: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Adaptation
-
-# the one adaptation policy: Adam steps per key frame and their learning rate
-ADAPT_STEPS = 20
-ADAPT_LR = 0.05
-
 
 class DistillInputs(NamedTuple):
     """Per-scale terms of the distillation loss that do not depend on the

@@ -75,7 +75,10 @@ class TrainJob:
 
 
 class EdgeNode:
-    """Edge device: oracle plus a clone of the student's adaptive decoder.
+    """Edge device: oracle plus its clone of the student, the model it last
+    adapted or was synced to. A ``StudentModel`` never changes after
+    construction, so the clone is the user-end student itself until the
+    edge's first adaptation replaces it.
 
     Serves FrameUpload messages by retraining the clone against the oracle
     output for the uploaded frame (one ``adapt_decoder`` call with the
@@ -92,7 +95,7 @@ class EdgeNode:
 
     def sync_clone(self, student: StudentModel) -> None:
         """Re-align the clone with the user-end model (stale-swap recovery)."""
-        self.clone = student.clone()
+        self.clone = student
 
     def serve(self, data: bytes, record: FrameRecord | None = None) -> bytes:
         """Handle one request; returns the encoded response message.

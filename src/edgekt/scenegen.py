@@ -191,8 +191,17 @@ def validate_script(script: SceneScript) -> None:
         value = getattr(script, name)
         if not (_finite(value) and (value > 0 if positive else value >= 0)):
             raise ValueError(f"{name} must be finite and {'> 0' if positive else '>= 0'}")
-    if not _finite(script.camera_amplitude_px):
-        raise ValueError("camera_amplitude_px must be finite")
+    if not (_finite(script.camera_amplitude_px) and script.camera_amplitude_px >= 0):
+        raise ValueError("camera_amplitude_px must be finite and >= 0")
+    # a frame's arrival time and the periods' sine arguments grow with the
+    # frame index, and must stay finite up to the last frame
+    n = script.duration_frames
+    if not _finite(n * (1.0 / script.fps)):
+        raise ValueError("fps is too small: duration_frames / fps must be finite")
+    for name in ("noise_breath_period", "camera_period_frames"):
+        if not _finite(2.0 * math.pi * n / getattr(script, name)):
+            raise ValueError(f"{name} is too small for duration_frames: the sine "
+                             f"argument 2 pi t / {name} must be finite")
     last = -1
     for s in script.shifts:
         _check_json_types(s)
@@ -206,12 +215,20 @@ def validate_script(script: SceneScript) -> None:
         if style not in range(BACKGROUND_STYLES):
             raise ValueError(f"background must be a style in 0..{BACKGROUND_STYLES - 1}, "
                              f"not {style!r}")
+    # a panning camera moves a box by up to round(amplitude) px from a centre
+    # kept half the box, 2 px and the amplitude from the frame's edges, or
+    # pinned at that margin when the object is too large to move
+    pan = script.camera_amplitude_px if script.regime == "moving_camera" else 0.0
     for o in script.all_objects():
         _check_json_types(o)
         if o.class_id < 0:
             raise ValueError("class_id must be >= 0")
         if not (0.0 < o.w <= 1.0 and 0.0 < o.h <= 1.0):
             raise ValueError("object size must be in (0, 1]")
+        if max(o.w, o.h) / 2.0 + 2.0 / script.size + pan / script.size \
+                + round(pan) / script.size > 1.0:
+            raise ValueError(f"camera_amplitude_px {pan!r} pans a {o.w!r} x {o.h!r} object "
+                             f"out of a {script.size} px frame")
         traj = o.trajectory
         if not isinstance(traj, dict):
             raise ValueError(f"trajectory must be a JSON object, not {type(traj).__name__}")
@@ -219,11 +236,22 @@ def validate_script(script: SceneScript) -> None:
         if kind not in TRAJECTORY_KINDS:
             raise ValueError(f"unknown trajectory kind {kind!r}")
         _json_object(traj, f"{kind} trajectory", {"kind", *TRAJECTORIES[kind]})
-        for key, default in TRAJECTORIES[kind].items():
-            value = traj.get(key, default)
+        v = {key: traj.get(key, default) for key, default in TRAJECTORIES[kind].items()}
+        for key, value in v.items():
             if isinstance(value, bool) or not (isinstance(value, (int, float)) and _finite(value)):
                 raise ValueError(f"{kind} trajectory key {key!r} must be a finite "
                                  f"number, not {value!r}")
+        # bounds on the centre and the angle over the frames, which must be finite
+        reach = {}
+        if kind == "linear":
+            reach = {"vx": abs(v["x"]) + abs(v["vx"]) * n, "vy": abs(v["y"]) + abs(v["vy"]) * n}
+        elif kind == "orbit":
+            reach = {"omega": abs(v["omega"]) * n + abs(v["phase"]),
+                     "radius": max(abs(v["cx"]), abs(v["cy"])) + abs(v["radius"])}
+        for key, bound in reach.items():
+            if not _finite(bound):
+                raise ValueError(f"{kind} trajectory key {key!r} is too large: the "
+                                 f"trajectory must stay finite over duration_frames")
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Key-frame selection: Kalman-filtered motion gate conjoined with an adaptive
 binomial sampler, plus the busy gate that forbids concurrent adaptations.
 
-The selection probability doubles when the training loss moves by more than
-``sigma`` between adaptations and decays by 0.05 otherwise, floored at 0.05
-so at least a trickle of frames is always sampled.
+The selection probability starts at ``P_INIT``. It doubles when the training
+loss moves by more than ``SIGMA`` between adaptations and decays by
+``P_DECAY`` otherwise, floored at ``P_FLOOR`` so at least a trickle of frames
+is always sampled.
 """
 
 from __future__ import annotations
@@ -16,9 +17,12 @@ import numpy as np
 
 from .tensor import Tensor
 
+P_INIT = 1.0  # aggressive at stream start
 P_FLOOR = 0.05
 P_DECAY = 0.05
 P_CAP = 1.0
+SIGMA = 0.5  # loss delta that doubles the probability
+TAU_MOTION = 0.005  # innovation the motion gate must exceed
 
 
 @dataclass(frozen=True)
@@ -27,7 +31,7 @@ class KalmanState:
 
     estimate: float = 0.0
     variance: float = 1.0
-    q: float = 1e-4  # process noise
+    q: float = 2e-5  # process noise
     r: float = 1e-2  # measurement noise
 
 
@@ -55,34 +59,18 @@ def scene_change_statistic(current: Tensor, last_key: Tensor) -> float:
     return float(d.mean())
 
 
-@dataclass
-class SelectorConfig:
-    sigma: float = 0.5
-    tau_motion: float = 0.005
-    kalman_q: float = 2e-5
-    kalman_r: float = 1e-2
-    p_init: float = 1.0  # aggressive at stream start
-    seed: int = 0
-
-    def __post_init__(self):
-        if not P_FLOOR <= self.p_init <= P_CAP:
-            raise ValueError("p_init must be in [0.05, 1.0]")
-
-
 class KeyFrameSelector:
     """Owns the selection state: probability, last key frame, Kalman filter,
     loss history and the busy flag. Single-task owner; completion of an
     adaptation is reported back via :meth:`complete`."""
 
-    def __init__(self, config: SelectorConfig | None = None):
-        self.config = config or SelectorConfig()
-        self.p: float = self.config.p_init
+    def __init__(self, seed: int = 0):
+        self.p: float = P_INIT
         self.last_key_frame: Tensor | None = None
         self.last_loss: float | None = None
-        self.sigma: float = self.config.sigma
-        self.kalman = KalmanState(q=self.config.kalman_q, r=self.config.kalman_r)
+        self.kalman = KalmanState()
         self.busy: bool = False
-        self.rng = random.Random(self.config.seed)
+        self.rng = random.Random(seed)
 
     # -- selection gates -----------------------------------------------------
 
@@ -96,13 +84,13 @@ class KeyFrameSelector:
             return True
         stat = scene_change_statistic(frame, self.last_key_frame)
         self.kalman, innovation = kalman_update(self.kalman, stat)
-        return abs(innovation) > self.config.tau_motion
+        return abs(innovation) > TAU_MOTION
 
     def update_probability(self, new_loss: float) -> None:
         """Adapt the selection probability to the training-loss trend.
 
         The loss delta is taken as an absolute difference; a delta exactly
-        equal to sigma takes the decay branch.
+        equal to ``SIGMA`` takes the decay branch.
         """
         if not math.isfinite(new_loss):
             raise ValueError("non-finite loss")
@@ -110,7 +98,7 @@ class KeyFrameSelector:
             self.last_loss = new_loss
             return
         delta = abs(new_loss - self.last_loss)
-        if delta > self.sigma:
+        if delta > SIGMA:
             self.p = min(2.0 * self.p, P_CAP)
         else:
             self.p = max(self.p - P_DECAY, P_FLOOR)

@@ -17,7 +17,7 @@ from edgekt.models import (ModelConfig, OracleModel, Precision, StudentModel,
 from edgekt.netproto import FrameUpload, encode_message, zero_cost_config
 from edgekt.runtime import Mode, ScenarioConfig
 from edgekt.scenegen import fixed_cam_default
-from edgekt.selector import KeyFrameSelector, SelectorConfig
+from edgekt.selector import KeyFrameSelector
 from edgekt.tensor import AdamState, Tensor, adam_step, f16_decode, f16_encode
 
 
@@ -41,7 +41,7 @@ def test_criterion_1_eq1_exhaustive():
     for i in range(1, 21):
         p = i * 0.05
         for delta in (0.0, 0.4, 0.49, 0.51, 0.9, 2.0):
-            sel = KeyFrameSelector(SelectorConfig(p_init=1.0))
+            sel = KeyFrameSelector()
             sel.p = p
             sel.last_loss = 0.0
             sel.update_probability(delta)
@@ -55,7 +55,8 @@ def test_criterion_1_eq1_exhaustive():
 
 def test_criterion_2_selector_floor():
     start = time.monotonic()
-    sel = KeyFrameSelector(SelectorConfig(p_init=0.05, seed=20))
+    sel = KeyFrameSelector(seed=20)
+    sel.p = 0.05
     hits = sum(sel.sample_binomial_gate() for _ in range(100_000))
     rate = hits / 100_000
     elapsed = time.monotonic() - start

@@ -113,6 +113,28 @@ def _misspelled_trajectory_key(d):
     d["objects"][0]["trajectory"] = {"kind": "orbit", "cx": 0.5, "cy": 0.5, "radious": 0.2}
 
 
+def _panning(size=64, **camera):
+    """A panning-camera edit of the script, at ``size`` px."""
+    def edit(d):
+        d.update(regime="moving_camera", size=size)
+        d["camera"].update(camera)
+    return edit
+
+
+def _only(trajectory):
+    """The script's first object on ``trajectory``, with no shift to replace it."""
+    def edit(d):
+        d["objects"][0]["trajectory"] = trajectory
+        d["shifts"] = []
+    return edit
+
+
+def _negative_pan(d):
+    # a negative amplitude narrows the margins: this object's box leaves the frame
+    _panning(size=32, amplitude_px=-3.0, period_frames=4.0)(d)
+    _only({"kind": "linear", "x": 0.5, "y": 0.5, "vx": 0.45})(d)
+
+
 @pytest.mark.parametrize("edit, message", [
     (_drop_x, "static trajectory key 'x'"),
     (_orbit_without_cx, "orbit trajectory key 'cx'"),
@@ -133,11 +155,28 @@ def _misspelled_trajectory_key(d):
     (_misspelled_trajectory_key, "unknown key 'radious' in orbit trajectory"),
     (lambda d: d["shifts"][0].update(background=1.5), "background must be int | None, not float"),
     (lambda d: d.update(camera_amplitude_px=3.0), "unknown key 'camera_amplitude_px'"),
+    # finite values whose times, angles or positions leave the floats or the
+    # frame over the script's frames
+    (lambda d: d.update(fps=5e-324), "fps is too small"),
+    (_panning(period_frames=5e-324), "camera_period_frames is too small"),
+    (lambda d: d.update(noise_breath_period=5e-324), "noise_breath_period is too small"),
+    (_only({"kind": "linear", "x": 0.5, "y": 0.5, "vx": 1e308}),
+     "linear trajectory key 'vx' is too large"),
+    (_only({"kind": "orbit", "cx": 0.5, "cy": 0.5, "omega": 1e308}),
+     "orbit trajectory key 'omega' is too large"),
+    (_only({"kind": "orbit", "cx": 1e308, "cy": 0.5, "radius": 1e308}),
+     "orbit trajectory key 'radius' is too large"),
+    (_panning(amplitude_px=1e308), "camera_amplitude_px 1e+308 pans"),
+    (_panning(size=32, amplitude_px=20.0, period_frames=4.0), "camera_amplitude_px 20.0 pans"),
+    (_negative_pan, "camera_amplitude_px must be finite and >= 0"),
 ], ids=["static_without_x", "orbit_without_cx", "objects_not_a_list", "top_level_list",
         "size_null", "camera_period_0", "noise_breath_period_0", "background_7",
         "shift_background_-1", "size_string", "size_64.5", "class_id_true", "name_5",
         "misspelled_script_key", "misspelled_object_key", "misspelled_trajectory_key",
-        "shift_background_1.5", "flat_camera_amplitude_px"])
+        "shift_background_1.5", "flat_camera_amplitude_px", "fps_5e-324",
+        "camera_period_5e-324", "noise_breath_period_5e-324", "linear_vx_1e308",
+        "orbit_omega_1e308", "orbit_radius_1e308", "camera_amplitude_1e308",
+        "camera_amplitude_20_at_32px", "camera_amplitude_-3_at_32px"])
 def test_malformed_scene_script_exits_2(tmp_path, run_cli, edit, message):
     stream = _script_with(tmp_path, edit)
     proc = run_cli(["run", "--scenario", "shallow", "--stream", str(stream),
@@ -145,3 +184,21 @@ def test_malformed_scene_script_exits_2(tmp_path, run_cli, edit, message):
     assert proc.returncode == 2, proc.stderr
     assert "config error" in proc.stderr and message in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("scenario, precision", [("nt-wifi", "half"), ("lt", "full")])
+def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path, run_cli, scenario,
+                                                        precision):
+    # reports are byte-identical on one machine setup (CPU, numpy and BLAS
+    # build), and the BLAS thread count is not part of that setup
+    stream = tmp_path / "stream.json"
+    stream.write_text(json.dumps(fixed_cam_default(duration=60).to_dict()))
+    outputs = []
+    for threads in ("1", "2"):
+        out, trace = tmp_path / f"r{threads}.json", tmp_path / f"t{threads}.csv"
+        proc = run_cli(["run", "--scenario", scenario, "--precision", precision,
+                        "--stream", str(stream), "--out", str(out), "--trace-csv", str(trace)],
+                       OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((out.read_bytes(), trace.read_bytes()))
+    assert outputs[0] == outputs[1]

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from edgekt import harness
-from edgekt.harness import (ACTIVITIES, SCENARIO_NAMES, CostModel, EnergyLedger,
+from edgekt.harness import (ACTIVITIES, POWER_W, SCENARIO_NAMES, EnergyLedger,
                             FrameRecord, compare, emit_report, parse_report, resolve_stream,
                             run_named_scenario, scenario_config)
 from edgekt.models import ModelConfig, OracleModel, StudentModel
@@ -47,8 +47,7 @@ def test_ledger_negative_duration():
 def test_ledger_replay_consistency(report):
     # run totals equal an independent recomputation from the reported
     # per-activity seconds and the configured powers
-    cost = CostModel()
-    total = sum(report.energy_by_activity[a]["seconds"] * cost.power_w[a]
+    total = sum(report.energy_by_activity[a]["seconds"] * POWER_W[a]
                 for a in ACTIVITIES)
     assert report.total_joules == pytest.approx(total, rel=1e-9)
 
@@ -62,9 +61,9 @@ def test_ledger_totals_match_entry_sum():
         charged[activity] += 0.01 * k
     for a in ACTIVITIES:
         assert ledger.seconds[a] == pytest.approx(charged[a])
-        assert ledger.joules[a] == pytest.approx(ledger.seconds[a] * ledger.power_w[a])
+        assert ledger.joules[a] == pytest.approx(ledger.seconds[a] * POWER_W[a])
     assert ledger.total_joules == pytest.approx(
-        sum(ledger.seconds[a] * ledger.power_w[a] for a in ACTIVITIES))
+        sum(ledger.seconds[a] * POWER_W[a] for a in ACTIVITIES))
 
 
 # -- reports --------------------------------------------------------------------

@@ -296,7 +296,7 @@ def test_distillation_beats_never_adapted():
     frame = None
     from edgekt.scenegen import SceneStream, fixed_cam_default
     stream = SceneStream(fixed_cam_default())
-    adapted = base.clone()
+    adapted = base
     for i in range(5):
         frame = stream.frame_at(i)
         target = oracle.forward(frame, stream.truth_at(i))
@@ -356,7 +356,7 @@ def test_swap_half_precision_weights_equal_f16_round_trip(student, oracle):
 
 def test_frozen_hash_constant_across_adapt_swap_sequence(student, oracle):
     checksum = student.frozen_checksum()
-    model = student.clone()
+    model = student
     for i in range(3):
         f = _frame(seed=20 + i)
         w = adapt_decoder(model, model.head_inputs(f), oracle.forward(f, _truth()),

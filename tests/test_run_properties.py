@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgekt import cli
-from edgekt.harness import (DEFAULT_POWER_W, SCENARIO_NAMES, run_named_scenario,
+from edgekt.harness import (POWER_W, SCENARIO_NAMES, run_named_scenario,
                             run_scenario, scenario_config)
 from edgekt.scenegen import REGIMES, TRAJECTORY_KINDS, ObjectSpec, SceneScript, Shift
 
@@ -83,7 +83,7 @@ def test_run_invariants(scenario, kfs, script, seed):
     assert {e["frame_id"] for e in report.swap_log} <= set(report.key_frame_indices)
     energy = report.energy_by_activity
     for activity, e in energy.items():
-        assert e["joules"] == pytest.approx(e["seconds"] * DEFAULT_POWER_W[activity], rel=1e-9)
+        assert e["joules"] == pytest.approx(e["seconds"] * POWER_W[activity], rel=1e-9)
     assert report.total_joules == pytest.approx(sum(e["joules"] for e in energy.values()),
                                                 rel=1e-9)
     assert energy["Idle"]["seconds"] >= 0.0

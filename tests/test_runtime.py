@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from edgekt import harness, models, runtime
-from edgekt.harness import CostModel, run_named_scenario, run_scenario
+from edgekt.harness import OP_SECONDS, run_named_scenario, run_scenario
 from edgekt.models import (ADAPT_STEPS, DecoderWeights, ModelConfig, OracleModel, Precision,
                            StudentModel, adapt_decoder, swap_decoder)
 from edgekt.netproto import (Ack, AckStatus, FrameUpload, WeightUpdate, decode_message,
@@ -25,7 +25,7 @@ def edge_setup():
     oracle = OracleModel(cfg, seed=7)
     student = StudentModel.pretrained(cfg, seed=7)
     stream = SceneStream(fixed_cam_default(duration=40))
-    edge = EdgeNode(oracle, student.clone(), stream.truth_at)
+    edge = EdgeNode(oracle, student, stream.truth_at)
     return edge, student, stream
 
 
@@ -104,7 +104,7 @@ def test_edge_half_precision_trains_on_rounded_frame():
     oracle = OracleModel(cfg, seed=7)
     student = StudentModel.pretrained(cfg, seed=7)
     stream = SceneStream(fixed_cam_default(duration=40))
-    edge = EdgeNode(oracle, student.clone(), stream.truth_at)
+    edge = EdgeNode(oracle, student, stream.truth_at)
     frame = stream.frame_at(3)
     upload = FrameUpload(3, frame, Precision.HALF)
     reply = decode_message(edge.serve(encode_message(upload)))
@@ -249,16 +249,14 @@ def test_every_frame_served_during_training(short_script):
 
 
 def test_local_job_ledger_arithmetic(short_script):
-    cost = CostModel()
     report = run_named_scenario("lt", short_script, seed=0)
     n_jobs = len(report.swap_log)
     assert n_jobs > 0
     cfg = ModelConfig(input_hw=short_script.size)
     student = StudentModel.pretrained(cfg, seed=7)
     oracle = OracleModel(cfg, seed=7)
-    oracle_s = oracle.mac_count() * cost.op_seconds
-    train_s = (student.train_overhead_mac_count()
-               + ADAPT_STEPS * student.train_step_mac_count()) * cost.op_seconds
+    oracle_s = oracle.mac_count() * OP_SECONDS
+    train_s = student.adaptation_mac_count() * OP_SECONDS
     assert report.energy_by_activity["OracleLocal"]["seconds"] == pytest.approx(n_jobs * oracle_s)
     assert report.energy_by_activity["TrainLocal"]["seconds"] == pytest.approx(n_jobs * train_s)
     # one local job charges oracle time plus per-step training time in total
@@ -268,7 +266,6 @@ def test_local_job_ledger_arithmetic(short_script):
 
 
 def test_nt_round_trip_faster_than_lt_job(short_script):
-    cost = CostModel()
     nt = run_named_scenario("nt-lan", short_script, seed=0)
     lt = run_named_scenario("lt", short_script, seed=0)
     assert nt.mean_training_s < lt.mean_training_s
@@ -276,8 +273,8 @@ def test_nt_round_trip_faster_than_lt_job(short_script):
     cfg = ModelConfig(input_hw=short_script.size)
     student = StudentModel.pretrained(cfg, seed=7)
     oracle = OracleModel(cfg, seed=7)
-    edge_s = (oracle.mac_count() + student.train_overhead_mac_count()
-              + ADAPT_STEPS * student.train_step_mac_count()) * cost.op_seconds / 12.0
+    edge_s = ((oracle.mac_count() + student.adaptation_mac_count()) * OP_SECONDS
+              / ScenarioConfig().edge_speed)
     assert nt.mean_training_s > edge_s  # plus both transmission legs
 
 

@@ -3,8 +3,9 @@ import random
 import numpy as np
 import pytest
 
-from edgekt.selector import (KalmanState, KeyFrameSelector, SelectorConfig,
-                             kalman_update, scene_change_statistic)
+from edgekt import selector
+from edgekt.selector import (KalmanState, KeyFrameSelector, kalman_update,
+                             scene_change_statistic)
 from edgekt.tensor import Tensor
 
 
@@ -80,21 +81,24 @@ def test_statistic_shape_mismatch():
 # -- probability update --------------------------------------------------------
 
 def test_update_probability_decay_branch():
-    sel = KeyFrameSelector(SelectorConfig(p_init=0.5))
+    sel = KeyFrameSelector()
+    sel.p = 0.5
     sel.last_loss = 0.0
     sel.update_probability(0.1)  # delta 0.1 < sigma
     assert sel.p == pytest.approx(0.45)
 
 
 def test_update_probability_floor():
-    sel = KeyFrameSelector(SelectorConfig(p_init=0.07))
+    sel = KeyFrameSelector()
+    sel.p = 0.07
     sel.last_loss = 0.0
     sel.update_probability(0.1)
     assert sel.p == 0.05
 
 
 def test_update_probability_double_and_cap():
-    sel = KeyFrameSelector(SelectorConfig(p_init=0.6))
+    sel = KeyFrameSelector()
+    sel.p = 0.6
     sel.last_loss = 0.0
     sel.update_probability(0.9)  # delta 0.9 > sigma
     assert sel.p == 1.0
@@ -103,14 +107,16 @@ def test_update_probability_double_and_cap():
 
 
 def test_update_probability_boundary_takes_decay():
-    sel = KeyFrameSelector(SelectorConfig(p_init=0.5))
+    sel = KeyFrameSelector()
+    sel.p = 0.5
     sel.last_loss = 0.0
     sel.update_probability(0.5)  # delta == sigma exactly
     assert sel.p == pytest.approx(0.45)
 
 
 def test_update_probability_first_call_stores():
-    sel = KeyFrameSelector(SelectorConfig(p_init=0.8))
+    sel = KeyFrameSelector()
+    sel.p = 0.8
     sel.update_probability(123.0)
     assert sel.p == 0.8
     assert sel.last_loss == 123.0
@@ -127,7 +133,7 @@ def test_eq1_exhaustive_table():
     for i in range(1, 21):
         p = i * 0.05
         for delta in (0.0, 0.4, 0.49, 0.51, 0.9, 2.0):
-            sel = KeyFrameSelector(SelectorConfig(p_init=max(0.05, min(1.0, p))))
+            sel = KeyFrameSelector()
             sel.p = p
             sel.last_loss = 0.0
             sel.update_probability(delta)
@@ -141,12 +147,13 @@ def test_eq1_exhaustive_table():
 # -- binomial gate --------------------------------------------------------------
 
 def test_binomial_gate_certain_at_one():
-    sel = KeyFrameSelector(SelectorConfig(p_init=1.0))
+    sel = KeyFrameSelector()
     assert all(sel.sample_binomial_gate() for _ in range(100))
 
 
 def test_binomial_gate_consumes_exactly_two_draws():
-    sel = KeyFrameSelector(SelectorConfig(p_init=0.3, seed=77))
+    sel = KeyFrameSelector(seed=77)
+    sel.p = 0.3
     shadow = random.Random(77)
     for _ in range(50):
         sel.sample_binomial_gate()
@@ -155,14 +162,17 @@ def test_binomial_gate_consumes_exactly_two_draws():
 
 
 def test_binomial_gate_floor_rate():
-    sel = KeyFrameSelector(SelectorConfig(p_init=0.05, seed=5))
+    sel = KeyFrameSelector(seed=5)
+    sel.p = 0.05
     hits = sum(sel.sample_binomial_gate() for _ in range(100_000))
     assert hits / 100_000 == pytest.approx(1 - 0.95 ** 2, abs=0.003)
 
 
 def test_binomial_gate_seed_determinism():
-    a = KeyFrameSelector(SelectorConfig(p_init=0.4, seed=9))
-    b = KeyFrameSelector(SelectorConfig(p_init=0.4, seed=9))
+    a = KeyFrameSelector(seed=9)
+    a.p = 0.4
+    b = KeyFrameSelector(seed=9)
+    b.p = 0.4
     assert [a.sample_binomial_gate() for _ in range(200)] == \
            [b.sample_binomial_gate() for _ in range(200)]
 
@@ -170,16 +180,16 @@ def test_binomial_gate_seed_determinism():
 # -- full selection -------------------------------------------------------------
 
 def test_select_busy_short_circuits():
-    sel = KeyFrameSelector(SelectorConfig(p_init=1.0, seed=1))
+    sel = KeyFrameSelector(seed=1)
     sel.busy = True
     shadow = random.Random(1)
     assert sel.select_key_frame(_frame(0.5)) is False
     assert sel.rng.random() == shadow.random()  # no draws consumed
 
 
-def test_select_motion_false_skips_binomial():
-    cfg = SelectorConfig(p_init=1.0, seed=2, tau_motion=10.0)  # gate can never pass
-    sel = KeyFrameSelector(cfg)
+def test_select_motion_false_skips_binomial(monkeypatch):
+    monkeypatch.setattr(selector, "TAU_MOTION", 10.0)  # gate can never pass
+    sel = KeyFrameSelector(seed=2)
     sel.last_key_frame = _frame(0.5)
     shadow = random.Random(2)
     assert sel.select_key_frame(_frame(0.5)) is False
@@ -187,7 +197,7 @@ def test_select_motion_false_skips_binomial():
 
 
 def test_select_first_frame_forced():
-    sel = KeyFrameSelector(SelectorConfig(p_init=1.0))
+    sel = KeyFrameSelector()
     f = _frame(0.2)
     assert sel.select_key_frame(f) is True
     assert sel.busy is True
@@ -195,7 +205,7 @@ def test_select_first_frame_forced():
 
 
 def test_select_static_stream_eventually_false():
-    sel = KeyFrameSelector(SelectorConfig(p_init=1.0, seed=0))
+    sel = KeyFrameSelector(seed=0)
     f = _frame(0.5)
     assert sel.select_key_frame(f)
     sel.complete(1.0)
@@ -209,7 +219,7 @@ def test_select_static_stream_eventually_false():
 
 
 def test_select_abrupt_change_triggers():
-    sel = KeyFrameSelector(SelectorConfig(p_init=1.0, seed=0))
+    sel = KeyFrameSelector(seed=0)
     base = _frame(0.5)
     assert sel.select_key_frame(base)
     sel.complete(1.0)
@@ -224,7 +234,7 @@ def test_select_abrupt_change_triggers():
 
 
 def test_busy_gate_until_completion():
-    sel = KeyFrameSelector(SelectorConfig(p_init=1.0, seed=4))
+    sel = KeyFrameSelector(seed=4)
     assert sel.select_key_frame(_frame(0.1))
     for v in (0.2, 0.9, 0.4):
         assert sel.select_key_frame(_frame(v)) is False
@@ -234,7 +244,8 @@ def test_busy_gate_until_completion():
 
 def test_seeded_runs_reproduce_key_sets():
     def run(seed):
-        sel = KeyFrameSelector(SelectorConfig(p_init=0.5, seed=seed))
+        sel = KeyFrameSelector(seed=seed)
+        sel.p = 0.5
         rng = np.random.Generator(np.random.PCG64(123))
         picked = []
         for i in range(200):
@@ -249,7 +260,7 @@ def test_seeded_runs_reproduce_key_sets():
 
 
 def test_probability_bounds_invariant():
-    sel = KeyFrameSelector(SelectorConfig(p_init=1.0, seed=6))
+    sel = KeyFrameSelector(seed=6)
     rng = np.random.Generator(np.random.PCG64(7))
     sel.last_loss = 0.0
     for _ in range(500):
