@@ -4,9 +4,12 @@ and report emission.
 
 The scenarios of one run go through the stream in lockstep. Each frame is
 rendered, scored by the oracle and decoded once into a ``FrameRecord`` that
-every scenario reads, and the student is pretrained once. Each scenario is a
-generator process with its own serving student, selector, ledger, channels
-and edge node, so its report is the same as when it runs alone.
+every scenario reads, and the student is pretrained once. Frames are
+rendered ahead in a renderer process that ``SceneStream.events()`` forks, so
+rendering runs while this process serves the frame before; the truth, the
+oracle and every scenario run here. Each scenario is a generator process
+with its own serving student, selector, ledger, channels and edge node, so
+its report is the same as when it runs alone.
 
 All stage durations come from an operation-count proxy (multiply-accumulate
 counts times a per-op virtual time) and fixed power draws, so runs do not
@@ -23,6 +26,7 @@ import csv
 import json
 import logging
 from collections.abc import Generator, Sequence
+from contextlib import closing
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
@@ -418,10 +422,10 @@ def run_scenario(configs: Sequence[ScenarioConfig], script: SceneScript,
     """Run scenarios over one stream in lockstep under virtual time; one
     report per config, in order, named by ``names`` (default: each mode).
 
-    The student is pretrained once, and each frame is rendered,
-    oracle-scored and decoded once into a ``FrameRecord`` that goes to every
-    scenario's process in config order; a scenario's report does not depend
-    on the others. Ground truth for the metrics is the oracle's decoded
+    The student is pretrained once, and each frame is rendered (ahead, by
+    the stream's renderer process), oracle-scored and decoded once into a
+    ``FrameRecord`` that goes to every scenario's process in config order;
+    a scenario's report does not depend on the others. Ground truth for the metrics is the oracle's decoded
     output for every frame (the deep model plays ground truth); the scene
     generator's truth only feeds the oracle encoder. Deterministic given the
     config seeds.
@@ -445,20 +449,20 @@ def run_scenario(configs: Sequence[ScenarioConfig], script: SceneScript,
         procs.append(_scenario(config, script, name, student, oracle, stream))
         next(procs[-1])  # run the set-up up to the first frame
     reports = []
-    for i in range(script.duration_frames):
-        frame = stream.frame_at(i)
-        # evaluation oracle run; never charged (the deep model's decoded
-        # output is the metric ground truth)
-        oracle_out = oracle.forward(frame, stream.truth_at(i))
-        candidates = tuple(decode_boxes(oracle_out, OBJ_THRESHOLD))
-        rec = FrameRecord(index=i, frame=frame, oracle_out=oracle_out,
-                          candidates=candidates, gt_boxes=tuple(nms(candidates, NMS_IOU)),
-                          student=student)
-        for proc in procs:
-            try:
-                proc.send(rec)
-            except StopIteration as done:  # every process ends on the last frame
-                reports.append(done.value)
+    with closing(stream.events()) as events:  # an exception reaps the renderer too
+        for ev in events:
+            # evaluation oracle run; never charged (the deep model's decoded
+            # output is the metric ground truth)
+            oracle_out = oracle.forward(ev.frame, ev.truth)
+            candidates = tuple(decode_boxes(oracle_out, OBJ_THRESHOLD))
+            rec = FrameRecord(index=ev.frame_id, frame=ev.frame, oracle_out=oracle_out,
+                              candidates=candidates,
+                              gt_boxes=tuple(nms(candidates, NMS_IOU)), student=student)
+            for proc in procs:
+                try:
+                    proc.send(rec)
+                except StopIteration as done:  # every process ends on the last frame
+                    reports.append(done.value)
     return reports
 
 

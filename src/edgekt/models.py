@@ -17,6 +17,7 @@ import hashlib
 import math
 import zlib
 from collections.abc import Sequence
+from contextlib import closing
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -193,13 +194,14 @@ class StudentModel:
         per_scale_x: list[list[np.ndarray]] = [[] for _ in cfg.grids]
         per_scale_a: list[list[np.ndarray]] = [[] for _ in cfg.grids]
         per_scale_y: list[list[np.ndarray]] = [[] for _ in cfg.grids]
-        for ev in SceneStream(pretrain_script(size=cfg.input_hw)).events():
-            phis, fine = model.head_inputs(ev.frame)
-            targets = teacher.forward(ev.frame, ev.truth).scales
-            for i in range(3):
-                per_scale_x[i].append(phis[i])
-                per_scale_a[i].append(fine[i])
-                per_scale_y[i].append(targets[i].array.reshape(-1, cfg.channels))
+        with closing(SceneStream(pretrain_script(size=cfg.input_hw)).events()) as events:
+            for ev in events:
+                phis, fine = model.head_inputs(ev.frame)
+                targets = teacher.forward(ev.frame, ev.truth).scales
+                for i in range(3):
+                    per_scale_x[i].append(phis[i])
+                    per_scale_a[i].append(fine[i])
+                    per_scale_y[i].append(targets[i].array.reshape(-1, cfg.channels))
 
         # freeze ZCA whitening of the adaptive head inputs; without it the
         # head features are correlated enough that Adam crawls

@@ -9,8 +9,12 @@ set and/or background mid-stream.
 
 from __future__ import annotations
 
+import gc
+import io
 import json
 import math
+import os
+import signal
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Iterator
@@ -191,6 +195,10 @@ def validate_script(script: SceneScript) -> None:
         value = getattr(script, name)
         if not (_finite(value) and (value > 0 if positive else value >= 0)):
             raise ValueError(f"{name} must be finite and {'> 0' if positive else '>= 0'}")
+    # the largest noise sigma a frame draws; beyond the pixel range, noise
+    # only saturates the frame (and a large one overflows)
+    if script.noise_level * (1.0 + script.noise_breath) > 1.0:
+        raise ValueError("noise_level * (1 + noise_breath) must be <= 1.0, the pixel range")
     if not (_finite(script.camera_amplitude_px) and script.camera_amplitude_px >= 0):
         raise ValueError("camera_amplitude_px must be finite and >= 0")
     # a frame's arrival time and the periods' sine arguments grow with the
@@ -444,6 +452,11 @@ def truth_boxes(script: SceneScript, t: int) -> list[Box]:
     return out
 
 
+# the renderer's pipe: 1 MiB, the unprivileged maximum on Linux by default,
+# holds 5 frames of 128x128 or 21 of 64x64
+_PIPE_BYTES = 1 << 20
+
+
 class SceneStream:
     """Random-access view over a script: frames, truth and arrival times."""
 
@@ -460,10 +473,82 @@ class SceneStream:
         return truth_boxes(self.script, frame_id)
 
     def events(self) -> Iterator[FrameEvent]:
+        """Every frame's event in order, rendered ahead by a forked renderer
+        process where ``os.fork`` exists, so rendering runs on another core
+        while the consumer works on the frame before.
+
+        The renderer writes each ``frame_at(i)``'s float32 bytes to a pipe,
+        and the truth is computed here. If the pipe ends early (the renderer
+        failed), the remaining frames are rendered here, so a render error
+        is raised here at its frame. Close the generator when done with it
+        (``contextlib.closing``): that kills and reaps the renderer.
+        """
         period = 1.0 / self.script.fps
-        for i in range(self.script.duration_frames):
-            yield FrameEvent(frame_id=i, arrival_time=i * period,
-                             frame=self.frame_at(i), truth=self.truth_at(i))
+        shape = (self.script.size, self.script.size, 3)
+        pid = pipe = None
+        try:
+            if hasattr(os, "fork"):
+                pid, pipe = self._fork_renderer()
+            for i in range(self.script.duration_frames):
+                # once the pipe has ended early, every later read ends at once
+                frame = None if pipe is None else _read_frame(pipe, shape)
+                if frame is None:
+                    frame = self.frame_at(i)
+                yield FrameEvent(frame_id=i, arrival_time=i * period,
+                                 frame=frame, truth=self.truth_at(i))
+        finally:
+            if pipe is not None:
+                pipe.close()
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+    def _fork_renderer(self) -> tuple[int, io.FileIO] | tuple[None, None]:
+        """Fork a process that writes every frame's bytes, in order, to a
+        pipe; returns its pid and the pipe's read end, or ``None, None`` if
+        the fork failed."""
+        r, w = os.pipe()
+        try:  # room for several frames ahead (F_SETPIPE_SZ is Linux only)
+            import fcntl
+            fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+        except (AttributeError, OSError):
+            pass
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare: render here
+            os.close(r)
+            os.close(w)
+            return None, None
+        if pid == 0:  # the renderer: leaves only through os._exit
+            code = 1
+            try:
+                os.close(r)
+                # nothing here frees the parent's objects: no collector pass
+                # runs their finalizers or touches their shared pages
+                gc.disable()
+                for i in range(self.script.duration_frames):
+                    view = memoryview(self.frame_at(i).array).cast("B")
+                    while view:
+                        view = view[os.write(w, view):]
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(w)
+        return pid, io.FileIO(r, "r")
+
+
+def _read_frame(pipe: io.FileIO, shape: tuple[int, ...]) -> Tensor | None:
+    """The next frame of ``shape`` from the renderer's pipe, or ``None`` if
+    the pipe ends first."""
+    out = np.empty(shape, dtype=np.float32)
+    view = memoryview(out).cast("B")
+    got = 0
+    while got < len(view):
+        n = pipe.readinto(view[got:])
+        if not n:
+            return None
+        got += n
+    return Tensor(out)
 
 
 def write_ppm(frame: Tensor, path: str) -> None:

@@ -169,6 +169,9 @@ def _negative_pan(d):
     (_panning(amplitude_px=1e308), "camera_amplitude_px 1e+308 pans"),
     (_panning(size=32, amplitude_px=20.0, period_frames=4.0), "camera_amplitude_px 20.0 pans"),
     (_negative_pan, "camera_amplitude_px must be finite and >= 0"),
+    # noise whose largest sigma exceeds the [0, 1] pixel range
+    (lambda d: d.update(noise_level=1e308), "noise_level * (1 + noise_breath)"),
+    (lambda d: d.update(noise_level=0.6, noise_breath=0.8), "noise_level * (1 + noise_breath)"),
 ], ids=["static_without_x", "orbit_without_cx", "objects_not_a_list", "top_level_list",
         "size_null", "camera_period_0", "noise_breath_period_0", "background_7",
         "shift_background_-1", "size_string", "size_64.5", "class_id_true", "name_5",
@@ -176,7 +179,8 @@ def _negative_pan(d):
         "shift_background_1.5", "flat_camera_amplitude_px", "fps_5e-324",
         "camera_period_5e-324", "noise_breath_period_5e-324", "linear_vx_1e308",
         "orbit_omega_1e308", "orbit_radius_1e308", "camera_amplitude_1e308",
-        "camera_amplitude_20_at_32px", "camera_amplitude_-3_at_32px"])
+        "camera_amplitude_20_at_32px", "camera_amplitude_-3_at_32px", "noise_level_1e308",
+        "noise_breath_past_the_pixel_range"])
 def test_malformed_scene_script_exits_2(tmp_path, run_cli, edit, message):
     stream = _script_with(tmp_path, edit)
     proc = run_cli(["run", "--scenario", "shallow", "--stream", str(stream),

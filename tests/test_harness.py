@@ -166,24 +166,28 @@ def test_compare_equals_separate_runs(preset):
         assert reports[name].to_json() == run_named_scenario(name, script, seed=0).to_json()
 
 
-def _counted(monkeypatch, owner, name):
-    original, calls = getattr(owner, name), []
+def _counted(monkeypatch, owner, name, log):
+    """Count calls of ``owner.name`` as lines appended to the file ``log``,
+    which calls in the forked renderer process reach too."""
+    original = getattr(owner, name)
 
     def wrapper(*args, **kwargs):
-        calls.append(1)
+        with open(log, "a", encoding="utf-8") as f:
+            f.write(f"{name}\n")
         return original(*args, **kwargs)
     monkeypatch.setattr(owner, name, wrapper)
-    return calls
 
 
-def test_compare_renders_each_frame_and_pretrains_once(monkeypatch):
+def test_compare_renders_each_frame_and_pretrains_once(monkeypatch, tmp_path):
     script = fixed_cam_default(duration=12)
-    frames = _counted(monkeypatch, SceneStream, "frame_at")
-    pretrains = _counted(monkeypatch, StudentModel, "pretrained")
+    log = tmp_path / "calls.txt"
+    _counted(monkeypatch, SceneStream, "frame_at", log)
+    _counted(monkeypatch, StudentModel, "pretrained", log)
     compare(script, seed=0)
+    calls = log.read_text(encoding="utf-8").split()
     # pretraining renders its own stream (60 frames) once
-    assert len(frames) == 12 + pretrain_script(size=script.size).duration_frames
-    assert len(pretrains) == 1
+    assert calls.count("frame_at") == 12 + pretrain_script(size=script.size).duration_frames
+    assert calls.count("pretrained") == 1
 
 
 def test_record_for_the_wrong_frame_raises(monkeypatch):

@@ -243,6 +243,13 @@ def test_non_finite_rates_rejected():
                 _static_script(**{field: value})
 
 
+def test_noise_beyond_the_pixel_range_rejected():
+    _static_script(noise_level=0.5, noise_breath=1.0)  # the largest sigma is exactly 1.0
+    for level, breath in ((1e308, 0.0), (1.5, 0.0), (0.6, 0.8), (0.5, 1.0 + 1e-9)):
+        with pytest.raises(ValueError, match=r"noise_level \* \(1 \+ noise_breath\)"):
+            _static_script(noise_level=level, noise_breath=breath)
+
+
 def _reference_background_pixels(style, size, dx, dy):
     """The full-meshgrid background the separable one replaced."""
     xs = np.arange(size, dtype=np.float64) + dx

@@ -17,6 +17,9 @@ The matrix has 68 files, written to a temporary directory:
   (6 files). Its background shifts render all three background styles, and
   its ``nt-lan`` run sends every frame it can at full precision to the edge.
 
+After each run, the tool exits non-zero if the process has a child left:
+every run must reap the renderer process it forks.
+
 All runs use seed 0. Each output prints as one ``sha256  name`` line, so two
 versions of the program produce byte-identical reports iff ``diff`` of their
 outputs is empty::
@@ -94,6 +97,16 @@ def environment() -> str:
             f"blas {blas.get('name')} {blas.get('version')} core {core} dispatch {dispatch}")
 
 
+def leaked_child() -> bool:
+    """Whether this process has a child, running or unreaped: a run must reap
+    the renderer process it forks before it returns."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return False
+    return True
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(ROOT / "src"),
@@ -120,6 +133,9 @@ def main(argv: list[str] | None = None) -> int:
                                        "--trace-csv", str(out / names[-1])]
             if edgekt_main(cli_args) != 0:
                 print(f"edgekt {' '.join(cli_args)} failed", file=sys.stderr)
+                return 1
+            if leaked_child():
+                print(f"edgekt {' '.join(cli_args)} left a child process", file=sys.stderr)
                 return 1
         print(environment())
         for name in names:

@@ -7,6 +7,7 @@ traced runs and both report-digest matrices: about six minutes on 2 cores.
 """
 
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -59,6 +60,23 @@ def test_digest_files_parse_around_the_environment_header():
     header, digests = bench_pairs.parse_digests(text)
     assert header.startswith("# python ") and " numpy " in header and " dispatch " in header
     assert digests == {"a.json": "ab" * 32, "b.trace.csv": "cd" * 32}
+
+
+def test_leaked_child_sees_a_running_child_until_it_is_reaped():
+    assert not report_digests.leaked_child()
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # runs until the parent closes the pipe
+        os.close(w)
+        os.read(r, 1)
+        os._exit(0)
+    os.close(r)
+    try:
+        assert report_digests.leaked_child()
+    finally:
+        os.close(w)
+        os.waitpid(pid, 0)
+    assert not report_digests.leaked_child()
 
 
 def test_one_pair_end_to_end(tmp_path):
