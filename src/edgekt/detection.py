@@ -6,7 +6,7 @@ All functions here are pure and safe to call concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,8 +33,7 @@ def logit(p: float) -> float:
     return float(np.log(p / (1.0 - p)))
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(NamedTuple):
     """Axis-aligned box in normalized [0,1] frame coordinates, center-based."""
 
     x: float

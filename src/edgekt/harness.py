@@ -171,7 +171,8 @@ class FrameRecord:
 
     All of it is pure in the frame: the oracle's noise is keyed by the frame
     bytes and the model seed, and the head inputs read only the frozen
-    extractor, which every ``swap_decoder`` result shares with ``student``.
+    extractor and the frozen general decoder, which every ``swap_decoder``
+    result shares with ``student``.
     """
 
     index: int
@@ -183,9 +184,10 @@ class FrameRecord:
 
     @cached_property
     def head_inputs(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """The student's head inputs, extracted on first access, so a run
-        whose scenarios all serve the oracle extracts none. The scenarios
-        share them, so the arrays are read-only."""
+        """The student's head inputs, the general head's output and the
+        whitened adaptive inputs, computed on first access, so a run whose
+        scenarios all serve the oracle computes none. Every scenario and the
+        edge share them, so the arrays are read-only."""
         inputs = self.student.head_inputs(self.frame)
         for a in (*inputs[0], *inputs[1]):
             a.flags.writeable = False

@@ -196,11 +196,11 @@ class StudentModel:
         per_scale_y: list[list[np.ndarray]] = [[] for _ in cfg.grids]
         with closing(SceneStream(pretrain_script(size=cfg.input_hw)).events()) as events:
             for ev in events:
-                phis, fine = model.head_inputs(ev.frame)
+                phis, raw = model._pooled(ev.frame)
                 targets = teacher.forward(ev.frame, ev.truth).scales
                 for i in range(3):
                     per_scale_x[i].append(phis[i])
-                    per_scale_a[i].append(fine[i])
+                    per_scale_a[i].append(raw[i])
                     per_scale_y[i].append(targets[i].array.reshape(-1, cfg.channels))
 
         # freeze ZCA whitening of the adaptive head inputs; without it the
@@ -246,30 +246,30 @@ class StudentModel:
         h = np.tanh(h @ ex["mix2"].array + ex["b2"].array)
         return h
 
-    def head_inputs(self, frame: Tensor) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Per-scale inputs of the general and adaptive heads, from one
-        feature extraction.
-
-        ``phis`` are the cell features (region average), flattened to
-        (G*G, feat2). ``ada_x`` are the whitened adaptive head inputs: the
-        finest scale gets the extra small-object view, the cell's four
-        quadrant feature averages (4*feat2 wide) instead of one blurred cell
-        average; coarser scales reuse the pooled features.
-        """
+    def _pooled(self, frame: Tensor) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per-scale cell features, the region averages as (G*G, feat2), and
+        raw adaptive head inputs, from one feature extraction. The finest
+        scale's is the small-object view, the cell's four quadrant averages
+        (4*feat2 wide); coarser scales reuse the cell features."""
         feats = self.features(frame)
         cfg = self.config
-        phis, ada_x = [], []
+        phis, raw = [], []
         for i, g in enumerate(cfg.grids):
             k = cfg.feature_grid // g
             phis.append(_avg_pool(feats, k).reshape(g * g, cfg.feat2))
-            if i == 0:
-                x = _quadrant_pool(feats, k).reshape(g * g, 4 * cfg.feat2)
-            else:
-                x = phis[i]
-            mu = self._extractor[f"mu{i}"].array
-            white = self._extractor[f"white{i}"].array
-            ada_x.append((x - mu) @ white)
-        return phis, ada_x
+            raw.append(_quadrant_pool(feats, k).reshape(g * g, 4 * cfg.feat2)
+                       if i == 0 else phis[i])
+        return phis, raw
+
+    def head_inputs(self, frame: Tensor) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per scale, ``(bases, ada_x)`` of the frozen half: the general
+        head's float32 output ``phi @ wg + bg`` as (G*G, C), and the adaptive
+        head inputs whitened with statistics frozen at pretraining."""
+        phis, raw = self._pooled(frame)
+        ex = self._extractor
+        bases = [phi @ wg.array + bg.array for phi, (wg, bg) in zip(phis, self._general)]
+        ada_x = [(x - ex[f"mu{i}"].array) @ ex[f"white{i}"].array for i, x in enumerate(raw)]
+        return bases, ada_x
 
     def forward(self, frame: Tensor) -> DetectionTensorSet:
         return self.outputs(self.head_inputs(frame))
@@ -280,9 +280,8 @@ class StudentModel:
         cfg = self.config
         ada = self._adaptive
         scales = []
-        for g, phi, x, (wg, bg), w, b in zip(cfg.grids, *inputs, self._general,
-                                             ada[0::2], ada[1::2]):
-            out = phi @ wg.array + bg.array + x @ w.array + b.array
+        for g, base, x, w, b in zip(cfg.grids, *inputs, ada[0::2], ada[1::2]):
+            out = base + x @ w.array + b.array
             scales.append(Tensor(out.reshape(g, g, cfg.channels)))
         return DetectionTensorSet(scales=tuple(scales), version=self.version)
 
@@ -362,7 +361,8 @@ def _quadrant_pool(feats: np.ndarray, k: int) -> np.ndarray:
 
 class DistillInputs(NamedTuple):
     """Per-scale terms of the distillation loss that do not depend on the
-    adaptive blocks, all in one dtype; built once per adaptation."""
+    adaptive blocks, all in one dtype: a frame's ``head_inputs`` and oracle
+    output, cast once per adaptation."""
 
     base: list[np.ndarray]     # general head output phi @ wg + bg, (G*G, C)
     ada_x: list[np.ndarray]    # adaptive head inputs, (G*G, D)
@@ -373,22 +373,20 @@ class DistillInputs(NamedTuple):
 def prepare_distill(model: StudentModel,
                     inputs: tuple[list[np.ndarray], list[np.ndarray]],
                     oracle_out: DetectionTensorSet, dtype=np.float32) -> DistillInputs:
-    """Check the oracle output's shapes and precompute, in ``dtype``, what
+    """Check the oracle output's shapes and cast to ``dtype`` what
     ``distill_gradients`` needs from the frame.
 
-    ``inputs`` are the frame's ``model.head_inputs``. ``dtype`` may be
-    float64 for high-precision verification.
+    ``inputs`` are the frame's ``model.head_inputs``, so the general head is
+    not evaluated again: in float32 the arrays are the inputs themselves.
+    ``dtype`` may be float64 for high-precision verification of the
+    gradients, which then start from the widened float32 head outputs.
     """
     cfg = model.config
     for g, o in zip(cfg.grids, oracle_out.scales):
         if o.shape != (g, g, cfg.channels):
             raise ValueError(f"target shape {o.shape} != student shape {(g, g, cfg.channels)}")
-    phis, ada_x = inputs
-    base, xs = [], []
-    for phi, x, (wg, bg) in zip(phis, ada_x, model._general):
-        base.append(phi.astype(dtype, copy=False) @ wg.array.astype(dtype, copy=False)
-                    + bg.array.astype(dtype, copy=False))
-        xs.append(x.astype(dtype, copy=False))
+    base = [b.astype(dtype, copy=False) for b in inputs[0]]
+    xs = [x.astype(dtype, copy=False) for x in inputs[1]]
     targets = [s.array.reshape(-1, cfg.channels).astype(dtype, copy=False)
                for s in oracle_out.scales]
     return DistillInputs(base, xs, [x.T for x in xs], targets)

@@ -203,6 +203,13 @@ class LognormalJitter:
     median_s: float
     sigma_log: float
 
+    def __post_init__(self):
+        if not (math.isfinite(self.median_s) and self.median_s > 0):
+            raise ValueError(f"jitter median_s must be finite and > 0, got {self.median_s!r}")
+        if not (math.isfinite(self.sigma_log) and self.sigma_log >= 0):
+            raise ValueError(f"jitter sigma_log must be finite and >= 0, "
+                             f"got {self.sigma_log!r}")
+
 
 @dataclass(frozen=True)
 class ChannelConfig:
@@ -214,8 +221,11 @@ class ChannelConfig:
     def __post_init__(self):
         if not self.bandwidth_bps > 0:
             raise ValueError("bandwidth_bps must be > 0")
-        if self.base_latency_s < 0:
-            raise ValueError("base_latency_s must be >= 0")
+        if not (math.isfinite(self.base_latency_s) and self.base_latency_s >= 0):
+            raise ValueError(f"base_latency_s must be finite and >= 0, "
+                             f"got {self.base_latency_s!r}")
+        if self.seed < 0:
+            raise ValueError(f"channel seed must be >= 0, got {self.seed!r}")
 
 
 def lan_config(seed: int = 0) -> ChannelConfig:

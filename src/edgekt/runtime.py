@@ -13,6 +13,7 @@ frame before the update, which is the selector's feedback.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -53,8 +54,10 @@ class ScenarioConfig:
             self.precision = Precision(self.precision)
         if self.mode is Mode.NETWORK and self.channel is None:
             raise ConfigError(f"mode {self.mode.value} requires a channel")
-        if self.edge_speed <= 0:
-            raise ConfigError("edge_speed must be > 0")
+        if not (math.isfinite(self.edge_speed) and self.edge_speed > 0):
+            raise ConfigError(f"edge_speed must be finite and > 0, got {self.edge_speed!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
 
     @property
     def trains(self) -> bool:
@@ -84,8 +87,8 @@ class EdgeNode:
     output for the uploaded frame (one ``adapt_decoder`` call with the
     default policy) and answering with the new weights plus the loss the
     stale clone scored on that frame before the update (the selector's
-    feedback signal). A request that is malformed, or whose adaptation or
-    reply encoding fails, gets an error Ack.
+    feedback signal). A request that is malformed, names a frame outside the
+    stream, or whose adaptation or reply encoding fails, gets an error Ack.
     """
 
     def __init__(self, oracle: OracleModel, clone: StudentModel, truth_provider):
@@ -132,7 +135,8 @@ class EdgeNode:
             sent = replace(weights, precision=m.precision)
             reply = encode_message(WeightUpdate(frame_id=m.frame_id, weights=sent,
                                                 loss=pre_loss))
-        except (ValueError, OverflowError):
+        except (ValueError, OverflowError, IndexError):
+            # IndexError: the truth provider has no frame of this id
             return encode_message(Ack(frame_id=m.frame_id, status=AckStatus.ERROR))
         self.clone = swap_decoder(self.clone, weights)
         return reply

@@ -199,6 +199,9 @@ def validate_script(script: SceneScript) -> None:
     # only saturates the frame (and a large one overflows)
     if script.noise_level * (1.0 + script.noise_breath) > 1.0:
         raise ValueError("noise_level * (1 + noise_breath) must be <= 1.0, the pixel range")
+    # a deeper breath makes the noise sigma negative, which turns noise off
+    if script.noise_breath > 1.0:
+        raise ValueError("noise_breath must be in [0, 1]")
     if not (_finite(script.camera_amplitude_px) and script.camera_amplitude_px >= 0):
         raise ValueError("camera_amplitude_px must be finite and >= 0")
     # a frame's arrival time and the periods' sine arguments grow with the

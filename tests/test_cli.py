@@ -23,6 +23,18 @@ def test_unknown_scenario_exits_2(tmp_path, run_cli):
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["run", "--scenario", "shallow"], ["run", "--scenario", "deep"], ["run", "--scenario", "lt"],
+    ["run", "--scenario", "nt-lan"], ["run", "--scenario", "nt-wifi"], ["compare"],
+], ids=["shallow", "deep", "lt", "nt-lan", "nt-wifi", "compare"])
+def test_negative_seed_exits_2(tmp_path, run_cli, command):
+    out = tmp_path / "out"
+    proc = run_cli([*command, "--seed", "-1", "--out", str(out)])
+    assert proc.returncode == 2, proc.stderr
+    assert "config error" in proc.stderr and "seed must be >= 0" in proc.stderr
+    assert not out.exists()
+
+
 def test_missing_stream_exits_2(tmp_path, run_cli):
     proc = run_cli(["run", "--scenario", "shallow", "--stream", "missing.json",
                     "--out", str(tmp_path / "r.json")])
@@ -172,6 +184,9 @@ def _negative_pan(d):
     # noise whose largest sigma exceeds the [0, 1] pixel range
     (lambda d: d.update(noise_level=1e308), "noise_level * (1 + noise_breath)"),
     (lambda d: d.update(noise_level=0.6, noise_breath=0.8), "noise_level * (1 + noise_breath)"),
+    # a breath deeper than 1 turns the noise off on some frames
+    (lambda d: d.update(noise_level=0.1, noise_breath=2.0, noise_breath_period=50.0),
+     "noise_breath must be in [0, 1]"),
 ], ids=["static_without_x", "orbit_without_cx", "objects_not_a_list", "top_level_list",
         "size_null", "camera_period_0", "noise_breath_period_0", "background_7",
         "shift_background_-1", "size_string", "size_64.5", "class_id_true", "name_5",
@@ -180,7 +195,7 @@ def _negative_pan(d):
         "camera_period_5e-324", "noise_breath_period_5e-324", "linear_vx_1e308",
         "orbit_omega_1e308", "orbit_radius_1e308", "camera_amplitude_1e308",
         "camera_amplitude_20_at_32px", "camera_amplitude_-3_at_32px", "noise_level_1e308",
-        "noise_breath_past_the_pixel_range"])
+        "noise_breath_past_the_pixel_range", "noise_breath_2"])
 def test_malformed_scene_script_exits_2(tmp_path, run_cli, edit, message):
     stream = _script_with(tmp_path, edit)
     proc = run_cli(["run", "--scenario", "shallow", "--stream", str(stream),

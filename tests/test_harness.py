@@ -209,9 +209,9 @@ def test_record_head_inputs_are_extracted_once_and_read_only():
     rec = FrameRecord(index=0, frame=frame,
                       oracle_out=OracleModel(cfg).forward(frame, stream.truth_at(0)),
                       candidates=(), gt_boxes=(), student=student)
-    phis, ada_x = rec.head_inputs
+    bases, ada_x = rec.head_inputs
     assert rec.head_inputs is rec.head_inputs
-    for a in (*phis, *ada_x):
+    for a in (*bases, *ada_x):
         with pytest.raises(ValueError):
             a[0, 0] = 0.0
 

@@ -87,16 +87,29 @@ def test_forward_shape_mismatch(student):
         student.forward(Tensor(np.zeros((32, 32, 3), np.float32)))
 
 
-def test_zero_adaptive_decoder_is_noop():
-    # with every adaptive block zeroed, the output equals the general
-    # decoder's alone; seeded() constructs exactly that
-    m = StudentModel.seeded(seed=3)
-    zero_frame = Tensor(np.zeros((64, 64, 3), np.float32))
-    out = m.forward(zero_frame)
-    phis, _ = m.head_inputs(zero_frame)
-    for i, (wg, bg) in enumerate(m._general):
+def test_zero_adaptive_decoder_is_noop(student):
+    # the pretrained student's adaptive blocks are zero, so its output is the
+    # general decoder's alone, computed here from the pooled cell features
+    f = _frame(seed=4)
+    out = student.forward(f)
+    phis, _ = student._pooled(f)
+    assert not any(b.array.any() for b in student.adaptive_blocks)
+    assert all(wg.array.any() for wg, _ in student._general)
+    for i, (wg, bg) in enumerate(student._general):
         general_only = phis[i] @ wg.array + bg.array
-        assert np.allclose(out.scales[i].array.reshape(-1, m.config.channels), general_only)
+        assert np.array_equal(out.scales[i].array.reshape(-1, student.config.channels),
+                              general_only)
+
+
+def test_prepare_distill_takes_the_general_head_output_as_is(student, oracle):
+    # at float32 the general head is not evaluated again: the prepared terms
+    # are the head inputs themselves
+    f = _frame(seed=6)
+    inputs = student.head_inputs(f)
+    prepared = prepare_distill(student, inputs, oracle.forward(f, _truth()))
+    for i in range(3):
+        assert prepared.base[i] is inputs[0][i]
+        assert prepared.ada_x[i] is inputs[1][i]
 
 
 def test_output_carries_version(student):

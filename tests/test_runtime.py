@@ -1,14 +1,18 @@
 import functools
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from edgekt import harness, models, runtime
 from edgekt.harness import OP_SECONDS, run_named_scenario, run_scenario
 from edgekt.models import (ADAPT_STEPS, DecoderWeights, ModelConfig, OracleModel, Precision,
                            StudentModel, adapt_decoder, swap_decoder)
-from edgekt.netproto import (Ack, AckStatus, FrameUpload, WeightUpdate, decode_message,
-                             encode_message, lan_config, zero_cost_config)
+from edgekt.netproto import (Ack, AckStatus, ChannelConfig, FrameUpload, LognormalJitter,
+                             WeightUpdate, decode_message, encode_message, lan_config,
+                             zero_cost_config)
 from edgekt.runtime import ConfigError, EdgeNode, Mode, ScenarioConfig
 from edgekt.scenegen import SceneStream, fixed_cam_default
 from edgekt.tensor import Tensor, f16_decode, f16_encode
@@ -34,6 +38,27 @@ def edge_setup():
 def test_network_mode_requires_channel():
     with pytest.raises(ConfigError):
         ScenarioConfig(mode=Mode.NETWORK)
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: ScenarioConfig(edge_speed=float("nan")), "edge_speed"),
+    (lambda: ScenarioConfig(edge_speed=float("inf")), "edge_speed"),
+    (lambda: ScenarioConfig(seed=-1), "seed"),
+    (lambda: ChannelConfig(1e6, base_latency_s=float("nan")), "base_latency_s"),
+    (lambda: ChannelConfig(1e6, base_latency_s=float("inf")), "base_latency_s"),
+    (lambda: ChannelConfig(1e6, seed=-1), "channel seed"),
+    (lambda: LognormalJitter(median_s=-0.005, sigma_log=0.5), "median_s"),
+    (lambda: LognormalJitter(median_s=0.0, sigma_log=0.5), "median_s"),
+    (lambda: LognormalJitter(median_s=float("inf"), sigma_log=0.5), "median_s"),
+    (lambda: LognormalJitter(median_s=0.005, sigma_log=float("nan")), "sigma_log"),
+    (lambda: LognormalJitter(median_s=0.005, sigma_log=-1.0), "sigma_log"),
+], ids=["edge_speed_nan", "edge_speed_inf", "seed_-1", "latency_nan", "latency_inf",
+        "channel_seed_-1", "median_negative", "median_0", "median_inf", "sigma_log_nan",
+        "sigma_log_negative"])
+def test_config_values_that_cannot_run_are_rejected_at_construction(build, field):
+    # each of these used to construct and then fail mid-run or in the report
+    with pytest.raises(ValueError, match=field):
+        build()
 
 
 def test_mode_accepts_strings():
@@ -82,6 +107,40 @@ def test_edge_serve_wrong_message_type(edge_setup):
     reply = decode_message(edge.serve(encode_message(Ack(5, AckStatus.OK))))
     assert isinstance(reply, Ack)
     assert reply.status == AckStatus.ERROR
+
+
+_SHORT_STREAM = SceneStream(fixed_cam_default(duration=12))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(frame_id=st.one_of(st.integers(0, 11), st.integers(0, 2**64 - 1)),
+       shape=st.one_of(st.just((64, 64, 3)),
+                       st.lists(st.integers(0, 5), min_size=1, max_size=4).map(tuple)),
+       precision=st.sampled_from(Precision))
+@example(frame_id=10**6, shape=(64, 64, 3), precision=Precision.FULL)
+@example(frame_id=2**64 - 1, shape=(64, 64, 3), precision=Precision.HALF)
+def test_edge_serve_answers_every_upload(edge_setup, frame_id, shape, precision):
+    # an id outside the 12-frame stream has no truth, and gets an error Ack
+    edge, student, _ = edge_setup
+    edge = EdgeNode(edge.oracle, student, _SHORT_STREAM.truth_at)
+    frame = Tensor(np.random.Generator(np.random.PCG64(frame_id % 1000))
+                   .uniform(0, 1, shape).astype(np.float32))
+    reply = decode_message(edge.serve(encode_message(FrameUpload(frame_id, frame, precision))))
+    assert isinstance(reply, (WeightUpdate, Ack))
+    assert reply.frame_id == frame_id
+    if frame_id >= 12 or shape != (64, 64, 3):
+        assert reply == Ack(frame_id, AckStatus.ERROR)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(data=st.one_of(
+    st.binary(max_size=80),
+    st.builds(lambda mtype, body: struct.pack("<4sBI", b"EKTP", mtype, len(body)) + body,
+              st.integers(0, 4), st.binary(max_size=80))))
+def test_edge_serve_answers_any_bytes(edge_setup, data):
+    edge, student, _ = edge_setup
+    edge = EdgeNode(edge.oracle, student, _SHORT_STREAM.truth_at)
+    assert isinstance(decode_message(edge.serve(data)), (WeightUpdate, Ack))
 
 
 def test_edge_reply_beyond_half_range_is_error_ack(edge_setup):

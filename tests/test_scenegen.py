@@ -250,6 +250,15 @@ def test_noise_beyond_the_pixel_range_rejected():
             _static_script(noise_level=level, noise_breath=breath)
 
 
+def test_noise_breath_beyond_one_rejected():
+    # a breath above 1 makes the noise sigma negative on part of each period,
+    # and those frames would render with no noise at all
+    _static_script(noise_level=0.1, noise_breath=1.0, noise_breath_period=50.0)
+    for breath in (1.0 + 1e-9, 2.0):
+        with pytest.raises(ValueError, match=r"noise_breath must be in \[0, 1\]"):
+            _static_script(noise_level=0.1, noise_breath=breath, noise_breath_period=50.0)
+
+
 def _reference_background_pixels(style, size, dx, dy):
     """The full-meshgrid background the separable one replaced."""
     xs = np.arange(size, dtype=np.float64) + dx
