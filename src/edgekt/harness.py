@@ -33,11 +33,12 @@ from functools import cached_property
 import numpy as np
 
 from .detection import Box, MetricsReport, compute_metrics, decode_boxes, nms
-from .models import (ADAPT_LR, ADAPT_STEPS, DetectionTensorSet, ModelConfig, OracleModel,
-                     StudentModel, adapt_decoder, distill_loss, swap_decoder)
+from .models import (ADAPT_LR, ADAPT_STEPS, CHANNELS, CLASSES, GRIDS, DetectionTensorSet,
+                     ModelConfig, OracleModel, StudentModel, adapt_decoder, distill_loss,
+                     swap_decoder)
 from .netproto import (FrameUpload, SimulatedChannel, WeightUpdate, decode_message,
                        lan_config, weights_byte_size, wifi_config)
-from .runtime import ConfigError, EdgeNode, Mode, ScenarioConfig, TrainJob
+from .runtime import ConfigError, EdgeNode, Mode, ScenarioConfig, TrainJob, check_seed
 from .scenegen import PRESETS, SceneScript, SceneStream
 from .selector import KeyFrameSelector
 from .tensor import Tensor
@@ -63,6 +64,7 @@ POWER_W = {
 }
 
 OP_SECONDS = 1.8e-7  # seconds per multiply-accumulate
+EDGE_SPEED = 12.0  # edge compute speed-up over the user device
 DECODE_SECONDS_PER_VALUE = 1.6e-6
 NMS_SECONDS_PER_CANDIDATE = 7e-5
 SWAP_SECONDS_PER_BYTE = 5e-7
@@ -204,7 +206,6 @@ def _scenario(config: ScenarioConfig, script: SceneScript, name: str,
     time, after a frame arriving just then. Everything the scenario changes
     (serving student, selector, ledger, channels, edge node) is its own.
     """
-    model_cfg = student.config
     selector = KeyFrameSelector(seed=config.seed * 31 + 1)
     ledger = EnergyLedger()
 
@@ -241,7 +242,7 @@ def _scenario(config: ScenarioConfig, script: SceneScript, name: str,
     train_macs = student.adaptation_mac_count()
     oracle_s = oracle_macs * OP_SECONDS
     train_s = train_macs * OP_SECONDS
-    edge_s = (oracle_macs + train_macs) * OP_SECONDS / config.edge_speed
+    edge_s = (oracle_macs + train_macs) * OP_SECONDS / EDGE_SPEED
 
     def dispatch(rec: FrameRecord, serve_out, now: float) -> TrainJob:
         """Run the one training job on frame ``rec`` to its outcome, which
@@ -274,7 +275,7 @@ def _scenario(config: ScenarioConfig, script: SceneScript, name: str,
 
     # feed the selector the per-element mean loss so loss deltas live on the
     # scale sigma was chosen for
-    loss_scale = sum(g * g * model_cfg.channels for g in model_cfg.grids)
+    loss_scale = sum(g * g * CHANNELS for g in GRIDS)
 
     def complete(job: TrainJob) -> None:
         """Apply a job's outcome at its end time ``job.done_at``."""
@@ -438,9 +439,9 @@ def run_scenario(configs: Sequence[ScenarioConfig], script: SceneScript,
         raise ConfigError(f"stream size {script.size} does not fit the student model: "
                           f"{exc}") from exc
     for o in script.all_objects():
-        if o.class_id >= model_cfg.classes:
+        if o.class_id >= CLASSES:
             raise ConfigError(f"object class_id {o.class_id} is not one of the "
-                              f"model's {model_cfg.classes} classes")
+                              f"model's {CLASSES} classes")
     student = StudentModel.pretrained(model_cfg, seed=MODEL_SEED)
     oracle = OracleModel(model_cfg, seed=MODEL_SEED)
     stream = SceneStream(script)
@@ -479,6 +480,7 @@ def scenario_config(name: str, seed: int = 0, precision: str = "full",
     """Build the config for one of the five named scenarios."""
     if name not in SCENARIO_NAMES:
         raise ConfigError(f"unknown scenario {name!r} (expected one of {SCENARIO_NAMES})")
+    check_seed(seed)  # before the channel seed derived from it
     channel = None
     if name == "nt-lan":
         channel = lan_config(seed * 31 + 2)

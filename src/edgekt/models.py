@@ -8,7 +8,8 @@ follows one policy, ``ADAPT_STEPS`` Adam updates at ``ADAPT_LR``, and
 distills the adaptive decoder alone towards the oracle output. The oracle is a
 much deeper frozen model realized as a near-perfect encoder of scene truth
 into detection tensors plus small deterministic noise, so its decoded output
-can serve as evaluation ground truth.
+can serve as evaluation ground truth. Both have one geometry, the module
+constants below; ``ModelConfig`` is the frame size alone.
 """
 
 from __future__ import annotations
@@ -43,29 +44,30 @@ _POS_WEIGHT = 20.0
 ADAPT_STEPS = 20
 ADAPT_LR = 0.05
 
+# the one detector geometry: object classes, output grid sides (finest
+# first) and the two extractor stages' widths
+CLASSES = 3
+GRIDS = (8, 4, 2)
+FEAT1 = 10
+FEAT2 = 20
+CHANNELS = BOX_CHANNELS + CLASSES
+# adaptive head input widths per scale: the finest reads the small-object view
+_ADAPTIVE_IN_DIMS = (4 * FEAT2, FEAT2, FEAT2)
+
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Shared geometry of student and oracle outputs."""
+    """The frame size student and oracle read; their output geometry is the
+    module's ``GRIDS`` and ``CHANNELS`` at every size."""
 
     input_hw: int = 64
-    classes: int = 3
-    grids: tuple[int, ...] = (8, 4, 2)
-    feat1: int = 10
-    feat2: int = 20
 
     def __post_init__(self):
-        if len(self.grids) != 3:
-            raise ValueError("exactly three output scales are required")
         # the size/4 feature grid must pool evenly onto every output grid
-        multiple = 4 * math.lcm(*self.grids)
+        multiple = 4 * math.lcm(*GRIDS)
         if self.input_hw % multiple != 0:
             raise ValueError(f"input size must be a multiple of {multiple} "
-                             f"(4 times the lcm of the output grids {self.grids})")
-
-    @property
-    def channels(self) -> int:
-        return BOX_CHANNELS + self.classes
+                             f"(4 times the lcm of the output grids {GRIDS})")
 
     @property
     def feature_grid(self) -> int:
@@ -155,26 +157,22 @@ class StudentModel:
         """Random frozen extractor, zero decoders, identity whitening."""
         cfg = config or ModelConfig()
         rng = np.random.Generator(np.random.PCG64(seed))
-        f1, f2, ch = cfg.feat1, cfg.feat2, cfg.channels
         extractor = {
-            "mix1": Tensor(rng.normal(0.0, 0.8 / np.sqrt(3), (3, f1)).astype(np.float32)),
-            "b1": Tensor(rng.normal(0.0, 0.05, (f1,)).astype(np.float32)),
-            "mix2": Tensor(rng.normal(0.0, 0.8 / np.sqrt(f1), (f1, f2)).astype(np.float32)),
-            "b2": Tensor(rng.normal(0.0, 0.05, (f2,)).astype(np.float32)),
+            "mix1": Tensor(rng.normal(0.0, 0.8 / np.sqrt(3), (3, FEAT1)).astype(np.float32)),
+            "b1": Tensor(rng.normal(0.0, 0.05, (FEAT1,)).astype(np.float32)),
+            "mix2": Tensor(rng.normal(0.0, 0.8 / np.sqrt(FEAT1),
+                                      (FEAT1, FEAT2)).astype(np.float32)),
+            "b2": Tensor(rng.normal(0.0, 0.05, (FEAT2,)).astype(np.float32)),
         }
-        for i, dim in enumerate(cls._adaptive_in_dims(cfg)):
+        for i, dim in enumerate(_ADAPTIVE_IN_DIMS):
             extractor[f"mu{i}"] = Tensor.zeros((dim,))
             extractor[f"white{i}"] = Tensor(np.eye(dim, dtype=np.float32))
-        general = [(Tensor.zeros((f2, ch)), Tensor.zeros((ch,))) for _ in cfg.grids]
+        general = [(Tensor.zeros((FEAT2, CHANNELS)), Tensor.zeros((CHANNELS,))) for _ in GRIDS]
         adaptive = []
-        for dim in cls._adaptive_in_dims(cfg):
-            adaptive.append(Tensor.zeros((dim, ch)))
-            adaptive.append(Tensor.zeros((ch,)))
+        for dim in _ADAPTIVE_IN_DIMS:
+            adaptive.append(Tensor.zeros((dim, CHANNELS)))
+            adaptive.append(Tensor.zeros((CHANNELS,)))
         return cls(cfg, extractor, general, tuple(adaptive), version=1)
-
-    @staticmethod
-    def _adaptive_in_dims(cfg: ModelConfig) -> list[int]:
-        return [4 * cfg.feat2] + [cfg.feat2] * (len(cfg.grids) - 1)
 
     @classmethod
     def pretrained(cls, config: ModelConfig | None = None, seed: int = 7) -> "StudentModel":
@@ -191,9 +189,9 @@ class StudentModel:
         cfg = model.config
         teacher = OracleModel(cfg, seed=seed, noise_amp=0.0)
 
-        per_scale_x: list[list[np.ndarray]] = [[] for _ in cfg.grids]
-        per_scale_a: list[list[np.ndarray]] = [[] for _ in cfg.grids]
-        per_scale_y: list[list[np.ndarray]] = [[] for _ in cfg.grids]
+        per_scale_x: list[list[np.ndarray]] = [[] for _ in GRIDS]
+        per_scale_a: list[list[np.ndarray]] = [[] for _ in GRIDS]
+        per_scale_y: list[list[np.ndarray]] = [[] for _ in GRIDS]
         with closing(SceneStream(pretrain_script(size=cfg.input_hw)).events()) as events:
             for ev in events:
                 phis, raw = model._pooled(ev.frame)
@@ -201,7 +199,7 @@ class StudentModel:
                 for i in range(3):
                     per_scale_x[i].append(phis[i])
                     per_scale_a[i].append(raw[i])
-                    per_scale_y[i].append(targets[i].array.reshape(-1, cfg.channels))
+                    per_scale_y[i].append(targets[i].array.reshape(-1, CHANNELS))
 
         # freeze ZCA whitening of the adaptive head inputs; without it the
         # head features are correlated enough that Adam crawls
@@ -247,17 +245,17 @@ class StudentModel:
         return h
 
     def _pooled(self, frame: Tensor) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Per-scale cell features, the region averages as (G*G, feat2), and
+        """Per-scale cell features, the region averages as (G*G, FEAT2), and
         raw adaptive head inputs, from one feature extraction. The finest
         scale's is the small-object view, the cell's four quadrant averages
-        (4*feat2 wide); coarser scales reuse the cell features."""
+        (4*FEAT2 wide); coarser scales reuse the cell features."""
         feats = self.features(frame)
-        cfg = self.config
+        fg = self.config.feature_grid
         phis, raw = [], []
-        for i, g in enumerate(cfg.grids):
-            k = cfg.feature_grid // g
-            phis.append(_avg_pool(feats, k).reshape(g * g, cfg.feat2))
-            raw.append(_quadrant_pool(feats, k).reshape(g * g, 4 * cfg.feat2)
+        for i, g in enumerate(GRIDS):
+            k = fg // g
+            phis.append(_avg_pool(feats, k).reshape(g * g, FEAT2))
+            raw.append(_quadrant_pool(feats, k).reshape(g * g, 4 * FEAT2)
                        if i == 0 else phis[i])
         return phis, raw
 
@@ -277,12 +275,11 @@ class StudentModel:
     def outputs(self, inputs: tuple[list[np.ndarray], list[np.ndarray]]) -> DetectionTensorSet:
         """Detection tensors from a frame's ``head_inputs``: per scale, the
         general head's output plus the adaptive head's."""
-        cfg = self.config
         ada = self._adaptive
         scales = []
-        for g, base, x, w, b in zip(cfg.grids, *inputs, ada[0::2], ada[1::2]):
+        for g, base, x, w, b in zip(GRIDS, *inputs, ada[0::2], ada[1::2]):
             out = base + x @ w.array + b.array
-            scales.append(Tensor(out.reshape(g, g, cfg.channels)))
+            scales.append(Tensor(out.reshape(g, g, CHANNELS)))
         return DetectionTensorSet(scales=tuple(scales), version=self.version)
 
     # -- bookkeeping ---------------------------------------------------------
@@ -313,26 +310,19 @@ class StudentModel:
             h.update(t.tobytes())
         return h.hexdigest()
 
-    def decoder_weights(self, precision: Precision = Precision.FULL) -> DecoderWeights:
-        return DecoderWeights(version=self.version, blocks=self._adaptive,
-                              precision=precision)
-
     def mac_count(self) -> int:
         """Multiply-accumulate count of one forward pass (cost-model proxy)."""
         cfg = self.config
         hw2 = (cfg.input_hw // 2) ** 2
         fg2 = cfg.feature_grid ** 2
-        macs = hw2 * 3 * cfg.feat1 + fg2 * cfg.feat1 * cfg.feat2
-        macs += sum(g * g * cfg.feat2 * cfg.channels for g in cfg.grids)
-        dims = self._adaptive_in_dims(cfg)
-        macs += sum(g * g * d * d for g, d in zip(cfg.grids, dims))  # whitening
+        macs = hw2 * 3 * FEAT1 + fg2 * FEAT1 * FEAT2
+        macs += sum(g * g * FEAT2 * CHANNELS for g in GRIDS)
+        macs += sum(g * g * d * d for g, d in zip(GRIDS, _ADAPTIVE_IN_DIMS))  # whitening
         macs += self.adaptive_mac_count()
         return macs
 
     def adaptive_mac_count(self) -> int:
-        cfg = self.config
-        dims = self._adaptive_in_dims(cfg)
-        return sum(g * g * dims[i] * cfg.channels for i, g in enumerate(cfg.grids))
+        return sum(g * g * d * CHANNELS for g, d in zip(GRIDS, _ADAPTIVE_IN_DIMS))
 
     def adaptation_mac_count(self) -> int:
         """Multiply-accumulate count of one adaptation: one forward pass
@@ -381,13 +371,12 @@ def prepare_distill(model: StudentModel,
     ``dtype`` may be float64 for high-precision verification of the
     gradients, which then start from the widened float32 head outputs.
     """
-    cfg = model.config
-    for g, o in zip(cfg.grids, oracle_out.scales):
-        if o.shape != (g, g, cfg.channels):
-            raise ValueError(f"target shape {o.shape} != student shape {(g, g, cfg.channels)}")
+    for g, o in zip(GRIDS, oracle_out.scales):
+        if o.shape != (g, g, CHANNELS):
+            raise ValueError(f"target shape {o.shape} != student shape {(g, g, CHANNELS)}")
     base = [b.astype(dtype, copy=False) for b in inputs[0]]
     xs = [x.astype(dtype, copy=False) for x in inputs[1]]
-    targets = [s.array.reshape(-1, cfg.channels).astype(dtype, copy=False)
+    targets = [s.array.reshape(-1, CHANNELS).astype(dtype, copy=False)
                for s in oracle_out.scales]
     return DistillInputs(base, xs, [x.T for x in xs], targets)
 
@@ -422,9 +411,11 @@ def distill_gradients(prepared: DistillInputs, blocks: Sequence[np.ndarray],
 
 def adapt_decoder(model: StudentModel,
                   inputs: tuple[list[np.ndarray], list[np.ndarray]],
-                  oracle_out: DetectionTensorSet, steps: int = ADAPT_STEPS) -> DecoderWeights:
-    """Run ``steps`` Adam updates at ``ADAPT_LR`` on the adaptive decoder
-    against the oracle output and return the new versioned weights.
+                  oracle_out: DetectionTensorSet) -> DecoderWeights:
+    """Run ``ADAPT_STEPS`` Adam updates at ``ADAPT_LR`` on the adaptive
+    decoder against the oracle output and return the new versioned weights.
+    Both are read when the function is called, as ``adaptation_mac_count``
+    reads them.
 
     ``inputs`` are the frame's ``model.head_inputs``, so the caller extracts
     features once per adaptation. Frozen parts are untouched; the model,
@@ -437,8 +428,6 @@ def adapt_decoder(model: StudentModel,
     raises ValueError in ``adam_step``, and the weights are discarded; the
     overflow itself emits no numpy warning.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
     prepared = prepare_distill(model, inputs, oracle_out)
     layout, start = [], 0
     for b in model._adaptive:
@@ -453,7 +442,7 @@ def adapt_decoder(model: StudentModel,
     params, grads = views(flat), views(grad)
     state = AdamState.for_param(flat, lr=ADAPT_LR)
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(steps):
+        for _ in range(ADAPT_STEPS):
             distill_gradients(prepared, params, out=grads)
             flat[...] = adam_step(flat, grad, state)
     return DecoderWeights(version=model.version + 1,
@@ -517,11 +506,10 @@ class OracleModel:
                    for div, cin, cout in self._STAGE_PLAN)
 
     def _preferred_scale(self, w: float, h: float) -> int:
-        g0, g1 = self.config.grids[0], self.config.grids[1]
         m = max(w, h)
-        if m <= 1.8 / g0:
+        if m <= 1.8 / GRIDS[0]:
             return 0
-        if m <= 1.8 / g1:
+        if m <= 1.8 / GRIDS[1]:
             return 1
         return 2
 
@@ -530,7 +518,7 @@ class OracleModel:
         if frame.shape != (cfg.input_hw, cfg.input_hw, 3):
             raise ValueError(
                 f"frame shape {frame.shape} != {(cfg.input_hw, cfg.input_hw, 3)}")
-        targets = [np.zeros((g, g, cfg.channels), dtype=np.float32) for g in cfg.grids]
+        targets = [np.zeros((g, g, CHANNELS), dtype=np.float32) for g in GRIDS]
         for t in targets:
             t[:, :, CH_OBJ] = self.OBJ_OFF
             t[:, :, BOX_CHANNELS:] = self.CLS_OFF
@@ -543,7 +531,7 @@ class OracleModel:
             pref = self._preferred_scale(box.w, box.h)
             placed = False
             for s in sorted(range(3), key=lambda k: abs(k - pref)):
-                g = cfg.grids[s]
+                g = GRIDS[s]
                 c = min(int(box.x * g), g - 1)
                 r = min(int(box.y * g), g - 1)
                 if (s, r, c) in occupied:
@@ -562,7 +550,7 @@ class OracleModel:
                 break
             if not placed:
                 # all three scales collide; presets avoid this, last one wins
-                g = cfg.grids[pref]
+                g = GRIDS[pref]
                 c = min(int(box.x * g), g - 1)
                 r = min(int(box.y * g), g - 1)
                 cell = targets[pref][r, c]

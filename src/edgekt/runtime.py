@@ -8,12 +8,13 @@ is dispatched and applied at its end time. That plus the single-slot weight
 swap gives the same observable contract (atomic swaps, at most one
 adaptation in flight, no queuing). Wherever a job trains, it runs the one
 adaptation policy of ``models`` and reports the student's loss on its key
-frame before the update, which is the selector's feedback.
+frame before the update, which is the selector's feedback. An edge job's
+compute time is the harness's cost model at ``harness.EDGE_SPEED``, the
+edge's speed-up over the user device.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -38,13 +39,18 @@ class ConfigError(ValueError):
     pass
 
 
+def check_seed(seed: int) -> None:
+    """A run seed must be >= 0; it seeds the selector and, derived, the channels."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed!r}")
+
+
 @dataclass
 class ScenarioConfig:
     mode: Mode = Mode.NO_TRAINING
     channel: ChannelConfig | None = None
     precision: Precision = Precision.FULL
     kfs_enabled: bool = True
-    edge_speed: float = 12.0  # edge compute speedup over the user device
     seed: int = 0
 
     def __post_init__(self):
@@ -54,10 +60,7 @@ class ScenarioConfig:
             self.precision = Precision(self.precision)
         if self.mode is Mode.NETWORK and self.channel is None:
             raise ConfigError(f"mode {self.mode.value} requires a channel")
-        if not (math.isfinite(self.edge_speed) and self.edge_speed > 0):
-            raise ConfigError(f"edge_speed must be finite and > 0, got {self.edge_speed!r}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
+        check_seed(self.seed)
 
     @property
     def trains(self) -> bool:
@@ -84,8 +87,8 @@ class EdgeNode:
     edge's first adaptation replaces it.
 
     Serves FrameUpload messages by retraining the clone against the oracle
-    output for the uploaded frame (one ``adapt_decoder`` call with the
-    default policy) and answering with the new weights plus the loss the
+    output for the uploaded frame (one ``adapt_decoder`` call, the one
+    adaptation policy) and answering with the new weights plus the loss the
     stale clone scored on that frame before the update (the selector's
     feedback signal). A request that is malformed, names a frame outside the
     stream, or whose adaptation or reply encoding fails, gets an error Ack.

@@ -1,17 +1,20 @@
 """Key-frame selection: Kalman-filtered motion gate conjoined with an adaptive
 binomial sampler, plus the busy gate that forbids concurrent adaptations.
 
-The selection probability starts at ``P_INIT``. It doubles when the training
-loss moves by more than ``SIGMA`` between adaptations and decays by
-``P_DECAY`` otherwise, floored at ``P_FLOOR`` so at least a trickle of frames
-is always sampled.
+The motion gate filters the scene-change statistic with a scalar Kalman
+filter of process noise ``KALMAN_Q`` and measurement noise ``KALMAN_R`` and
+passes when the innovation exceeds ``TAU_MOTION``. The selection
+probability starts at ``P_INIT``. It doubles when the training loss moves
+by more than ``SIGMA`` between adaptations and decays by ``P_DECAY``
+otherwise, floored at ``P_FLOOR`` so at least a trickle of frames is always
+sampled.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,16 +26,17 @@ P_DECAY = 0.05
 P_CAP = 1.0
 SIGMA = 0.5  # loss delta that doubles the probability
 TAU_MOTION = 0.005  # innovation the motion gate must exceed
+KALMAN_Q = 2e-5  # process noise of the scene-change filter
+KALMAN_R = 1e-2  # its measurement noise
 
 
 @dataclass(frozen=True)
 class KalmanState:
-    """Scalar random-walk (constant-level) filter state."""
+    """Scalar random-walk (constant-level) filter state; the noise variances
+    are ``KALMAN_Q`` and ``KALMAN_R``."""
 
     estimate: float = 0.0
     variance: float = 1.0
-    q: float = 2e-5  # process noise
-    r: float = 1e-2  # measurement noise
 
 
 def kalman_update(state: KalmanState, measurement: float) -> tuple[KalmanState, float]:
@@ -44,11 +48,11 @@ def kalman_update(state: KalmanState, measurement: float) -> tuple[KalmanState, 
     if not math.isfinite(measurement):
         raise ValueError("non-finite measurement")
     prior = state.estimate
-    var_pred = state.variance + state.q
-    gain = var_pred / (var_pred + state.r)
+    var_pred = state.variance + KALMAN_Q
+    gain = var_pred / (var_pred + KALMAN_R)
     estimate = prior + gain * (measurement - prior)
     variance = (1.0 - gain) * var_pred
-    return replace(state, estimate=estimate, variance=variance), measurement - prior
+    return KalmanState(estimate, variance), measurement - prior
 
 
 def scene_change_statistic(current: Tensor, last_key: Tensor) -> float:

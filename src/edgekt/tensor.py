@@ -24,10 +24,8 @@ class Tensor:
 
     __slots__ = ("_array",)
 
-    def __init__(self, values, shape: tuple[int, ...] | None = None):
+    def __init__(self, values):
         a = np.asarray(values, dtype=np.float32)
-        if shape is not None:
-            a = a.reshape(shape)
         if not np.isfinite(a).all():
             raise ValueError("tensor values must be finite (no NaN/Inf)")
         a = np.ascontiguousarray(a)

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from edgekt import harness
 from edgekt.detection import Box, compute_metrics, iou, nms
 from edgekt.harness import compare, run_named_scenario, run_scenario
 from edgekt.models import (ModelConfig, OracleModel, Precision, StudentModel,
@@ -148,12 +149,12 @@ def test_criterion_7_numerical_suites():
     st = AdamState.for_param(p)
     adam_ok = Tensor(adam_step(p.array, np.zeros(2, np.float32), st)) == p
 
-    # distillation gradient vs central finite differences on a miniature model
-    mini = ModelConfig(input_hw=16, grids=(4, 2, 1), feat1=4, feat2=6)
-    model = StudentModel.seeded(mini, seed=3)
-    oracle = OracleModel(mini, seed=3)
+    # distillation gradient vs central finite differences on a 32 px frame
+    small = ModelConfig(input_hw=32)
+    model = StudentModel.seeded(small, seed=3)
+    oracle = OracleModel(small, seed=3)
     rng = np.random.Generator(np.random.PCG64(6))
-    frame = Tensor(rng.uniform(0, 1, (16, 16, 3)).astype(np.float32))
+    frame = Tensor(rng.uniform(0, 1, (32, 32, 3)).astype(np.float32))
     target = oracle.forward(frame, [Box(0.4, 0.5, 0.3, 0.3, 1)])
     blocks = tuple(rng.normal(0, 0.2, b.shape) for b in model.adaptive_blocks)
     prepared = prepare_distill(model, model.head_inputs(frame), target, dtype=np.float64)
@@ -243,12 +244,13 @@ def test_criterion_8_cli_determinism(tmp_path, run_cli):
              f"two identical invocations byte-identical ({len(outs[0])} bytes), {elapsed:.1f}s")
 
 
-def test_criterion_9_location_independent_training():
+def test_criterion_9_location_independent_training(monkeypatch):
     start = time.monotonic()
     script = fixed_cam_default()
+    monkeypatch.setattr(harness, "EDGE_SPEED", 1.0)  # the edge trains as fast as the user
     lt, nt = run_scenario([ScenarioConfig(mode=Mode.LOCAL, seed=0),
                            ScenarioConfig(mode=Mode.NETWORK, channel=zero_cost_config(0),
-                                          edge_speed=1.0, seed=0)], script)
+                                          seed=0)], script)
     keys_ok = lt.key_frame_indices == nt.key_frame_indices
     weights_ok = ([e["checksum"] for e in lt.swap_log]
                   == [e["checksum"] for e in nt.swap_log])

@@ -31,7 +31,7 @@ def test_negative_seed_exits_2(tmp_path, run_cli, command):
     out = tmp_path / "out"
     proc = run_cli([*command, "--seed", "-1", "--out", str(out)])
     assert proc.returncode == 2, proc.stderr
-    assert "config error" in proc.stderr and "seed must be >= 0" in proc.stderr
+    assert "config error: seed must be >= 0, got -1" in proc.stderr
     assert not out.exists()
 
 

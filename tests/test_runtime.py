@@ -1,4 +1,3 @@
-import functools
 import struct
 
 import numpy as np
@@ -6,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from edgekt import harness, models, runtime
+from edgekt import harness, models
 from edgekt.harness import OP_SECONDS, run_named_scenario, run_scenario
 from edgekt.models import (ADAPT_STEPS, DecoderWeights, ModelConfig, OracleModel, Precision,
                            StudentModel, adapt_decoder, swap_decoder)
@@ -41,8 +40,6 @@ def test_network_mode_requires_channel():
 
 
 @pytest.mark.parametrize("build, field", [
-    (lambda: ScenarioConfig(edge_speed=float("nan")), "edge_speed"),
-    (lambda: ScenarioConfig(edge_speed=float("inf")), "edge_speed"),
     (lambda: ScenarioConfig(seed=-1), "seed"),
     (lambda: ChannelConfig(1e6, base_latency_s=float("nan")), "base_latency_s"),
     (lambda: ChannelConfig(1e6, base_latency_s=float("inf")), "base_latency_s"),
@@ -52,9 +49,8 @@ def test_network_mode_requires_channel():
     (lambda: LognormalJitter(median_s=float("inf"), sigma_log=0.5), "median_s"),
     (lambda: LognormalJitter(median_s=0.005, sigma_log=float("nan")), "sigma_log"),
     (lambda: LognormalJitter(median_s=0.005, sigma_log=-1.0), "sigma_log"),
-], ids=["edge_speed_nan", "edge_speed_inf", "seed_-1", "latency_nan", "latency_inf",
-        "channel_seed_-1", "median_negative", "median_0", "median_inf", "sigma_log_nan",
-        "sigma_log_negative"])
+], ids=["seed_-1", "latency_nan", "latency_inf", "channel_seed_-1", "median_negative",
+        "median_0", "median_inf", "sigma_log_nan", "sigma_log_negative"])
 def test_config_values_that_cannot_run_are_rejected_at_construction(build, field):
     # each of these used to construct and then fail mid-run or in the report
     with pytest.raises(ValueError, match=field):
@@ -255,8 +251,7 @@ def test_edge_adaptation_runs_one_adam_update_per_step(edge_setup, monkeypatch, 
         steps = ADAPT_STEPS  # the edge's own policy
     else:
         # pin the step count the edge's adaptation call runs
-        monkeypatch.setattr(runtime, "adapt_decoder",
-                            functools.partial(models.adapt_decoder, steps=steps))
+        monkeypatch.setattr(models, "ADAPT_STEPS", steps)
     adam = _counted(monkeypatch, models, "adam_step")
     gradients = _counted(monkeypatch, models, "distill_gradients")
     reply = decode_message(edge.serve(encode_message(
@@ -333,14 +328,15 @@ def test_nt_round_trip_faster_than_lt_job(short_script):
     student = StudentModel.pretrained(cfg, seed=7)
     oracle = OracleModel(cfg, seed=7)
     edge_s = ((oracle.mac_count() + student.adaptation_mac_count()) * OP_SECONDS
-              / ScenarioConfig().edge_speed)
+              / harness.EDGE_SPEED)
     assert nt.mean_training_s > edge_s  # plus both transmission legs
 
 
-def test_zero_cost_channel_matches_local_training(short_script):
+def test_zero_cost_channel_matches_local_training(short_script, monkeypatch):
+    monkeypatch.setattr(harness, "EDGE_SPEED", 1.0)  # the edge trains as fast as the user
     lt, nt = run_scenario([ScenarioConfig(mode=Mode.LOCAL, seed=1),
                            ScenarioConfig(mode=Mode.NETWORK, channel=zero_cost_config(1),
-                                          edge_speed=1.0, seed=1)], short_script)
+                                          seed=1)], short_script)
     assert lt.key_frame_indices == nt.key_frame_indices
     assert [e["checksum"] for e in lt.swap_log] == [e["checksum"] for e in nt.swap_log]
 

@@ -15,8 +15,10 @@ def _frame(value, shape=(8, 8, 3)):
 
 # -- Kalman ------------------------------------------------------------------
 
-def test_kalman_hand_calculated_first_update():
-    state = KalmanState(estimate=0.0, variance=1.0, q=0.01, r=0.1)
+def test_kalman_hand_calculated_first_update(monkeypatch):
+    monkeypatch.setattr(selector, "KALMAN_Q", 0.01)
+    monkeypatch.setattr(selector, "KALMAN_R", 0.1)
+    state = KalmanState(estimate=0.0, variance=1.0)
     new, innovation = kalman_update(state, 1.0)
     gain = 1.01 / 1.11
     assert innovation == pytest.approx(1.0)
@@ -36,8 +38,10 @@ def test_kalman_constant_stream_converges():
     assert all(a >= b - 1e-12 for a, b in zip(innovations[1:], innovations[2:]))
 
 
-def test_kalman_no_trust_limit():
-    state = KalmanState(estimate=0.3, variance=1e-6, q=0.0, r=1e9)
+def test_kalman_no_trust_limit(monkeypatch):
+    monkeypatch.setattr(selector, "KALMAN_Q", 0.0)
+    monkeypatch.setattr(selector, "KALMAN_R", 1e9)
+    state = KalmanState(estimate=0.3, variance=1e-6)
     new, _ = kalman_update(state, 100.0)
     assert new.estimate == pytest.approx(0.3, abs=1e-3)
 
