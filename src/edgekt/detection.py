@@ -105,8 +105,7 @@ def decode_boxes(out: "DetectionTensorSet", obj_threshold: float = 0.5) -> list[
     if not 0.0 <= obj_threshold <= 1.0:
         raise ValueError("obj_threshold must be in [0, 1]")
     boxes: list[Box] = []
-    for scale in out.scales:
-        arr = scale.array
+    for arr in out.scales:
         g = arr.shape[0]
         obj = sigmoid(arr[:, :, CH_OBJ])
         # a NaN objectness is not below the threshold, so it passes

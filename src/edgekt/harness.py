@@ -37,7 +37,7 @@ from .models import (ADAPT_LR, ADAPT_STEPS, CHANNELS, CLASSES, GRIDS, DetectionT
                      ModelConfig, OracleModel, StudentModel, adapt_decoder, distill_loss,
                      swap_decoder)
 from .netproto import (FrameUpload, SimulatedChannel, WeightUpdate, decode_message,
-                       lan_config, weights_byte_size, wifi_config)
+                       encode_weights, lan_config, wifi_config)
 from .runtime import ConfigError, EdgeNode, Mode, ScenarioConfig, TrainJob, check_seed
 from .scenegen import PRESETS, SceneScript, SceneStream
 from .selector import KeyFrameSelector
@@ -298,7 +298,7 @@ def _scenario(config: ScenarioConfig, script: SceneScript, name: str,
                     edge.sync_clone(student)
             else:
                 student = new_student
-                pending_swap_s += weights_byte_size(weights) * SWAP_SECONDS_PER_BYTE
+                pending_swap_s += len(encode_weights(weights)) * SWAP_SECONDS_PER_BYTE
                 swap_log.append({"frame_id": job.frame_id, "version": student.version,
                                  "checksum": student.adaptive_checksum()})
             training_times.append(job.done_at - job.dispatched_at)
@@ -380,6 +380,7 @@ def _scenario(config: ScenarioConfig, script: SceneScript, name: str,
     score = aggregate.f1 / energy_per_frame if energy_per_frame > 0 else 0.0
     aggregate.overall_score = score
 
+    ch = config.channel
     cfg_echo = {
         "mode": config.mode.value,
         "precision": config.precision.value,
@@ -389,11 +390,11 @@ def _scenario(config: ScenarioConfig, script: SceneScript, name: str,
         "adapt_lr": ADAPT_LR,
         "stream": script.name,
         "stream_seed": script.seed,
-        "channel": None if config.channel is None else {
-            "bandwidth_bps": config.channel.bandwidth_bps,
-            "base_latency_s": config.channel.base_latency_s,
-            "jitter_median_s": None if config.channel.jitter is None
-            else config.channel.jitter.median_s,
+        "channel": None if ch is None else {
+            # strict JSON has no inf: an unlimited bandwidth echoes as null
+            "bandwidth_bps": ch.bandwidth_bps if ch.bandwidth_bps < np.inf else None,
+            "base_latency_s": ch.base_latency_s,
+            "jitter_median_s": None if ch.jitter is None else ch.jitter.median_s,
         },
     }
     return RunReport(

@@ -74,19 +74,25 @@ class ModelConfig:
         return self.input_hw // 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DetectionTensorSet:
-    """The three per-scale output tensors, tagged with the producer version."""
+    """The three per-scale outputs, read-only float32 GxGxC arrays, and the
+    producer version. Not ``Tensor``s: they are computed from values checked
+    finite where those entered the run. Construction checks each scale's
+    dtype and shape and marks it read-only."""
 
-    scales: tuple[Tensor, Tensor, Tensor]
+    scales: tuple[np.ndarray, np.ndarray, np.ndarray]
     version: int = 0
 
     def __post_init__(self):
         if len(self.scales) != 3:
             raise ValueError("a detection tensor set has exactly three scales")
-        for t in self.scales:
-            if len(t.shape) != 3 or t.shape[0] != t.shape[1]:
-                raise ValueError(f"scale tensor must be GxGxC, got {t.shape}")
+        for a in self.scales:
+            if not (isinstance(a, np.ndarray) and a.dtype == np.float32
+                    and a.ndim == 3 and a.shape[0] == a.shape[1]):
+                got = f"{a.dtype} {a.shape}" if isinstance(a, np.ndarray) else type(a).__name__
+                raise ValueError(f"a scale must be a float32 GxGxC array, got {got}")
+            a.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -104,10 +110,7 @@ class DecoderWeights:
 
 def distill_loss(student_out: DetectionTensorSet, oracle_out: DetectionTensorSet) -> float:
     """Sum over the three scales of squared L2 distance between outputs."""
-    total = 0.0
-    for s, o in zip(student_out.scales, oracle_out.scales):
-        total += l2_sq_distance(s, o)
-    return total
+    return sum(l2_sq_distance(s, o) for s, o in zip(student_out.scales, oracle_out.scales))
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +202,7 @@ class StudentModel:
                 for i in range(3):
                     per_scale_x[i].append(phis[i])
                     per_scale_a[i].append(raw[i])
-                    per_scale_y[i].append(targets[i].array.reshape(-1, CHANNELS))
+                    per_scale_y[i].append(targets[i].reshape(-1, CHANNELS))
 
         # freeze ZCA whitening of the adaptive head inputs; without it the
         # head features are correlated enough that Adam crawls
@@ -279,7 +282,7 @@ class StudentModel:
         scales = []
         for g, base, x, w, b in zip(GRIDS, *inputs, ada[0::2], ada[1::2]):
             out = base + x @ w.array + b.array
-            scales.append(Tensor(out.reshape(g, g, CHANNELS)))
+            scales.append(out.reshape(g, g, CHANNELS))
         return DetectionTensorSet(scales=tuple(scales), version=self.version)
 
     # -- bookkeeping ---------------------------------------------------------
@@ -376,8 +379,7 @@ def prepare_distill(model: StudentModel,
             raise ValueError(f"target shape {o.shape} != student shape {(g, g, CHANNELS)}")
     base = [b.astype(dtype, copy=False) for b in inputs[0]]
     xs = [x.astype(dtype, copy=False) for x in inputs[1]]
-    targets = [s.array.reshape(-1, CHANNELS).astype(dtype, copy=False)
-               for s in oracle_out.scales]
+    targets = [s.reshape(-1, CHANNELS).astype(dtype, copy=False) for s in oracle_out.scales]
     return DistillInputs(base, xs, [x.T for x in xs], targets)
 
 
@@ -563,4 +565,4 @@ class OracleModel:
             for t in targets:
                 t += nrng.uniform(-self.noise_amp, self.noise_amp,
                                   t.shape).astype(np.float32)
-        return DetectionTensorSet(scales=tuple(Tensor(t) for t in targets))
+        return DetectionTensorSet(scales=tuple(targets))

@@ -138,12 +138,6 @@ def decode_weights(data: bytes) -> DecoderWeights:
     return DecoderWeights(version=version, blocks=tuple(blocks), precision=precision)
 
 
-def weights_byte_size(w: DecoderWeights) -> int:
-    """Length of ``encode_weights(w)``, from the block shapes alone."""
-    return _ID_U8.size + sum(1 + 4 * len(b.shape) + _WIDTH[w.precision] * b.size
-                              for b in w.blocks)
-
-
 # ---------------------------------------------------------------------------
 # Messages
 
@@ -198,17 +192,21 @@ def decode_message(data: bytes) -> Message:
 # Simulated channel
 
 
+# with bandwidth_bps >= 1.0, these bounds keep every delivery time finite
+MAX_DELAY_S = 86_400.0
+MAX_SIGMA_LOG = 10.0
+
+
 @dataclass(frozen=True)
 class LognormalJitter:
     median_s: float
     sigma_log: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.median_s) and self.median_s > 0):
-            raise ValueError(f"jitter median_s must be finite and > 0, got {self.median_s!r}")
-        if not (math.isfinite(self.sigma_log) and self.sigma_log >= 0):
-            raise ValueError(f"jitter sigma_log must be finite and >= 0, "
-                             f"got {self.sigma_log!r}")
+        if not 0 < self.median_s <= MAX_DELAY_S:
+            raise ValueError(f"jitter median_s must be in (0, {MAX_DELAY_S}], got {self.median_s!r}")
+        if not 0 <= self.sigma_log <= MAX_SIGMA_LOG:
+            raise ValueError(f"jitter sigma_log must be in [0, {MAX_SIGMA_LOG}], got {self.sigma_log!r}")
 
 
 @dataclass(frozen=True)
@@ -219,11 +217,10 @@ class ChannelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.bandwidth_bps > 0:
-            raise ValueError("bandwidth_bps must be > 0")
-        if not (math.isfinite(self.base_latency_s) and self.base_latency_s >= 0):
-            raise ValueError(f"base_latency_s must be finite and >= 0, "
-                             f"got {self.base_latency_s!r}")
+        if not self.bandwidth_bps >= 1.0:
+            raise ValueError(f"bandwidth_bps must be >= 1.0 (inf allowed), got {self.bandwidth_bps!r}")
+        if not 0 <= self.base_latency_s <= MAX_DELAY_S:
+            raise ValueError(f"base_latency_s must be in [0, {MAX_DELAY_S}], got {self.base_latency_s!r}")
         if self.seed < 0:
             raise ValueError(f"channel seed must be >= 0, got {self.seed!r}")
 

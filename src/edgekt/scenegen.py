@@ -272,7 +272,6 @@ def validate_script(script: SceneScript) -> None:
 @dataclass(frozen=True)
 class FrameEvent:
     frame_id: int
-    arrival_time: float
     frame: Tensor
     truth: list[Box]
 
@@ -486,7 +485,6 @@ class SceneStream:
         is raised here at its frame. Close the generator when done with it
         (``contextlib.closing``): that kills and reaps the renderer.
         """
-        period = 1.0 / self.script.fps
         shape = (self.script.size, self.script.size, 3)
         pid = pipe = None
         try:
@@ -497,8 +495,7 @@ class SceneStream:
                 frame = None if pipe is None else _read_frame(pipe, shape)
                 if frame is None:
                     frame = self.frame_at(i)
-                yield FrameEvent(frame_id=i, arrival_time=i * period,
-                                 frame=frame, truth=self.truth_at(i))
+                yield FrameEvent(frame_id=i, frame=frame, truth=self.truth_at(i))
         finally:
             if pipe is not None:
                 pipe.close()

@@ -1,7 +1,10 @@
 """Dense float32 tensors, the Adam update rule, and an IEEE 754 binary16 codec.
 
-Tensors are immutable once constructed; float32 is the canonical in-memory
-precision, binary16 exists only at the wire boundary.
+A ``Tensor`` is an immutable array of finite float32 values, checked where a
+value enters the run: rendered or piped frames, frozen parameters, adapted
+weights and wire decodes. What is computed from those per frame, the head
+inputs and the model outputs, are plain read-only float32 arrays. float32 is
+the canonical in-memory precision, binary16 exists only at the wire boundary.
 """
 
 from __future__ import annotations
@@ -72,11 +75,12 @@ class Tensor:
         return f"Tensor(shape={self.shape})"
 
 
-def l2_sq_distance(a: Tensor, b: Tensor) -> float:
-    """Sum of squared elementwise differences between two equal-shape tensors."""
+def l2_sq_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Sum of squared elementwise differences between two equal-shape
+    arrays, in float64."""
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    d = a.data.astype(np.float64) - b.data.astype(np.float64)
+    d = a.reshape(-1).astype(np.float64) - b.reshape(-1).astype(np.float64)
     return float(np.dot(d, d))
 
 

@@ -9,12 +9,11 @@ from edgekt.detection import (BOX_CHANNELS, CH_OBJ, CH_TH, CH_TW, CH_TX, CH_TY,
                               COORD_LOGIT_SCALE, SIZE_PRIOR, Box, compute_metrics,
                               decode_boxes, iou, logit, nms, sigmoid)
 from edgekt.models import DetectionTensorSet
-from edgekt.tensor import Tensor
 
 
 def _tensor_set(grids=(8, 4, 2), channels=8, fill=0.0):
     return DetectionTensorSet(scales=tuple(
-        Tensor(np.full((g, g, channels), fill, dtype=np.float32)) for g in grids))
+        np.full((g, g, channels), fill, dtype=np.float32) for g in grids))
 
 
 # -- IoU ---------------------------------------------------------------------
@@ -53,7 +52,7 @@ def test_decode_all_zero_below_threshold():
 
 def test_decode_hot_cell():
     out = _tensor_set()
-    arr = out.scales[0].array.copy()
+    arr = out.scales[0].copy()
     # encode a box centered at cell (2, 5) of the 8-grid
     g = 8
     x, y, w, h = (5 + 0.4) / g, (2 + 0.7) / g, 0.25, 0.125
@@ -63,7 +62,7 @@ def test_decode_hot_cell():
     arr[2, 5, 3] = COORD_LOGIT_SCALE * (logit(h) - logit(SIZE_PRIOR))
     arr[2, 5, CH_OBJ] = 3.0
     arr[2, 5, BOX_CHANNELS + 2] = 2.0
-    scales = (Tensor(arr),) + out.scales[1:]
+    scales = (arr,) + out.scales[1:]
     boxes = decode_boxes(DetectionTensorSet(scales=scales), 0.6)
     assert len(boxes) == 1
     b = boxes[0]
@@ -245,8 +244,7 @@ def _reference_iou(a, b):
 def _reference_decode_boxes(out, obj_threshold=0.5):
     """The per-cell loop with scalar sigmoids that the array decode replaced."""
     boxes = []
-    for scale in out.scales:
-        arr = scale.array
+    for arr in out.scales:
         g = arr.shape[0]
         obj = sigmoid(arr[:, :, CH_OBJ])
         for r in range(g):
@@ -283,7 +281,7 @@ def _detection_tensors(draw):
         elif kind == "tied":
             arr[:, :, CH_OBJ] = draw(st.sampled_from([0.0, 0.7, 2.5]))
             arr[:, :, BOX_CHANNELS:] = rng.integers(0, 2, (g, g, classes))
-        scales.append(Tensor(arr.astype(np.float32)))
+        scales.append(arr.astype(np.float32))
     return DetectionTensorSet(scales=tuple(scales))
 
 

@@ -15,7 +15,6 @@ from edgekt.models import DetectionTensorSet
 from edgekt.netproto import decode_message, encode_message
 from edgekt.runtime import EdgeNode
 from edgekt.scenegen import fixed_cam_default
-from edgekt.tensor import Tensor
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +66,7 @@ def test_overflowing_local_adaptation_is_a_failed_job(script, monkeypatch, caplo
         calls.append(1)
         if len(calls) == 2:
             oracle_out = DetectionTensorSet(scales=tuple(
-                Tensor(np.full(s.shape, 3e38, np.float32)) for s in oracle_out.scales))
+                np.full(s.shape, 3e38, np.float32) for s in oracle_out.scales))
         return adapt(model, inputs, oracle_out, **kwargs)
 
     monkeypatch.setattr(harness, "adapt_decoder", overflow_second_target)

@@ -1,3 +1,5 @@
+import json
+import math
 import struct
 
 import numpy as np
@@ -6,14 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgekt import harness, models
-from edgekt.harness import OP_SECONDS, run_named_scenario, run_scenario
+from edgekt.harness import OP_SECONDS, emit_report, run_named_scenario, run_scenario
 from edgekt.models import (ADAPT_STEPS, DecoderWeights, ModelConfig, OracleModel, Precision,
                            StudentModel, adapt_decoder, swap_decoder)
 from edgekt.netproto import (Ack, AckStatus, ChannelConfig, FrameUpload, LognormalJitter,
                              WeightUpdate, decode_message, encode_message, lan_config,
                              zero_cost_config)
 from edgekt.runtime import ConfigError, EdgeNode, Mode, ScenarioConfig
-from edgekt.scenegen import SceneStream, fixed_cam_default
+from edgekt.scenegen import ObjectSpec, SceneScript, SceneStream, fixed_cam_default
 from edgekt.tensor import Tensor, f16_decode, f16_encode
 
 
@@ -49,12 +51,59 @@ def test_network_mode_requires_channel():
     (lambda: LognormalJitter(median_s=float("inf"), sigma_log=0.5), "median_s"),
     (lambda: LognormalJitter(median_s=0.005, sigma_log=float("nan")), "sigma_log"),
     (lambda: LognormalJitter(median_s=0.005, sigma_log=-1.0), "sigma_log"),
+    (lambda: ChannelConfig(5e-324), "bandwidth_bps"),
+    (lambda: ChannelConfig(1e6, base_latency_s=1e308), "base_latency_s"),
+    (lambda: LognormalJitter(median_s=1e308, sigma_log=50.0), "median_s"),
+    (lambda: LognormalJitter(median_s=0.005, sigma_log=1e308), "sigma_log"),
 ], ids=["seed_-1", "latency_nan", "latency_inf", "channel_seed_-1", "median_negative",
-        "median_0", "median_inf", "sigma_log_nan", "sigma_log_negative"])
+        "median_0", "median_inf", "sigma_log_nan", "sigma_log_negative",
+        "bandwidth_5e-324", "latency_1e308", "median_1e308", "sigma_log_1e308"])
 def test_config_values_that_cannot_run_are_rejected_at_construction(build, field):
     # each of these used to construct and then fail mid-run or in the report
+    # (the last four with an infinite transfer or job time)
     with pytest.raises(ValueError, match=field):
         build()
+
+
+def _field(bounds, inside, outside):
+    """A field's value: one of ``outside`` about one time in five, else one
+    of its ``bounds`` or a draw from ``inside``."""
+    valid = st.sampled_from(bounds) | inside
+    return st.one_of(valid, valid, valid, valid, st.sampled_from(outside))
+
+
+_NAN_INF = [math.nan, math.inf, -math.inf]
+_bandwidths = _field([1.0, 1e308, math.inf], st.floats(1.0, 1e9),
+                     [5e-324, 0.0, -1.0, math.nan, -math.inf])
+_latencies = _field([0.0, 86_400.0], st.floats(0.0, 86_400.0), [-1.0, 86_400.5, 1e308] + _NAN_INF)
+_medians = _field([5e-324, 86_400.0], st.floats(1e-6, 86_400.0), [0.0, -1.0, 1e308] + _NAN_INF)
+_sigmas = _field([0.0, 10.0], st.floats(0.0, 10.0), [-1.0, 10.5, 1e308] + _NAN_INF)
+_seeds = _field([0, 2**64 - 1, 2**128], st.integers(0, 1000), [-1, -2**63])
+_TINY = SceneScript(duration_frames=4, size=32, objects=(
+    ObjectSpec(0, 0.3, 0.3, {"kind": "linear", "x": 0.4, "y": 0.5, "vx": 0.05, "vy": 0.0}),))
+
+
+@settings(max_examples=22, derandomize=True, database=None, deadline=None)
+@given(mode=st.sampled_from([Mode.NETWORK, Mode.NETWORK, Mode.LOCAL, Mode.NO_TRAINING,
+                             Mode.DEEP_ONLY]),
+       precision=st.sampled_from(list(Precision)), kfs=st.booleans(), seed=_seeds,
+       channel=st.tuples(_bandwidths, _latencies, st.tuples(_medians, _sigmas) | st.none(),
+                         _seeds))
+@example(mode=Mode.NETWORK, precision=Precision.HALF, kfs=False, seed=2**128,
+         channel=(1.0, 86_400.0, (86_400.0, 10.0), 2**128))  # the slowest channel accepted
+@example(mode=Mode.NETWORK, precision=Precision.FULL, kfs=True, seed=0,
+         channel=(math.inf, 0.0, None, 0))  # zero_cost_config
+def test_generated_configs_are_refused_or_run(mode, precision, kfs, seed, channel):
+    # a config either fails where it is built or runs to a strict-JSON report
+    bandwidth, latency, jitter, channel_seed = channel
+    try:
+        channel = ChannelConfig(bandwidth, latency,
+                                None if jitter is None else LognormalJitter(*jitter), channel_seed)
+        config = ScenarioConfig(mode, channel, precision, kfs, seed)
+    except ValueError:  # ConfigError is one
+        return
+    report = json.loads(emit_report(run_scenario([config], _TINY)[0]))
+    assert report["frame_count"] == 4
 
 
 def test_mode_accepts_strings():
