@@ -24,6 +24,13 @@ BOX_CHANNELS = 5
 COORD_LOGIT_SCALE = 2.0
 SIZE_PRIOR = 0.2
 
+# the one operating point, for served and oracle outputs alike: a cell is a
+# candidate from this objectness up, NMS drops a same-class box above this
+# IoU with a kept one, and a prediction matches a truth box from this IoU up
+OBJ_THRESHOLD = 0.5
+NMS_IOU = 0.45
+MATCH_IOU = 0.5
+
 
 def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=np.float64)))
@@ -91,8 +98,8 @@ def iou(a: Box, b: Box) -> float:
     return _iou(_geometry(a), _geometry(b))
 
 
-def decode_boxes(out: "DetectionTensorSet", obj_threshold: float = 0.5) -> list[Box]:
-    """Decode grid cells whose objectness clears the threshold into boxes.
+def decode_boxes(out: "DetectionTensorSet") -> list[Box]:
+    """Decode grid cells whose objectness is at least ``OBJ_THRESHOLD`` into boxes.
 
     One candidate per passing cell: center from the cell's sigmoid offsets,
     size from sigmoid of the width/height channels, class by argmax, score
@@ -102,14 +109,12 @@ def decode_boxes(out: "DetectionTensorSet", obj_threshold: float = 0.5) -> list[
     channels are scaled and offset by the size prior in float32, then
     widened to float64 for the sigmoid, as a per-cell decode does.
     """
-    if not 0.0 <= obj_threshold <= 1.0:
-        raise ValueError("obj_threshold must be in [0, 1]")
     boxes: list[Box] = []
     for arr in out.scales:
         g = arr.shape[0]
         obj = sigmoid(arr[:, :, CH_OBJ])
         # a NaN objectness is not below the threshold, so it passes
-        rows, cols = np.nonzero(~(obj < obj_threshold))
+        rows, cols = np.nonzero(~(obj < OBJ_THRESHOLD))
         if not len(rows):
             continue
         cells = arr[rows, cols]
@@ -124,34 +129,31 @@ def decode_boxes(out: "DetectionTensorSet", obj_threshold: float = 0.5) -> list[
     return boxes
 
 
-def nms(boxes: Sequence[Box], iou_threshold: float = 0.45) -> list[Box]:
+def nms(boxes: Sequence[Box]) -> list[Box]:
     """Greedy per-class non-maximum suppression.
 
     Keeps the highest-score box of each class, drops same-class boxes
-    whose IoU with a kept box exceeds the threshold, repeats. Ties on
+    whose IoU with a kept box exceeds ``NMS_IOU``, repeats. Ties on
     score break toward earlier input position. Output is sorted by
     descending score.
     """
-    if not 0.0 <= iou_threshold <= 1.0:
-        raise ValueError("iou_threshold must be in [0, 1]")
     kept: list[Box] = []
     kept_geometry: dict[int, list[tuple]] = {}  # per class, in keeping order
     # a stable sort keeps input order among equal scores
     for cand in sorted(boxes, key=lambda b: -b.score):
         rivals = kept_geometry.setdefault(cand.class_id, [])
         geo = _geometry(cand)
-        if not any(_iou(k, geo) > iou_threshold for k in rivals):
+        if not any(_iou(k, geo) > NMS_IOU for k in rivals):
             rivals.append(geo)
             kept.append(cand)
     return kept
 
 
-def compute_metrics(predicted: Sequence[Box], truth: Sequence[Box],
-                    iou_threshold: float = 0.5) -> MetricsReport:
-    """Greedy score-ordered matching at the given IoU threshold.
+def compute_metrics(predicted: Sequence[Box], truth: Sequence[Box]) -> MetricsReport:
+    """Greedy score-ordered matching at ``MATCH_IOU``.
 
     A prediction is a true positive iff it shares the class of, and has
-    IoU >= threshold with, a not-yet-matched truth box (best IoU wins,
+    IoU >= ``MATCH_IOU`` with, a not-yet-matched truth box (best IoU wins,
     earlier truth index on ties). Each truth box matches at most once.
     """
     truth_geometry = [_geometry(t) for t in truth]
@@ -166,7 +168,7 @@ def compute_metrics(predicted: Sequence[Box], truth: Sequence[Box],
             if matched[j] or t.class_id != p.class_id:
                 continue
             v = _iou(geo, truth_geometry[j])
-            if v >= iou_threshold and v > best_iou:
+            if v >= MATCH_IOU and v > best_iou:
                 best_iou = v
                 best_j = j
         if best_j >= 0:

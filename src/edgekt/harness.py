@@ -159,26 +159,20 @@ def parse_report(text: str) -> RunReport:
 # ---------------------------------------------------------------------------
 # Scenario runner (the harness owns the virtual clock)
 
-# detection settings applied to served and oracle outputs alike
-OBJ_THRESHOLD = 0.5
-NMS_IOU = 0.45
-# the deployed base detector is one fixed artifact; the run seed only
-# drives runtime randomness (selector draws, channel jitter)
-MODEL_SEED = 7
-
 
 @dataclass(frozen=True, eq=False)
 class FrameRecord:
     """What every scenario sees of frame ``index``, computed once and shared.
 
     All of it is pure in the frame: the oracle's noise is keyed by the frame
-    bytes and the model seed, and the head inputs read only the frozen
+    bytes and ``models.MODEL_SEED``, and the head inputs read only the frozen
     extractor and the frozen general decoder, which every ``swap_decoder``
     result shares with ``student``.
     """
 
     index: int
     frame: Tensor
+    truth: tuple[Box, ...]  # the scene's boxes, which the oracle encodes
     oracle_out: DetectionTensorSet
     candidates: tuple[Box, ...]  # the oracle output's decoded boxes, before NMS
     gt_boxes: tuple[Box, ...]  # their NMS survivors, the metric ground truth
@@ -196,9 +190,8 @@ class FrameRecord:
         return inputs
 
 
-def _scenario(config: ScenarioConfig, script: SceneScript, name: str,
-              student: StudentModel, oracle: OracleModel,
-              stream: SceneStream) -> Generator[None, FrameRecord, RunReport]:
+def _scenario(config: ScenarioConfig, script: SceneScript, name: str, student: StudentModel,
+              oracle: OracleModel) -> Generator[None, FrameRecord, RunReport]:
     """One scenario's process: takes each frame's record in order at
     ``rec = yield`` and returns the scenario's report after the last frame.
 
@@ -215,7 +208,7 @@ def _scenario(config: ScenarioConfig, script: SceneScript, name: str,
         up = SimulatedChannel(config.channel, direction=0)
         down = SimulatedChannel(config.channel, direction=1)
     if config.mode is Mode.NETWORK:
-        edge = EdgeNode(oracle, student, stream.truth_at)
+        edge = EdgeNode(oracle, student)
 
     period = 1.0 / script.fps
     n_frames = script.duration_frames
@@ -330,8 +323,8 @@ def _scenario(config: ScenarioConfig, script: SceneScript, name: str,
             infer_activity = "OracleLocal"
         else:
             serve_out = student.outputs(rec.head_inputs)
-            candidates = decode_boxes(serve_out, OBJ_THRESHOLD)
-            detections = nms(candidates, NMS_IOU)
+            candidates = decode_boxes(serve_out)
+            detections = nms(candidates)
             infer_s = student_macs * OP_SECONDS
             if start < local_end:
                 infer_s *= 1.0 + TRAIN_CONTENTION
@@ -422,9 +415,9 @@ def _scenario(config: ScenarioConfig, script: SceneScript, name: str,
 
 
 def run_scenario(configs: Sequence[ScenarioConfig], script: SceneScript,
-                 names: Sequence[str] | None = None) -> list[RunReport]:
+                 names: Sequence[str]) -> list[RunReport]:
     """Run scenarios over one stream in lockstep under virtual time; one
-    report per config, in order, named by ``names`` (default: each mode).
+    report per config, in order, named by ``names``.
 
     The student is pretrained once, and each frame is rendered (ahead, by
     the stream's renderer process), oracle-scored and decoded once into a
@@ -443,25 +436,25 @@ def run_scenario(configs: Sequence[ScenarioConfig], script: SceneScript,
         if o.class_id >= CLASSES:
             raise ConfigError(f"object class_id {o.class_id} is not one of the "
                               f"model's {CLASSES} classes")
-    student = StudentModel.pretrained(model_cfg, seed=MODEL_SEED)
-    oracle = OracleModel(model_cfg, seed=MODEL_SEED)
+    student = StudentModel.pretrained(model_cfg)
+    oracle = OracleModel(model_cfg)
     stream = SceneStream(script)
-    names = names or [c.mode.value for c in configs]
     procs = []
     for config, name in zip(configs, names, strict=True):
         logger.info("running scenario %s", name)
-        procs.append(_scenario(config, script, name, student, oracle, stream))
+        procs.append(_scenario(config, script, name, student, oracle))
         next(procs[-1])  # run the set-up up to the first frame
     reports = []
     with closing(stream.events()) as events:  # an exception reaps the renderer too
         for ev in events:
             # evaluation oracle run; never charged (the deep model's decoded
             # output is the metric ground truth)
-            oracle_out = oracle.forward(ev.frame, ev.truth)
-            candidates = tuple(decode_boxes(oracle_out, OBJ_THRESHOLD))
-            rec = FrameRecord(index=ev.frame_id, frame=ev.frame, oracle_out=oracle_out,
-                              candidates=candidates,
-                              gt_boxes=tuple(nms(candidates, NMS_IOU)), student=student)
+            truth = tuple(ev.truth)
+            oracle_out = oracle.forward(ev.frame, truth)
+            candidates = tuple(decode_boxes(oracle_out))
+            rec = FrameRecord(index=ev.frame_id, frame=ev.frame, truth=truth,
+                              oracle_out=oracle_out, candidates=candidates,
+                              gt_boxes=tuple(nms(candidates)), student=student)
             for proc in procs:
                 try:
                     proc.send(rec)
@@ -504,12 +497,9 @@ def run_named_scenario(name: str, script: SceneScript, seed: int = 0,
     return run_scenario([cfg], script, [name])[0]
 
 
-def compare(script: SceneScript | None = None, seed: int = 0,
-            out_path: str | None = None) -> dict:
+def compare(script: SceneScript, seed: int = 0, out_path: str | None = None) -> dict:
     """Run the five named scenarios (full precision, KFS on) in lockstep and
     tabulate energy, inference time, F1 and overall score per scenario."""
-    from .scenegen import fixed_cam_default
-    script = script or fixed_cam_default()
     configs = [scenario_config(name, seed=seed) for name in SCENARIO_NAMES]
     reports = dict(zip(SCENARIO_NAMES, run_scenario(configs, script, SCENARIO_NAMES)))
     if out_path is not None:

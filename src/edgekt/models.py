@@ -51,6 +51,10 @@ GRIDS = (8, 4, 2)
 FEAT1 = 10
 FEAT2 = 20
 CHANNELS = BOX_CHANNELS + CLASSES
+# the deployed base detector is one fixed artifact: this seed draws the
+# student's frozen extractor and keys the oracle's noise; a run's seed only
+# drives its runtime randomness (selector draws, channel jitter)
+MODEL_SEED = 7
 # adaptive head input widths per scale: the finest reads the small-object view
 _ADAPTIVE_IN_DIMS = (4 * FEAT2, FEAT2, FEAT2)
 
@@ -156,10 +160,10 @@ class StudentModel:
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def seeded(cls, config: ModelConfig | None = None, seed: int = 7) -> "StudentModel":
-        """Random frozen extractor, zero decoders, identity whitening."""
-        cfg = config or ModelConfig()
-        rng = np.random.Generator(np.random.PCG64(seed))
+    def seeded(cls, config: ModelConfig) -> "StudentModel":
+        """Frozen extractor drawn at ``MODEL_SEED``, zero decoders, identity
+        whitening."""
+        rng = np.random.Generator(np.random.PCG64(MODEL_SEED))
         extractor = {
             "mix1": Tensor(rng.normal(0.0, 0.8 / np.sqrt(3), (3, FEAT1)).astype(np.float32)),
             "b1": Tensor(rng.normal(0.0, 0.05, (FEAT1,)).astype(np.float32)),
@@ -175,10 +179,10 @@ class StudentModel:
         for dim in _ADAPTIVE_IN_DIMS:
             adaptive.append(Tensor.zeros((dim, CHANNELS)))
             adaptive.append(Tensor.zeros((CHANNELS,)))
-        return cls(cfg, extractor, general, tuple(adaptive), version=1)
+        return cls(config, extractor, general, tuple(adaptive), version=1)
 
     @classmethod
-    def pretrained(cls, config: ModelConfig | None = None, seed: int = 7) -> "StudentModel":
+    def pretrained(cls, config: ModelConfig) -> "StudentModel":
         """Student whose general decoder was fit by ridge regression against
         oracle targets on the built-in generic pretraining stream, standing
         in for base training.
@@ -188,14 +192,13 @@ class StudentModel:
         blurry -- the intended starting point for online adaptation.
         """
         from .scenegen import SceneStream, pretrain_script
-        model = cls.seeded(config, seed)
-        cfg = model.config
-        teacher = OracleModel(cfg, seed=seed, noise_amp=0.0)
+        model = cls.seeded(config)
+        teacher = OracleModel(config, noise_amp=0.0)
 
         per_scale_x: list[list[np.ndarray]] = [[] for _ in GRIDS]
         per_scale_a: list[list[np.ndarray]] = [[] for _ in GRIDS]
         per_scale_y: list[list[np.ndarray]] = [[] for _ in GRIDS]
-        with closing(SceneStream(pretrain_script(size=cfg.input_hw)).events()) as events:
+        with closing(SceneStream(pretrain_script(size=config.input_hw)).events()) as events:
             for ev in events:
                 phis, raw = model._pooled(ev.frame)
                 targets = teacher.forward(ev.frame, ev.truth).scales
@@ -492,10 +495,8 @@ class OracleModel:
                    (4, 24, 32), (4, 32, 24), (8, 24, 32), (8, 32, 32), (8, 32, 24),
                    (16, 24, 24), (16, 24, 16))
 
-    def __init__(self, config: ModelConfig | None = None, seed: int = 7,
-                 noise_amp: float = 0.01):
-        self.config = config or ModelConfig()
-        self.seed = seed
+    def __init__(self, config: ModelConfig, noise_amp: float = 0.01):
+        self.config = config
         self.noise_amp = noise_amp
 
     @property
@@ -560,7 +561,7 @@ class OracleModel:
                 cell[BOX_CHANNELS + box.class_id] = self.CLS_ON
 
         if self.noise_amp > 0.0:
-            mix = zlib.crc32(frame.tobytes()) ^ (self.seed * 0x9E3779B1 & 0xFFFFFFFF)
+            mix = zlib.crc32(frame.tobytes()) ^ (MODEL_SEED * 0x9E3779B1 & 0xFFFFFFFF)
             nrng = np.random.Generator(np.random.PCG64(mix))
             for t in targets:
                 t += nrng.uniform(-self.noise_amp, self.noise_amp,

@@ -11,6 +11,7 @@ now + base latency + jitter draw + size_bits / bandwidth.
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
@@ -221,6 +222,10 @@ class ChannelConfig:
             raise ValueError(f"bandwidth_bps must be >= 1.0 (inf allowed), got {self.bandwidth_bps!r}")
         if not 0 <= self.base_latency_s <= MAX_DELAY_S:
             raise ValueError(f"base_latency_s must be in [0, {MAX_DELAY_S}], got {self.base_latency_s!r}")
+        try:
+            operator.index(self.seed)
+        except TypeError:
+            raise ValueError(f"channel seed must be an integer, got {self.seed!r}") from None
         if self.seed < 0:
             raise ValueError(f"channel seed must be >= 0, got {self.seed!r}")
 

@@ -15,6 +15,7 @@ edge's speed-up over the user device.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -40,7 +41,12 @@ class ConfigError(ValueError):
 
 
 def check_seed(seed: int) -> None:
-    """A run seed must be >= 0; it seeds the selector and, derived, the channels."""
+    """A run seed must be an integer >= 0; it seeds the selector and, derived,
+    the channels."""
+    try:
+        operator.index(seed)
+    except TypeError:
+        raise ConfigError(f"seed must be an integer, got {seed!r}") from None
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed!r}")
 
@@ -90,44 +96,43 @@ class EdgeNode:
     output for the uploaded frame (one ``adapt_decoder`` call, the one
     adaptation policy) and answering with the new weights plus the loss the
     stale clone scored on that frame before the update (the selector's
-    feedback signal). A request that is malformed, names a frame outside the
-    stream, or whose adaptation or reply encoding fails, gets an error Ack.
+    feedback signal). A request that is malformed, is not an upload of its
+    record's frame, or whose adaptation or reply encoding fails, gets an
+    error Ack.
     """
 
-    def __init__(self, oracle: OracleModel, clone: StudentModel, truth_provider):
+    def __init__(self, oracle: OracleModel, clone: StudentModel):
         self.oracle = oracle
         self.clone = clone
-        self.truth_provider = truth_provider
 
     def sync_clone(self, student: StudentModel) -> None:
         """Re-align the clone with the user-end model (stale-swap recovery)."""
         self.clone = student
 
-    def serve(self, data: bytes, record: FrameRecord | None = None) -> bytes:
-        """Handle one request; returns the encoded response message.
+    def serve(self, data: bytes, record: FrameRecord) -> bytes:
+        """Handle one request for the frame of ``record``; returns the
+        encoded response message.
 
-        ``record`` is an optional frame record made with this node's oracle
-        and a student whose frozen extractor the clone shares. An upload of
-        the record's frame id and exact frame bytes (any full-precision
-        upload of it) takes the record's oracle output and head inputs,
-        which are what this request would compute: the oracle's noise is
-        keyed by the frame bytes. Any other upload, such as a rounded
-        half-precision frame, is computed afresh.
+        ``record`` is made with this node's oracle and a student whose frozen
+        extractor the clone shares. Only an upload of ``record.index`` is
+        served. An upload of the record's exact frame bytes (any
+        full-precision upload of it) takes the record's oracle output and
+        head inputs, which are what this request would compute: the oracle's
+        noise is keyed by the frame bytes. A rounded half-precision frame is
+        scored afresh against ``record.truth``.
         """
         try:
             m = decode_message(data)
         except ValueError:
             return encode_message(Ack(frame_id=0, status=AckStatus.ERROR))
-        if not isinstance(m, FrameUpload):
-            return encode_message(Ack(frame_id=getattr(m, "frame_id", 0),
-                                      status=AckStatus.ERROR))
+        if not isinstance(m, FrameUpload) or m.frame_id != record.index:
+            return encode_message(Ack(frame_id=m.frame_id, status=AckStatus.ERROR))
         try:
-            if (record is not None and m.frame_id == record.index
-                    and m.frame.shape == record.frame.shape
+            if (m.frame.shape == record.frame.shape
                     and m.frame.tobytes() == record.frame.tobytes()):
                 oracle_out, inputs = record.oracle_out, record.head_inputs
             else:
-                oracle_out = self.oracle.forward(m.frame, self.truth_provider(m.frame_id))
+                oracle_out = self.oracle.forward(m.frame, record.truth)
                 inputs = self.clone.head_inputs(m.frame)
             # one feature extraction scores the stale clone and trains it
             pre_loss = distill_loss(self.clone.outputs(inputs), oracle_out)
@@ -138,8 +143,7 @@ class EdgeNode:
             sent = replace(weights, precision=m.precision)
             reply = encode_message(WeightUpdate(frame_id=m.frame_id, weights=sent,
                                                 loss=pre_loss))
-        except (ValueError, OverflowError, IndexError):
-            # IndexError: the truth provider has no frame of this id
+        except (ValueError, OverflowError):
             return encode_message(Ack(frame_id=m.frame_id, status=AckStatus.ERROR))
         self.clone = swap_decoder(self.clone, weights)
         return reply

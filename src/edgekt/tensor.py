@@ -68,9 +68,6 @@ class Tensor:
             np.array_equal(self._array, other._array)
         )
 
-    def __hash__(self):
-        return hash((self.shape, self._array.tobytes()))
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
 

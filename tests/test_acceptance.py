@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from edgekt import harness
-from edgekt.detection import Box, compute_metrics, iou, nms
+from edgekt.detection import NMS_IOU, Box, compute_metrics, iou, nms
 from edgekt.harness import compare, run_named_scenario, run_scenario
 from edgekt.models import (ModelConfig, OracleModel, Precision, StudentModel,
                            adapt_decoder, distill_gradients, prepare_distill)
@@ -151,8 +151,8 @@ def test_criterion_7_numerical_suites():
 
     # distillation gradient vs central finite differences on a 32 px frame
     small = ModelConfig(input_hw=32)
-    model = StudentModel.seeded(small, seed=3)
-    oracle = OracleModel(small, seed=3)
+    model = StudentModel.seeded(small)
+    oracle = OracleModel(small)
     rng = np.random.Generator(np.random.PCG64(6))
     frame = Tensor(rng.uniform(0, 1, (32, 32, 3)).astype(np.float32))
     target = oracle.forward(frame, [Box(0.4, 0.5, 0.3, 0.3, 1)])
@@ -181,7 +181,7 @@ def test_criterion_7_numerical_suites():
                 grad_ok = False
 
     # NMS vs O(n^2) brute force on 500 random 10-box instances
-    def reference_nms(boxes, thr):
+    def reference_nms(boxes):
         n = len(boxes)
         mat = [[iou(boxes[i], boxes[j]) for j in range(n)] for i in range(n)]
         alive, kept = set(range(n)), []
@@ -190,7 +190,7 @@ def test_criterion_7_numerical_suites():
             kept.append(boxes[best])
             alive.discard(best)
             for j in list(alive):
-                if boxes[j].class_id == boxes[best].class_id and mat[best][j] > thr:
+                if boxes[j].class_id == boxes[best].class_id and mat[best][j] > NMS_IOU:
                     alive.discard(j)
         return kept
 
@@ -201,7 +201,7 @@ def test_criterion_7_numerical_suites():
                      float(rng2.uniform(0.05, 0.5)), float(rng2.uniform(0.05, 0.5)),
                      int(rng2.integers(0, 3)), float(rng2.uniform(0, 1)))
                  for _ in range(10)]
-        if nms(boxes, 0.45) != reference_nms(boxes, 0.45):
+        if nms(boxes) != reference_nms(boxes):
             nms_ok = False
 
     # f16 round trip over 1e5 samples
@@ -250,7 +250,7 @@ def test_criterion_9_location_independent_training(monkeypatch):
     monkeypatch.setattr(harness, "EDGE_SPEED", 1.0)  # the edge trains as fast as the user
     lt, nt = run_scenario([ScenarioConfig(mode=Mode.LOCAL, seed=0),
                            ScenarioConfig(mode=Mode.NETWORK, channel=zero_cost_config(0),
-                                          seed=0)], script)
+                                          seed=0)], script, ["lt", "nt"])
     keys_ok = lt.key_frame_indices == nt.key_frame_indices
     weights_ok = ([e["checksum"] for e in lt.swap_log]
                   == [e["checksum"] for e in nt.swap_log])

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgekt.detection import (BOX_CHANNELS, CH_OBJ, CH_TH, CH_TW, CH_TX, CH_TY,
-                              COORD_LOGIT_SCALE, SIZE_PRIOR, Box, compute_metrics,
-                              decode_boxes, iou, logit, nms, sigmoid)
+                              COORD_LOGIT_SCALE, MATCH_IOU, NMS_IOU, OBJ_THRESHOLD,
+                              SIZE_PRIOR, Box, compute_metrics, decode_boxes, iou, logit,
+                              nms, sigmoid)
 from edgekt.models import DetectionTensorSet
 
 
@@ -46,12 +47,12 @@ def test_iou_symmetric_and_bounded():
 
 # -- decode ------------------------------------------------------------------
 
-def test_decode_all_zero_below_threshold():
-    assert decode_boxes(_tensor_set(), 0.6) == []
+def test_decode_below_threshold_emits_nothing():
+    assert decode_boxes(_tensor_set(fill=-1.0)) == []
 
 
 def test_decode_hot_cell():
-    out = _tensor_set()
+    out = _tensor_set(fill=-1.0)
     arr = out.scales[0].copy()
     # encode a box centered at cell (2, 5) of the 8-grid
     g = 8
@@ -63,7 +64,7 @@ def test_decode_hot_cell():
     arr[2, 5, CH_OBJ] = 3.0
     arr[2, 5, BOX_CHANNELS + 2] = 2.0
     scales = (arr,) + out.scales[1:]
-    boxes = decode_boxes(DetectionTensorSet(scales=scales), 0.6)
+    boxes = decode_boxes(DetectionTensorSet(scales=scales))
     assert len(boxes) == 1
     b = boxes[0]
     assert b.x == pytest.approx(x, abs=1e-6)
@@ -73,19 +74,17 @@ def test_decode_hot_cell():
     assert b.class_id == 2
 
 
-def test_decode_threshold_zero_emits_every_cell():
-    boxes = decode_boxes(_tensor_set(), 0.0)
+def test_decode_cell_at_threshold_is_emitted():
+    # objectness logit 0 is a score of exactly OBJ_THRESHOLD, which passes
+    assert OBJ_THRESHOLD == float(sigmoid(0.0))
+    boxes = decode_boxes(_tensor_set())
     assert len(boxes) == 8 * 8 + 4 * 4 + 2 * 2
-
-
-def test_decode_threshold_range():
-    with pytest.raises(ValueError):
-        decode_boxes(_tensor_set(), 1.5)
+    assert all(b.score == OBJ_THRESHOLD for b in boxes)
 
 
 # -- NMS ---------------------------------------------------------------------
 
-def _reference_nms(boxes, thr):
+def _reference_nms(boxes):
     """Independent O(n^2) reference: precompute the IoU matrix, then greedily
     pick the global best remaining box and knock out same-class overlaps."""
     n = len(boxes)
@@ -97,19 +96,19 @@ def _reference_nms(boxes, thr):
         kept.append(best)
         alive.discard(best)
         for j in list(alive):
-            if boxes[j].class_id == boxes[best].class_id and mat[best][j] > thr:
+            if boxes[j].class_id == boxes[best].class_id and mat[best][j] > NMS_IOU:
                 alive.discard(j)
     return [boxes[i] for i in kept]
 
 
 def test_nms_empty():
-    assert nms([], 0.45) == []
+    assert nms([]) == []
 
 
 def test_nms_duplicate_suppression():
     a = Box(0.5, 0.5, 0.2, 0.2, 1, score=0.9)
     b = Box(0.5, 0.5, 0.2, 0.2, 1, score=0.8)
-    assert nms([a, b], 0.45) == [a]
+    assert nms([a, b]) == [a]
 
 
 def test_nms_matches_brute_force():
@@ -121,7 +120,7 @@ def test_nms_matches_brute_force():
                 int(rng.integers(0, 3)), float(rng.uniform(0, 1)))
             for _ in range(10)
         ]
-        assert nms(boxes, 0.45) == _reference_nms(boxes, 0.45)
+        assert nms(boxes) == _reference_nms(boxes)
 
 
 def test_nms_survivor_property():
@@ -131,11 +130,11 @@ def test_nms_survivor_property():
             0.3, 0.3, int(rng.integers(0, 2)), float(rng.uniform(0, 1)))
         for _ in range(20)
     ]
-    kept = nms(boxes, 0.4)
+    kept = nms(boxes)
     assert all(b in boxes for b in kept)
     for a, b in itertools.combinations(kept, 2):
         if a.class_id == b.class_id:
-            assert iou(a, b) <= 0.4
+            assert iou(a, b) <= NMS_IOU
 
 
 # -- metrics -----------------------------------------------------------------
@@ -171,11 +170,11 @@ def test_metrics_class_must_match():
     assert m.true_positives == 0
 
 
-def _optimal_assignment_tp(preds, truth, thr=0.5):
+def _optimal_assignment_tp(preds, truth):
     """Exhaustive maximum bipartite matching on the eligibility graph."""
     eligible = [[t for t in range(len(truth))
                  if truth[t].class_id == preds[p].class_id
-                 and iou(preds[p], truth[t]) >= thr]
+                 and iou(preds[p], truth[t]) >= MATCH_IOU]
                 for p in range(len(preds))]
 
     best = 0
@@ -241,7 +240,7 @@ def _reference_iou(a, b):
     return inter / union
 
 
-def _reference_decode_boxes(out, obj_threshold=0.5):
+def _reference_decode_boxes(out):
     """The per-cell loop with scalar sigmoids that the array decode replaced."""
     boxes = []
     for arr in out.scales:
@@ -250,7 +249,7 @@ def _reference_decode_boxes(out, obj_threshold=0.5):
         for r in range(g):
             for c in range(g):
                 score = float(obj[r, c])
-                if score < obj_threshold:
+                if score < OBJ_THRESHOLD:
                     continue
                 cell = arr[r, c]
                 prior = logit(SIZE_PRIOR)
@@ -286,9 +285,9 @@ def _detection_tensors(draw):
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
-@given(out=_detection_tensors(), threshold=st.sampled_from([0.0, 0.3, 0.5, 0.6667, 1.0]))
-def test_array_decode_equals_per_cell_loop(out, threshold):
-    assert decode_boxes(out, threshold) == _reference_decode_boxes(out, threshold)
+@given(out=_detection_tensors())
+def test_array_decode_equals_per_cell_loop(out):
+    assert decode_boxes(out) == _reference_decode_boxes(out)
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)

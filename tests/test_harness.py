@@ -203,11 +203,11 @@ def test_record_for_the_wrong_frame_raises(monkeypatch):
 def test_record_head_inputs_are_extracted_once_and_read_only():
     script = fixed_cam_default(duration=12)
     cfg = ModelConfig(input_hw=script.size)
-    student = StudentModel.pretrained(cfg, seed=harness.MODEL_SEED)
+    student = StudentModel.pretrained(cfg)
     stream = SceneStream(script)
-    frame = stream.frame_at(0)
-    rec = FrameRecord(index=0, frame=frame,
-                      oracle_out=OracleModel(cfg).forward(frame, stream.truth_at(0)),
+    frame, truth = stream.frame_at(0), tuple(stream.truth_at(0))
+    rec = FrameRecord(index=0, frame=frame, truth=truth,
+                      oracle_out=OracleModel(cfg).forward(frame, truth),
                       candidates=(), gt_boxes=(), student=student)
     bases, ada_x = rec.head_inputs
     assert rec.head_inputs is rec.head_inputs

@@ -20,12 +20,12 @@ SMALL = ModelConfig(input_hw=32)
 
 @pytest.fixture(scope="module")
 def student():
-    return StudentModel.pretrained(seed=7)
+    return StudentModel.pretrained(ModelConfig())
 
 
 @pytest.fixture(scope="module")
 def oracle():
-    return OracleModel(seed=7)
+    return OracleModel(ModelConfig())
 
 
 def _frame(cfg=None, seed=1):
@@ -140,13 +140,13 @@ def test_output_carries_version(student):
 
 def test_oracle_empty_scene_decodes_empty(oracle):
     out = oracle.forward(_frame(seed=8), [])
-    assert decode_boxes(out, 0.5) == []
+    assert decode_boxes(out) == []
 
 
 def test_oracle_single_box_closure(oracle):
     f = _frame(seed=9)
     truth = [Box(0.5, 0.5, 0.2, 0.2, 1)]
-    boxes = nms(decode_boxes(oracle.forward(f, truth), 0.5), 0.45)
+    boxes = nms(decode_boxes(oracle.forward(f, truth)))
     assert len(boxes) == 1
     m = compute_metrics(boxes, truth)
     assert m.true_positives == 1
@@ -245,8 +245,8 @@ def test_adapt_rejects_overflowing_target(student):
 
 
 def test_gradients_match_finite_differences():
-    oracle = OracleModel(SMALL, seed=3)
-    model = StudentModel.seeded(SMALL, seed=3)
+    oracle = OracleModel(SMALL)
+    model = StudentModel.seeded(SMALL)
     rng = np.random.Generator(np.random.PCG64(5))
     frame = Tensor(rng.uniform(0, 1, (32, 32, 3)).astype(np.float32))
     target = oracle.forward(frame, [Box(0.4, 0.5, 0.3, 0.3, 1)])
@@ -333,8 +333,8 @@ def test_distillation_beats_never_adapted():
     # stationary scene: a handful of adaptations must beat the base student,
     # scored against the oracle's decoded output as ground truth
     cfg = ModelConfig()
-    oracle = OracleModel(cfg, seed=7)
-    base = StudentModel.pretrained(cfg, seed=7)
+    oracle = OracleModel(cfg)
+    base = StudentModel.pretrained(cfg)
     frame = None
     from edgekt.scenegen import SceneStream, fixed_cam_default
     stream = SceneStream(fixed_cam_default())
@@ -349,8 +349,8 @@ def test_distillation_beats_never_adapted():
         tp = fp = fn = 0
         for i in range(5, 50, 5):
             f = stream.frame_at(i)
-            gt = nms(decode_boxes(oracle.forward(f, stream.truth_at(i)), 0.5), 0.45)
-            dets = nms(decode_boxes(model.forward(f), 0.5), 0.45)
+            gt = nms(decode_boxes(oracle.forward(f, stream.truth_at(i))))
+            dets = nms(decode_boxes(model.forward(f)))
             m = compute_metrics(dets, gt)
             tp += m.true_positives; fp += m.false_positives; fn += m.false_negatives
         from edgekt.detection import MetricsReport

@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgekt import harness, models
-from edgekt.harness import OP_SECONDS, emit_report, run_named_scenario, run_scenario
+from edgekt.harness import (OP_SECONDS, emit_report, run_named_scenario, run_scenario,
+                            scenario_config)
 from edgekt.models import (ADAPT_STEPS, DecoderWeights, ModelConfig, OracleModel, Precision,
-                           StudentModel, adapt_decoder, swap_decoder)
+                           StudentModel, adapt_decoder, distill_loss, swap_decoder)
 from edgekt.netproto import (Ack, AckStatus, ChannelConfig, FrameUpload, LognormalJitter,
                              WeightUpdate, decode_message, encode_message, lan_config,
                              zero_cost_config)
@@ -27,11 +29,27 @@ def short_script():
 @pytest.fixture(scope="module")
 def edge_setup():
     cfg = ModelConfig()
-    oracle = OracleModel(cfg, seed=7)
-    student = StudentModel.pretrained(cfg, seed=7)
+    oracle = OracleModel(cfg)
+    student = StudentModel.pretrained(cfg)
     stream = SceneStream(fixed_cam_default(duration=40))
-    edge = EdgeNode(oracle, student, stream.truth_at)
+    edge = EdgeNode(oracle, student)
     return edge, student, stream
+
+
+def _record(oracle, student, stream, i):
+    """Frame ``i``'s record as ``run_scenario`` builds it (the decoded boxes
+    left out: the edge does not read them)."""
+    frame, truth = stream.frame_at(i), tuple(stream.truth_at(i))
+    return harness.FrameRecord(index=i, frame=frame, truth=truth,
+                               oracle_out=oracle.forward(frame, truth),
+                               candidates=(), gt_boxes=(), student=student)
+
+
+def _serve(edge, student, stream, i, precision=Precision.FULL):
+    """The edge's reply to an upload of frame ``i``, decoded."""
+    record = _record(edge.oracle, student, stream, i)
+    return decode_message(edge.serve(encode_message(
+        FrameUpload(i, record.frame, precision)), record))
 
 
 # -- config ----------------------------------------------------------------------
@@ -43,9 +61,12 @@ def test_network_mode_requires_channel():
 
 @pytest.mark.parametrize("build, field", [
     (lambda: ScenarioConfig(seed=-1), "seed"),
+    (lambda: ScenarioConfig(seed=0.5), "seed must be an integer"),
+    (lambda: scenario_config("nt-lan", seed=0.5), "seed must be an integer"),
     (lambda: ChannelConfig(1e6, base_latency_s=float("nan")), "base_latency_s"),
     (lambda: ChannelConfig(1e6, base_latency_s=float("inf")), "base_latency_s"),
     (lambda: ChannelConfig(1e6, seed=-1), "channel seed"),
+    (lambda: ChannelConfig(1e6, seed=0.5), "channel seed must be an integer"),
     (lambda: LognormalJitter(median_s=-0.005, sigma_log=0.5), "median_s"),
     (lambda: LognormalJitter(median_s=0.0, sigma_log=0.5), "median_s"),
     (lambda: LognormalJitter(median_s=float("inf"), sigma_log=0.5), "median_s"),
@@ -55,7 +76,8 @@ def test_network_mode_requires_channel():
     (lambda: ChannelConfig(1e6, base_latency_s=1e308), "base_latency_s"),
     (lambda: LognormalJitter(median_s=1e308, sigma_log=50.0), "median_s"),
     (lambda: LognormalJitter(median_s=0.005, sigma_log=1e308), "sigma_log"),
-], ids=["seed_-1", "latency_nan", "latency_inf", "channel_seed_-1", "median_negative",
+], ids=["seed_-1", "seed_0.5", "named_seed_0.5", "latency_nan", "latency_inf",
+        "channel_seed_-1", "channel_seed_0.5", "median_negative",
         "median_0", "median_inf", "sigma_log_nan", "sigma_log_negative",
         "bandwidth_5e-324", "latency_1e308", "median_1e308", "sigma_log_1e308"])
 def test_config_values_that_cannot_run_are_rejected_at_construction(build, field):
@@ -78,7 +100,7 @@ _bandwidths = _field([1.0, 1e308, math.inf], st.floats(1.0, 1e9),
 _latencies = _field([0.0, 86_400.0], st.floats(0.0, 86_400.0), [-1.0, 86_400.5, 1e308] + _NAN_INF)
 _medians = _field([5e-324, 86_400.0], st.floats(1e-6, 86_400.0), [0.0, -1.0, 1e308] + _NAN_INF)
 _sigmas = _field([0.0, 10.0], st.floats(0.0, 10.0), [-1.0, 10.5, 1e308] + _NAN_INF)
-_seeds = _field([0, 2**64 - 1, 2**128], st.integers(0, 1000), [-1, -2**63])
+_seeds = _field([0, 2**64 - 1, 2**128], st.integers(0, 1000), [-1, -2**63, 0.5, 1.0, math.nan])
 _TINY = SceneScript(duration_frames=4, size=32, objects=(
     ObjectSpec(0, 0.3, 0.3, {"kind": "linear", "x": 0.4, "y": 0.5, "vx": 0.05, "vy": 0.0}),))
 
@@ -93,6 +115,8 @@ _TINY = SceneScript(duration_frames=4, size=32, objects=(
          channel=(1.0, 86_400.0, (86_400.0, 10.0), 2**128))  # the slowest channel accepted
 @example(mode=Mode.NETWORK, precision=Precision.FULL, kfs=True, seed=0,
          channel=(math.inf, 0.0, None, 0))  # zero_cost_config
+@example(mode=Mode.NETWORK, precision=Precision.FULL, kfs=False, seed=0,
+         channel=(1e6, 0.0, None, 0.5))  # used to fail in SimulatedChannel's set-up
 def test_generated_configs_are_refused_or_run(mode, precision, kfs, seed, channel):
     # a config either fails where it is built or runs to a strict-JSON report
     bandwidth, latency, jitter, channel_seed = channel
@@ -102,7 +126,7 @@ def test_generated_configs_are_refused_or_run(mode, precision, kfs, seed, channe
         config = ScenarioConfig(mode, channel, precision, kfs, seed)
     except ValueError:  # ConfigError is one
         return
-    report = json.loads(emit_report(run_scenario([config], _TINY)[0]))
+    report = json.loads(emit_report(run_scenario([config], _TINY, ["generated"])[0]))
     assert report["frame_count"] == 4
 
 
@@ -117,8 +141,7 @@ def test_mode_accepts_strings():
 
 def test_edge_serve_returns_weight_update(edge_setup):
     edge, student, stream = edge_setup
-    frame = stream.frame_at(0)
-    reply = decode_message(edge.serve(encode_message(FrameUpload(0, frame))))
+    reply = _serve(edge, student, stream, 0)
     assert isinstance(reply, WeightUpdate)
     assert reply.frame_id == 0
     assert reply.weights.version == student.version + 1
@@ -128,11 +151,10 @@ def test_edge_serve_returns_weight_update(edge_setup):
 
 
 def test_edge_serve_fifo_versions(edge_setup):
-    edge, _, stream = edge_setup
+    edge, student, stream = edge_setup
     versions = []
     for i in (1, 2):
-        reply = decode_message(edge.serve(encode_message(
-            FrameUpload(i, stream.frame_at(i)))))
+        reply = _serve(edge, student, stream, i)
         assert reply.frame_id == i
         versions.append(reply.weights.version)
     assert versions == sorted(versions)
@@ -141,40 +163,47 @@ def test_edge_serve_fifo_versions(edge_setup):
 
 
 def test_edge_serve_malformed_returns_error_ack(edge_setup):
-    edge, _, _ = edge_setup
-    reply = decode_message(edge.serve(b"garbage-bytes"))
+    edge, student, stream = edge_setup
+    reply = decode_message(edge.serve(b"garbage-bytes", _record(edge.oracle, student, stream, 0)))
     assert isinstance(reply, Ack)
     assert reply.status == AckStatus.ERROR
 
 
 def test_edge_serve_wrong_message_type(edge_setup):
-    edge, _, _ = edge_setup
-    reply = decode_message(edge.serve(encode_message(Ack(5, AckStatus.OK))))
+    edge, student, stream = edge_setup
+    reply = decode_message(edge.serve(encode_message(Ack(5, AckStatus.OK)),
+                                      _record(edge.oracle, student, stream, 5)))
     assert isinstance(reply, Ack)
     assert reply.status == AckStatus.ERROR
 
 
-_SHORT_STREAM = SceneStream(fixed_cam_default(duration=12))
+@pytest.fixture(scope="module")
+def record3(edge_setup):
+    edge, student, stream = edge_setup
+    return _record(edge.oracle, student, stream, 3)
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
-@given(frame_id=st.one_of(st.integers(0, 11), st.integers(0, 2**64 - 1)),
+@given(frame_id=st.one_of(st.just(3), st.integers(0, 11), st.integers(0, 2**64 - 1)),
        shape=st.one_of(st.just((64, 64, 3)),
                        st.lists(st.integers(0, 5), min_size=1, max_size=4).map(tuple)),
        precision=st.sampled_from(Precision))
-@example(frame_id=10**6, shape=(64, 64, 3), precision=Precision.FULL)
+@example(frame_id=3, shape=(64, 64, 3), precision=Precision.FULL)
 @example(frame_id=2**64 - 1, shape=(64, 64, 3), precision=Precision.HALF)
-def test_edge_serve_answers_every_upload(edge_setup, frame_id, shape, precision):
-    # an id outside the 12-frame stream has no truth, and gets an error Ack
+def test_edge_serve_answers_every_upload(edge_setup, record3, frame_id, shape, precision):
+    # only an upload of the record's frame id and frame shape is trained on
     edge, student, _ = edge_setup
-    edge = EdgeNode(edge.oracle, student, _SHORT_STREAM.truth_at)
+    edge = EdgeNode(edge.oracle, student)
     frame = Tensor(np.random.Generator(np.random.PCG64(frame_id % 1000))
                    .uniform(0, 1, shape).astype(np.float32))
-    reply = decode_message(edge.serve(encode_message(FrameUpload(frame_id, frame, precision))))
+    reply = decode_message(edge.serve(encode_message(FrameUpload(frame_id, frame, precision)),
+                                      record3))
     assert isinstance(reply, (WeightUpdate, Ack))
     assert reply.frame_id == frame_id
-    if frame_id >= 12 or shape != (64, 64, 3):
+    if frame_id != 3 or shape != (64, 64, 3):
         assert reply == Ack(frame_id, AckStatus.ERROR)
+    else:
+        assert isinstance(reply, WeightUpdate)
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
@@ -182,36 +211,44 @@ def test_edge_serve_answers_every_upload(edge_setup, frame_id, shape, precision)
     st.binary(max_size=80),
     st.builds(lambda mtype, body: struct.pack("<4sBI", b"EKTP", mtype, len(body)) + body,
               st.integers(0, 4), st.binary(max_size=80))))
-def test_edge_serve_answers_any_bytes(edge_setup, data):
+def test_edge_serve_answers_any_bytes(edge_setup, record3, data):
     edge, student, _ = edge_setup
-    edge = EdgeNode(edge.oracle, student, _SHORT_STREAM.truth_at)
-    assert isinstance(decode_message(edge.serve(data)), (WeightUpdate, Ack))
+    edge = EdgeNode(edge.oracle, student)
+    assert isinstance(decode_message(edge.serve(data, record3)), (WeightUpdate, Ack))
+
+
+@pytest.mark.parametrize("frame_of", [6, 7])
+def test_edge_serve_refuses_an_upload_of_another_frame(edge_setup, frame_of):
+    # an upload named frame 7 (its own bytes, or frame 6's) is not the record's
+    edge, student, stream = edge_setup
+    edge = EdgeNode(edge.oracle, student)
+    record = _record(edge.oracle, student, stream, 6)
+    data = encode_message(FrameUpload(7, stream.frame_at(frame_of)))
+    assert decode_message(edge.serve(data, record)) == Ack(7, AckStatus.ERROR)
+    assert edge.clone is student
 
 
 def test_edge_reply_beyond_half_range_is_error_ack(edge_setup):
     edge, student, stream = edge_setup
     huge = DecoderWeights(version=student.version + 1, blocks=tuple(
         Tensor(np.full(b.shape, 1e5, np.float32)) for b in student.adaptive_blocks))
-    edge = EdgeNode(edge.oracle, swap_decoder(student, huge), stream.truth_at)
-    frame = stream.frame_at(3)
-    half = decode_message(edge.serve(encode_message(
-        FrameUpload(3, frame, Precision.HALF))))
+    edge = EdgeNode(edge.oracle, swap_decoder(student, huge))
+    half = _serve(edge, student, stream, 3, Precision.HALF)
     assert half == Ack(3, AckStatus.ERROR)
     assert edge.clone.version == huge.version  # a failed reply leaves the clone as it was
-    full = decode_message(edge.serve(encode_message(FrameUpload(3, frame))))
+    full = _serve(edge, student, stream, 3)
     assert isinstance(full, WeightUpdate)
     assert full.weights.version == huge.version + 1
 
 
 def test_edge_half_precision_trains_on_rounded_frame():
     cfg = ModelConfig()
-    oracle = OracleModel(cfg, seed=7)
-    student = StudentModel.pretrained(cfg, seed=7)
+    oracle = OracleModel(cfg)
+    student = StudentModel.pretrained(cfg)
     stream = SceneStream(fixed_cam_default(duration=40))
-    edge = EdgeNode(oracle, student, stream.truth_at)
+    edge = EdgeNode(oracle, student)
     frame = stream.frame_at(3)
-    upload = FrameUpload(3, frame, Precision.HALF)
-    reply = decode_message(edge.serve(encode_message(upload)))
+    reply = _serve(edge, student, stream, 3, Precision.HALF)
 
     rounded = f16_decode(f16_encode(frame), frame.shape)
     expected = adapt_decoder(student, student.head_inputs(rounded),
@@ -234,11 +271,13 @@ def _counted(monkeypatch, owner, name):
 
 
 def test_edge_serve_extracts_features_once(edge_setup, monkeypatch):
-    edge, _, stream = edge_setup
-    edge = EdgeNode(edge.oracle, edge.clone, stream.truth_at)
+    # a rounded frame is not the record's, so its features are extracted here
+    edge, student, stream = edge_setup
+    edge = EdgeNode(edge.oracle, edge.clone)
+    record = _record(edge.oracle, student, stream, 4)
     features = _counted(monkeypatch, StudentModel, "features")
     reply = decode_message(edge.serve(encode_message(
-        FrameUpload(4, stream.frame_at(4)))))
+        FrameUpload(4, record.frame, Precision.HALF)), record))
     assert isinstance(reply, WeightUpdate)
     assert len(features) == 1
 
@@ -246,7 +285,7 @@ def test_edge_serve_extracts_features_once(edge_setup, monkeypatch):
 def test_lt_run_extracts_features_once_per_frame(monkeypatch):
     script = fixed_cam_default(duration=12)
     features = _counted(monkeypatch, StudentModel, "features")
-    StudentModel.pretrained(ModelConfig(input_hw=script.size), seed=harness.MODEL_SEED)
+    StudentModel.pretrained(ModelConfig(input_hw=script.size))
     pretraining = len(features)
     features.clear()
     report = run_named_scenario("lt", script, kfs=False)
@@ -259,7 +298,7 @@ def test_network_run_extracts_and_scores_each_frame_once(monkeypatch):
     script = fixed_cam_default(duration=12)
     features = _counted(monkeypatch, StudentModel, "features")
     oracle = _counted(monkeypatch, OracleModel, "forward")
-    StudentModel.pretrained(ModelConfig(input_hw=script.size), seed=harness.MODEL_SEED)
+    StudentModel.pretrained(ModelConfig(input_hw=script.size))
     pretraining = (len(features), len(oracle))
     features.clear()
     oracle.clear()
@@ -273,29 +312,32 @@ def test_network_run_extracts_and_scores_each_frame_once(monkeypatch):
 @pytest.mark.parametrize("precision", list(Precision))
 def test_edge_serve_with_record_returns_the_same_bytes(edge_setup, precision, monkeypatch):
     edge, student, stream = edge_setup
-    frame = stream.frame_at(6)
-    record = harness.FrameRecord(index=6, frame=frame,
-                                 oracle_out=edge.oracle.forward(frame, stream.truth_at(6)),
-                                 candidates=(), gt_boxes=(), student=student)
+    clone = edge.clone
+    record = _record(edge.oracle, student, stream, 6)
     record.head_inputs  # extracted when the user node served the frame
-    data = encode_message(FrameUpload(6, frame, precision))
-    expected = EdgeNode(edge.oracle, edge.clone, stream.truth_at).serve(data)
+    # the reply computed directly from the frame the edge receives
+    frame = record.frame
+    if precision is Precision.HALF:
+        frame = f16_decode(f16_encode(frame), frame.shape)
+    oracle_out = edge.oracle.forward(frame, stream.truth_at(6))
+    inputs = clone.head_inputs(frame)
+    weights = adapt_decoder(clone, inputs, oracle_out)
+    expected = encode_message(WeightUpdate(
+        6, replace(weights, precision=precision),
+        distill_loss(clone.outputs(inputs), oracle_out)))
     features = _counted(monkeypatch, StudentModel, "features")
     oracle = _counted(monkeypatch, OracleModel, "forward")
-    assert EdgeNode(edge.oracle, edge.clone, stream.truth_at).serve(data, record) == expected
+    data = encode_message(FrameUpload(6, record.frame, precision))
+    assert EdgeNode(edge.oracle, clone).serve(data, record) == expected
     # a full-precision upload is the record's frame; a rounded one is not
     reused = precision is Precision.FULL
     assert (len(features), len(oracle)) == ((0, 0) if reused else (1, 1))
-    # the record is only taken for its own frame id
-    other = encode_message(FrameUpload(7, stream.frame_at(7), precision))
-    assert (EdgeNode(edge.oracle, edge.clone, stream.truth_at).serve(other, record)
-            == EdgeNode(edge.oracle, edge.clone, stream.truth_at).serve(other))
 
 
 @pytest.mark.parametrize("steps", [1, 7, None])
 def test_edge_adaptation_runs_one_adam_update_per_step(edge_setup, monkeypatch, steps):
-    edge, _, stream = edge_setup
-    edge = EdgeNode(edge.oracle, edge.clone, stream.truth_at)
+    edge, student, stream = edge_setup
+    edge = EdgeNode(edge.oracle, edge.clone)
     if steps is None:
         steps = ADAPT_STEPS  # the edge's own policy
     else:
@@ -303,8 +345,7 @@ def test_edge_adaptation_runs_one_adam_update_per_step(edge_setup, monkeypatch, 
         monkeypatch.setattr(models, "ADAPT_STEPS", steps)
     adam = _counted(monkeypatch, models, "adam_step")
     gradients = _counted(monkeypatch, models, "distill_gradients")
-    reply = decode_message(edge.serve(encode_message(
-        FrameUpload(5, stream.frame_at(5)))))
+    reply = _serve(edge, student, stream, 5)
     assert isinstance(reply, WeightUpdate)
     assert len(adam) == steps
     assert len(gradients) == steps
@@ -356,8 +397,8 @@ def test_local_job_ledger_arithmetic(short_script):
     n_jobs = len(report.swap_log)
     assert n_jobs > 0
     cfg = ModelConfig(input_hw=short_script.size)
-    student = StudentModel.pretrained(cfg, seed=7)
-    oracle = OracleModel(cfg, seed=7)
+    student = StudentModel.pretrained(cfg)
+    oracle = OracleModel(cfg)
     oracle_s = oracle.mac_count() * OP_SECONDS
     train_s = student.adaptation_mac_count() * OP_SECONDS
     assert report.energy_by_activity["OracleLocal"]["seconds"] == pytest.approx(n_jobs * oracle_s)
@@ -374,8 +415,8 @@ def test_nt_round_trip_faster_than_lt_job(short_script):
     assert nt.mean_training_s < lt.mean_training_s
     # LAN has no jitter: the round trip equals uplink + edge compute + downlink
     cfg = ModelConfig(input_hw=short_script.size)
-    student = StudentModel.pretrained(cfg, seed=7)
-    oracle = OracleModel(cfg, seed=7)
+    student = StudentModel.pretrained(cfg)
+    oracle = OracleModel(cfg)
     edge_s = ((oracle.mac_count() + student.adaptation_mac_count()) * OP_SECONDS
               / harness.EDGE_SPEED)
     assert nt.mean_training_s > edge_s  # plus both transmission legs
@@ -385,7 +426,7 @@ def test_zero_cost_channel_matches_local_training(short_script, monkeypatch):
     monkeypatch.setattr(harness, "EDGE_SPEED", 1.0)  # the edge trains as fast as the user
     lt, nt = run_scenario([ScenarioConfig(mode=Mode.LOCAL, seed=1),
                            ScenarioConfig(mode=Mode.NETWORK, channel=zero_cost_config(1),
-                                          seed=1)], short_script)
+                                          seed=1)], short_script, ["lt", "nt"])
     assert lt.key_frame_indices == nt.key_frame_indices
     assert [e["checksum"] for e in lt.swap_log] == [e["checksum"] for e in nt.swap_log]
 
