@@ -7,8 +7,8 @@ while an energy ledger tracks the cost.
 """
 
 from .detection import Box, MetricsReport, compute_metrics, decode_boxes, iou, nms
-from .harness import (EnergyLedger, RunReport, compare, emit_report, parse_report,
-                      run_named_scenario, run_scenario, scenario_config)
+from .harness import (EnergyLedger, RunReport, compare, emit_report, run_named_scenario,
+                      run_scenario, scenario_config)
 from .models import (DecoderWeights, DetectionTensorSet, ModelConfig, OracleModel,
                      Precision, StudentModel, adapt_decoder, distill_loss, swap_decoder)
 from .netproto import (Ack, ChannelConfig, FrameUpload, ProtocolError, SimulatedChannel,
@@ -16,7 +16,7 @@ from .netproto import (Ack, ChannelConfig, FrameUpload, ProtocolError, Simulated
                        wifi_config, zero_cost_config)
 from .runtime import EdgeNode, Mode, ScenarioConfig
 from .scenegen import (FrameEvent, SceneScript, SceneStream, fixed_cam_default,
-                       moving_cam_default, write_ppm)
+                       moving_cam_default)
 from .selector import KalmanState, KeyFrameSelector, kalman_update, scene_change_statistic
 from .tensor import AdamState, Tensor, adam_step, f16_decode, f16_encode, l2_sq_distance
 

@@ -121,10 +121,6 @@ class RunReport:
     energy_by_activity: dict
     swap_log: list[dict]
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunReport":
-        return cls(**{**d, "aggregate": MetricsReport(**d["aggregate"])})
-
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True, allow_nan=False)
 
@@ -150,10 +146,6 @@ def emit_report(report: RunReport, fmt: str = "json", path: str | None = None) -
         with open(path, "w", encoding="utf-8") as f:
             f.write(text)
     return text
-
-
-def parse_report(text: str) -> RunReport:
-    return RunReport.from_dict(json.loads(text))
 
 
 # ---------------------------------------------------------------------------
@@ -283,17 +275,16 @@ def _scenario(config: ScenarioConfig, script: SceneScript, name: str, student: S
         else:
             new_student = swap_decoder(student, weights)
             if new_student is student:
-                # stale version: drop and re-sync the clone next round trip
-                # (a local job's weights are always one version newer)
-                logger.warning("stale weight update v%d for frame %d dropped",
-                               weights.version, job.frame_id)
-                if edge is not None:
-                    edge.sync_clone(student)
-            else:
-                student = new_student
-                pending_swap_s += len(encode_weights(weights)) * SWAP_SECONDS_PER_BYTE
-                swap_log.append({"frame_id": job.frame_id, "version": student.version,
-                                 "checksum": student.adaptive_checksum()})
+                # a local job's weights are the serving version plus one, and
+                # so are the edge's: its clone is the serving student at each
+                # dispatch, since every reply is swapped in before the next
+                raise RuntimeError(f"stale weight update v{weights.version} for frame "
+                                   f"{job.frame_id}: the serving student is "
+                                   f"v{student.version}")
+            student = new_student
+            pending_swap_s += len(encode_weights(weights)) * SWAP_SECONDS_PER_BYTE
+            swap_log.append({"frame_id": job.frame_id, "version": student.version,
+                             "checksum": student.adaptive_checksum()})
             training_times.append(job.done_at - job.dispatched_at)
             logger.debug("job for frame %d done after %r s", job.frame_id,
                          training_times[-1])
@@ -521,7 +512,7 @@ def resolve_stream(spec: str) -> SceneScript:
         return PRESETS[spec]()
     try:
         return SceneScript.load(spec)
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing file, a directory, no permission
         raise ConfigError(f"stream {spec!r} is neither a preset nor a readable file") from exc
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:  # json.JSONDecodeError included
         raise ConfigError(f"invalid scene script {spec!r}: {exc}") from exc

@@ -387,21 +387,18 @@ def prepare_distill(model: StudentModel,
 
 
 def distill_gradients(prepared: DistillInputs, blocks: Sequence[np.ndarray],
-                      out: Sequence[np.ndarray] | None = None) -> list[np.ndarray]:
+                      out: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Analytic gradients of the distillation loss with respect to every
     adaptive block, at the given blocks: ``(W, b)`` per scale, in the dtype
     ``prepared`` was built with.
 
     Per scale the residual is ``2.0 * (base + x @ w + b - target)``, built in
     place in that float order, and the gradients are ``x.T @ resid`` and
-    ``resid.sum(axis=0)``. With ``out``, arrays shaped and typed like the
-    gradients, they are written there and returned; without it they are
-    freshly allocated. The products use ``np.dot``, which makes the
-    same BLAS call as ``@`` on these 2-D operands at less per-call cost.
+    ``resid.sum(axis=0)``. They are written into ``out``, arrays shaped and
+    typed like the gradients, and returned. The products use ``np.dot``,
+    which makes the same BLAS call as ``@`` on these 2-D operands at less
+    per-call cost.
     """
-    grads: list[np.ndarray] = []
-    if out is None:
-        out = [None] * len(blocks)
     for base, x, xt, target, w, b, gw, gb in zip(*prepared, blocks[0::2], blocks[1::2],
                                                  out[0::2], out[1::2]):
         r = np.dot(x, w)
@@ -409,9 +406,9 @@ def distill_gradients(prepared: DistillInputs, blocks: Sequence[np.ndarray],
         r += b
         r -= target
         r *= 2.0
-        grads.append(np.dot(xt, r, out=gw))
-        grads.append(r.sum(axis=0, out=gb))
-    return grads
+        np.dot(xt, r, out=gw)
+        r.sum(axis=0, out=gb)
+    return list(out)
 
 
 def adapt_decoder(model: StudentModel,

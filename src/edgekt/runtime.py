@@ -88,9 +88,9 @@ class TrainJob:
 
 class EdgeNode:
     """Edge device: oracle plus its clone of the student, the model it last
-    adapted or was synced to. A ``StudentModel`` never changes after
-    construction, so the clone is the user-end student itself until the
-    edge's first adaptation replaces it.
+    adapted. A ``StudentModel`` never changes after construction, so the
+    clone is the user-end student itself until the edge's first adaptation
+    replaces it.
 
     Serves FrameUpload messages by retraining the clone against the oracle
     output for the uploaded frame (one ``adapt_decoder`` call, the one
@@ -104,10 +104,6 @@ class EdgeNode:
     def __init__(self, oracle: OracleModel, clone: StudentModel):
         self.oracle = oracle
         self.clone = clone
-
-    def sync_clone(self, student: StudentModel) -> None:
-        """Re-align the clone with the user-end model (stale-swap recovery)."""
-        self.clone = student
 
     def serve(self, data: bytes, record: FrameRecord) -> bytes:
         """Handle one request for the frame of ``record``; returns the

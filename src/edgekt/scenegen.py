@@ -16,7 +16,7 @@ import math
 import os
 import signal
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from typing import Iterator
 
 import numpy as np
@@ -100,25 +100,21 @@ class SceneScript:
     def from_dict(cls, d: dict) -> "SceneScript":
         """The script ``to_dict`` wrote, values unconverted. ``duration_frames``
         is required; any other omitted key keeps the field's default."""
-        d = _json_object(d, "a scene script", _SCRIPT_KEYS)
+        d = _json_object(d, "scene script", _SCRIPT_KEYS, ("duration_frames",))
         cam = _json_object(d.pop("camera", {}), "camera", _CAMERA_KEYS)
         d.update((f"camera_{key}", value) for key, value in cam.items())
         d["objects"] = _objects(d.get("objects", []), "objects")
-        shifts = _json_objects(d.get("shifts", []), "shifts", _SHIFT_KEYS)
-        for s in shifts:
+        shifts = _json_objects(d.get("shifts", []), "shifts", _SHIFT_KEYS, _SHIFT_REQUIRED)
+        for i, s in enumerate(shifts):
             if s.get("objects") is not None:
-                s["objects"] = _objects(s["objects"], "shift objects")
+                s["objects"] = _objects(s["objects"], f"shifts[{i}].objects")
         d["shifts"] = tuple(Shift(**s) for s in shifts)
-        return cls(duration_frames=d.pop("duration_frames"), **d)
+        return cls(**d)
 
     @classmethod
     def load(cls, path: str) -> "SceneScript":
         with open(path, "r", encoding="utf-8") as f:
             return cls.from_dict(json.load(f))
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_dict(), f, indent=2, sort_keys=True)
 
 
 # the keys of each JSON object: field names, with the camera fields nested as
@@ -127,6 +123,10 @@ _CAMERA_KEYS = ("amplitude_px", "period_frames")
 _OBJECT_KEYS, _SHIFT_KEYS, _SCRIPT_KEYS = (
     {f.name for f in fields(cls)} for cls in (ObjectSpec, Shift, SceneScript))
 _SCRIPT_KEYS = _SCRIPT_KEYS - {f"camera_{key}" for key in _CAMERA_KEYS} | {"camera"}
+# the keys an object or a shift must hold: the fields without a default
+_OBJECT_REQUIRED, _SHIFT_REQUIRED = (
+    [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
+    for cls in (ObjectSpec, Shift))
 
 
 def _json_fields(pairs: list[tuple]) -> dict:
@@ -135,24 +135,30 @@ def _json_fields(pairs: list[tuple]) -> dict:
             for key, value in pairs if value is not None}
 
 
-def _json_object(value, what: str, keys) -> dict:
-    """A copy of ``value``, which must be a JSON object with keys in ``keys``."""
+def _json_object(value, what: str, keys, required=()) -> dict:
+    """A copy of ``value``, which must be a JSON object with keys in ``keys``,
+    among them every key in ``required``."""
     if not isinstance(value, dict):
         raise ValueError(f"{what} must be a JSON object, not {type(value).__name__}")
     for key in value:
         if key not in keys:
             raise ValueError(f"unknown key {key!r} in {what}")
+    for key in required:
+        if key not in value:
+            raise ValueError(f"{what} key {key!r} is missing")
     return dict(value)
 
 
-def _json_objects(value, what: str, keys) -> list[dict]:
+def _json_objects(value, what: str, keys, required) -> list[dict]:
+    """Each entry of the JSON list ``value``, named ``what[i]``."""
     if not isinstance(value, (list, tuple)):
         raise ValueError(f"{what} must be a list, not {type(value).__name__}")
-    return [_json_object(v, f"each entry of {what}", keys) for v in value]
+    return [_json_object(v, f"{what}[{i}]", keys, required) for i, v in enumerate(value)]
 
 
 def _objects(value, what: str) -> tuple[ObjectSpec, ...]:
-    return tuple(ObjectSpec(**o) for o in _json_objects(value, what, _OBJECT_KEYS))
+    return tuple(ObjectSpec(**o)
+                 for o in _json_objects(value, what, _OBJECT_KEYS, _OBJECT_REQUIRED))
 
 
 # a scalar field's annotation -> the Python types of the JSON values it takes
@@ -246,7 +252,8 @@ def validate_script(script: SceneScript) -> None:
         kind = traj.get("kind", "static")
         if kind not in TRAJECTORY_KINDS:
             raise ValueError(f"unknown trajectory kind {kind!r}")
-        _json_object(traj, f"{kind} trajectory", {"kind", *TRAJECTORIES[kind]})
+        _json_object(traj, f"{kind} trajectory", {"kind", *TRAJECTORIES[kind]},
+                     [key for key, default in TRAJECTORIES[kind].items() if default is None])
         v = {key: traj.get(key, default) for key, default in TRAJECTORIES[kind].items()}
         for key, value in v.items():
             if isinstance(value, bool) or not (isinstance(value, (int, float)) and _finite(value)):
@@ -465,9 +472,6 @@ class SceneStream:
     def __init__(self, script: SceneScript):
         self.script = script
 
-    def __len__(self) -> int:
-        return self.script.duration_frames
-
     def frame_at(self, frame_id: int) -> Tensor:
         return render_frame(self.script, frame_id)
 
@@ -549,15 +553,6 @@ def _read_frame(pipe: io.FileIO, shape: tuple[int, ...]) -> Tensor | None:
             return None
         got += n
     return Tensor(out)
-
-
-def write_ppm(frame: Tensor, path: str) -> None:
-    """Dump a frame as binary PPM for eyeballing."""
-    h, w, _ = frame.shape
-    data = (np.clip(frame.array, 0.0, 1.0) * 255.0).astype(np.uint8)
-    with open(path, "wb") as f:
-        f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        f.write(data.tobytes())
 
 
 # ---------------------------------------------------------------------------

@@ -158,7 +158,7 @@ def test_criterion_7_numerical_suites():
     target = oracle.forward(frame, [Box(0.4, 0.5, 0.3, 0.3, 1)])
     blocks = tuple(rng.normal(0, 0.2, b.shape) for b in model.adaptive_blocks)
     prepared = prepare_distill(model, model.head_inputs(frame), target, dtype=np.float64)
-    grads = distill_gradients(prepared, blocks)
+    grads = distill_gradients(prepared, blocks, out=[np.empty_like(b) for b in blocks])
 
     def reference_loss():
         return sum(((base + x @ w + b - target) ** 2).sum()

@@ -35,11 +35,17 @@ def test_negative_seed_exits_2(tmp_path, run_cli, command):
     assert not out.exists()
 
 
-def test_missing_stream_exits_2(tmp_path, run_cli):
-    proc = run_cli(["run", "--scenario", "shallow", "--stream", "missing.json",
+@pytest.mark.parametrize("name", ["missing.json", "a_directory"],
+                         ids=["missing_file", "directory"])
+def test_missing_stream_exits_2(tmp_path, run_cli, name):
+    (tmp_path / "a_directory").mkdir()
+    stream = str(tmp_path / name)
+    proc = run_cli(["run", "--scenario", "shallow", "--stream", stream,
                     "--out", str(tmp_path / "r.json")])
     assert proc.returncode == 2
-    assert "config error" in proc.stderr
+    assert (f"config error: stream {stream!r} is neither a preset nor a readable file"
+            in proc.stderr)
+    assert "Traceback" not in proc.stderr
 
 
 def test_stream_size_the_student_cannot_pool_exits_2(tmp_path, run_cli):
@@ -109,8 +115,11 @@ def test_class_id_beyond_the_model_classes_exits_2(tmp_path, run_cli):
     assert "config error" in proc.stderr and "class_id 5" in proc.stderr
 
 
-def _drop_x(d):
-    del d["objects"][0]["trajectory"]["x"]
+def _without(key, where=lambda d: d):
+    """An edit that deletes ``key`` from the JSON object ``where(d)``."""
+    def edit(d):
+        del where(d)[key]
+    return edit
 
 
 def _orbit_without_cx(d):
@@ -148,8 +157,16 @@ def _negative_pan(d):
 
 
 @pytest.mark.parametrize("edit, message", [
-    (_drop_x, "static trajectory key 'x'"),
-    (_orbit_without_cx, "orbit trajectory key 'cx'"),
+    (_without("x", lambda d: d["objects"][0]["trajectory"]),
+     "static trajectory key 'x' is missing"),
+    (_orbit_without_cx, "orbit trajectory key 'cx' is missing"),
+    # every other required key, named with its object
+    (_without("duration_frames"), "scene script key 'duration_frames' is missing"),
+    (_without("class_id", lambda d: d["objects"][0]), "objects[0] key 'class_id' is missing"),
+    (_without("frame_index", lambda d: d["shifts"][1]),
+     "shifts[1] key 'frame_index' is missing"),
+    (_without("w", lambda d: d["shifts"][0]["objects"][2]),
+     "shifts[0].objects[2] key 'w' is missing"),
     (lambda d: d.update(objects=5), "objects must be a list"),
     (lambda d: [d], "must be a JSON object, not list"),
     (lambda d: d.update(size=None), "NoneType"),
@@ -187,7 +204,9 @@ def _negative_pan(d):
     # a breath deeper than 1 turns the noise off on some frames
     (lambda d: d.update(noise_level=0.1, noise_breath=2.0, noise_breath_period=50.0),
      "noise_breath must be in [0, 1]"),
-], ids=["static_without_x", "orbit_without_cx", "objects_not_a_list", "top_level_list",
+], ids=["static_without_x", "orbit_without_cx", "no_duration_frames",
+        "object_without_class_id", "shift_without_frame_index", "shift_object_without_w",
+        "objects_not_a_list", "top_level_list",
         "size_null", "camera_period_0", "noise_breath_period_0", "background_7",
         "shift_background_-1", "size_string", "size_64.5", "class_id_true", "name_5",
         "misspelled_script_key", "misspelled_object_key", "misspelled_trajectory_key",

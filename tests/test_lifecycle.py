@@ -86,12 +86,13 @@ def test_edge_error_ack_is_logged_and_releases_gate(script, monkeypatch, caplog)
     _assert_job_dropped(report, caplog, failed, f"training job failed on frame {failed}")
 
 
-def test_stale_reply_is_dropped_and_clone_resynced(script, monkeypatch, caplog):
-    caplog.set_level(logging.DEBUG, logger="edgekt.harness")
-    serve, sync_clone = EdgeNode.serve, EdgeNode.sync_clone
-    calls = Counter()
+def test_stale_reply_raises(script, monkeypatch):
+    # one job is in flight and every reply is swapped in before the next
+    # dispatch, so the edge's clone is the serving student at each dispatch:
+    # a reply that is not newer than it is a program fault
+    serve, calls = EdgeNode.serve, Counter()
 
-    def stale_second_reply(self, data, record=None):
+    def stale_second_reply(self, data, record):
         calls["serve"] += 1
         reply = serve(self, data, record)
         if calls["serve"] != 2:
@@ -101,23 +102,11 @@ def test_stale_reply_is_dropped_and_clone_resynced(script, monkeypatch, caplog):
         return encode_message(dataclasses.replace(
             m, weights=dataclasses.replace(m.weights, version=1)))
 
-    def counted_sync_clone(self, student):
-        calls["sync_clone"] += 1
-        sync_clone(self, student)
-
     monkeypatch.setattr(EdgeNode, "serve", stale_second_reply)
-    monkeypatch.setattr(EdgeNode, "sync_clone", counted_sync_clone)
-    report = run_named_scenario("nt-lan", script, seed=0)
-    stale = report.key_frame_indices[1]
-    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
-    assert f"stale weight update v1 for frame {stale} dropped" in warnings
-    assert calls["sync_clone"] == 1
-    assert stale not in [e["frame_id"] for e in report.swap_log]
-    later = [k for k in report.key_frame_indices if k > stale]
-    assert later and later[0] in [e["frame_id"] for e in report.swap_log]
-    # the re-synced clone answers the next job with the next version
-    versions = [e["version"] for e in report.swap_log]
-    assert versions == list(range(2, 2 + len(versions)))
+    with pytest.raises(RuntimeError, match=r"^stale weight update v1 for frame \d+: "
+                                           r"the serving student is v2$"):
+        run_named_scenario("nt-lan", script, seed=0)
+    assert calls["serve"] == 2
 
 
 def test_network_job_encodes_three_and_decodes_two_messages(monkeypatch):

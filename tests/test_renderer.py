@@ -71,7 +71,7 @@ def test_events_equal_in_process_rendering(monkeypatch, renderer_pids, script):
             assert ev.frame_id == i
             assert ev.frame.tobytes() == render_frame(script, i).tobytes()
             assert ev.truth == stream.truth_at(i)
-    assert i == len(stream) - 1
+    assert i == stream.script.duration_frames - 1
     assert rendered_here == []  # every frame came from the renderer
     assert len(renderer_pids) == 1
     _assert_reaped(renderer_pids[0])

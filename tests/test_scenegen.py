@@ -11,7 +11,7 @@ from edgekt.models import ModelConfig, OracleModel
 from edgekt.scenegen import (_CLASS_COLORS, REGIMES, TRAJECTORY_KINDS, ObjectSpec,
                              SceneScript, SceneStream, Shift, _background_pixels,
                              fixed_cam_default, moving_cam_default, pretrain_script,
-                             render_frame, truth_boxes, write_ppm)
+                             render_frame, truth_boxes)
 from edgekt.selector import scene_change_statistic
 
 
@@ -28,7 +28,7 @@ def _static_script(**overrides):
 def test_empty_object_list_has_empty_truth():
     script = _static_script(objects=())
     stream = SceneStream(script)
-    assert all(stream.truth_at(i) == [] for i in range(len(stream)))
+    assert all(stream.truth_at(i) == [] for i in range(stream.script.duration_frames))
 
 
 def test_static_scene_frames_identical():
@@ -143,7 +143,8 @@ def test_oracle_closure_on_presets():
         cfg = ModelConfig(input_hw=script.size)
         oracle = OracleModel(cfg)
         stream = SceneStream(script)
-        for i in range(0, len(stream), max(1, len(stream) // 24)):
+        n = stream.script.duration_frames
+        for i in range(0, n, max(1, n // 24)):
             frame, truth = stream.frame_at(i), stream.truth_at(i)
             decoded = nms(decode_boxes(oracle.forward(frame, truth)))
             assert len(decoded) == len(truth)
@@ -161,7 +162,7 @@ def test_arrival_times_follow_fps():
 def test_script_json_round_trip(tmp_path):
     script = fixed_cam_default()
     path = tmp_path / "scene.json"
-    script.save(str(path))
+    path.write_text(json.dumps(script.to_dict()))
     loaded = SceneScript.load(str(path))
     assert loaded == script
     # document-style schema keys stay stable
@@ -173,7 +174,7 @@ def test_script_from_dict_omitted_keys_take_dataclass_defaults():
     script = SceneScript.from_dict({"duration_frames": 5})
     assert script == SceneScript(duration_frames=5)
     assert render_frame(script, 2) == render_frame(SceneScript(duration_frames=5), 2)
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="^scene script key 'duration_frames' is missing$"):
         SceneScript.from_dict({"size": 64})
 
 
@@ -189,15 +190,6 @@ def test_render_functions_pure():
     script = _static_script(noise_level=0.03)
     assert render_frame(script, 7) == render_frame(script, 7)
     assert truth_boxes(script, 7) == truth_boxes(script, 7)
-
-
-def test_ppm_dump(tmp_path):
-    frame = render_frame(_static_script(), 0)
-    path = tmp_path / "frame.ppm"
-    write_ppm(frame, str(path))
-    data = path.read_bytes()
-    assert data.startswith(b"P6\n64 64\n255\n")
-    assert len(data) == len(b"P6\n64 64\n255\n") + 64 * 64 * 3
 
 
 _unit = st.floats(0.0, 1.0)
