@@ -15,8 +15,7 @@ from .netproto import (Ack, ChannelConfig, FrameUpload, ProtocolError, Simulated
                        WeightUpdate, decode_message, encode_message, lan_config,
                        wifi_config, zero_cost_config)
 from .runtime import EdgeNode, Mode, ScenarioConfig
-from .scenegen import (FrameEvent, SceneScript, SceneStream, fixed_cam_default,
-                       moving_cam_default)
+from .scenegen import SceneScript, SceneStream, fixed_cam_default, moving_cam_default
 from .selector import KalmanState, KeyFrameSelector, kalman_update, scene_change_statistic
 from .tensor import AdamState, Tensor, adam_step, f16_decode, f16_encode, l2_sq_distance
 

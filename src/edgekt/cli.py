@@ -8,6 +8,7 @@ import os
 import sys
 
 from .harness import SCENARIO_NAMES, compare, emit_report, resolve_stream, run_named_scenario
+from .runtime import ConfigError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -35,6 +36,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_writable(path: str) -> None:
+    """Refuse an output path that cannot be opened for writing; an existing
+    file keeps its bytes, and a file the check creates is removed again."""
+    existed = os.path.lexists(path)
+    try:
+        open(path, "a", encoding="utf-8").close()
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path!r}: {exc.strerror}") from exc
+    if not existed:
+        os.remove(path)
+
+
 def main(argv: list[str] | None = None) -> int:
     # getLevelName maps a level name to its int and anything else to a str,
     # so only real level names are accepted; every other value means WARNING.
@@ -43,6 +56,8 @@ def main(argv: list[str] | None = None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     args = _build_parser().parse_args(argv)
     try:
+        for path in filter(None, (args.out, getattr(args, "trace_csv", None))):
+            _check_writable(path)  # before any frame is rendered
         if args.command == "run":
             script = resolve_stream(args.stream)
             report = run_named_scenario(args.scenario, script, seed=args.seed,

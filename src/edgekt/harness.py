@@ -27,8 +27,7 @@ import json
 import logging
 from collections.abc import Generator, Sequence
 from contextlib import closing
-from dataclasses import asdict, dataclass, field
-from functools import cached_property
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -121,15 +120,12 @@ class RunReport:
     energy_by_activity: dict
     swap_log: list[dict]
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True, allow_nan=False)
-
 
 def emit_report(report: RunReport, fmt: str = "json", path: str | None = None) -> str:
     """Serialize a report; ``json`` is the full report with stable key order,
     ``csv`` is the per-frame trace (one row per frame plus a header)."""
     if fmt == "json":
-        text = report.to_json() + "\n"
+        text = json.dumps(asdict(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
     elif fmt == "csv":
         lines = ["frame,f1,inference_s,candidates,weight_version,key_frame"]
         keys = set(report.key_frame_indices)
@@ -159,7 +155,7 @@ class FrameRecord:
     All of it is pure in the frame: the oracle's noise is keyed by the frame
     bytes and ``models.MODEL_SEED``, and the head inputs read only the frozen
     extractor and the frozen general decoder, which every ``swap_decoder``
-    result shares with ``student``.
+    result shares with the pretrained student.
     """
 
     index: int
@@ -168,18 +164,9 @@ class FrameRecord:
     oracle_out: DetectionTensorSet
     candidates: tuple[Box, ...]  # the oracle output's decoded boxes, before NMS
     gt_boxes: tuple[Box, ...]  # their NMS survivors, the metric ground truth
-    student: StudentModel = field(repr=False)  # the pretrained student
-
-    @cached_property
-    def head_inputs(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """The student's head inputs, the general head's output and the
-        whitened adaptive inputs, computed on first access, so a run whose
-        scenarios all serve the oracle computes none. Every scenario and the
-        edge share them, so the arrays are read-only."""
-        inputs = self.student.head_inputs(self.frame)
-        for a in (*inputs[0], *inputs[1]):
-            a.flags.writeable = False
-        return inputs
+    # the pretrained student's read-only head_inputs(frame); None when no
+    # scenario of the run serves the student
+    head_inputs: tuple[list[np.ndarray], list[np.ndarray]] | None
 
 
 def _scenario(config: ScenarioConfig, script: SceneScript, name: str, student: StudentModel,
@@ -310,10 +297,12 @@ def _scenario(config: ScenarioConfig, script: SceneScript, name: str, student: S
         if config.mode is Mode.DEEP_ONLY:
             serve_out = rec.oracle_out
             candidates, detections = rec.candidates, rec.gt_boxes  # decoded by the record
+            serve_version = 0  # the oracle never changes
             infer_s = oracle_s
             infer_activity = "OracleLocal"
         else:
             serve_out = student.outputs(rec.head_inputs)
+            serve_version = student.version
             candidates = decode_boxes(serve_out)
             detections = nms(candidates)
             infer_s = student_macs * OP_SECONDS
@@ -335,7 +324,7 @@ def _scenario(config: ScenarioConfig, script: SceneScript, name: str, student: S
         f1_trace.append(m.f1)
         inference_trace.append(infer_s)
         candidate_trace.append(len(candidates))
-        version_trace.append(serve_out.version)
+        version_trace.append(serve_version)
 
         done = start + decode_s + infer_s + nms_s
         prev_done = done
@@ -411,12 +400,12 @@ def run_scenario(configs: Sequence[ScenarioConfig], script: SceneScript,
     report per config, in order, named by ``names``.
 
     The student is pretrained once, and each frame is rendered (ahead, by
-    the stream's renderer process), oracle-scored and decoded once into a
-    ``FrameRecord`` that goes to every scenario's process in config order;
-    a scenario's report does not depend on the others. Ground truth for the metrics is the oracle's decoded
-    output for every frame (the deep model plays ground truth); the scene
-    generator's truth only feeds the oracle encoder. Deterministic given the
-    config seeds.
+    the stream's renderer process), oracle-scored, decoded and, if some
+    scenario serves the student, fed to its frozen half once, into a
+    ``FrameRecord`` that every scenario's process reads in config order; a
+    scenario's report does not depend on the others. The metric ground truth
+    is the oracle's decoded output (the deep model plays ground truth); the
+    scene truth only feeds the oracle encoder. Deterministic given the seeds.
     """
     try:
         model_cfg = ModelConfig(input_hw=script.size)
@@ -430,6 +419,7 @@ def run_scenario(configs: Sequence[ScenarioConfig], script: SceneScript,
     student = StudentModel.pretrained(model_cfg)
     oracle = OracleModel(model_cfg)
     stream = SceneStream(script)
+    serves_student = any(config.mode is not Mode.DEEP_ONLY for config in configs)
     procs = []
     for config, name in zip(configs, names, strict=True):
         logger.info("running scenario %s", name)
@@ -437,15 +427,16 @@ def run_scenario(configs: Sequence[ScenarioConfig], script: SceneScript,
         next(procs[-1])  # run the set-up up to the first frame
     reports = []
     with closing(stream.events()) as events:  # an exception reaps the renderer too
-        for ev in events:
+        for i, (frame, truth) in enumerate(events):
             # evaluation oracle run; never charged (the deep model's decoded
             # output is the metric ground truth)
-            truth = tuple(ev.truth)
-            oracle_out = oracle.forward(ev.frame, truth)
+            truth = tuple(truth)
+            oracle_out = oracle.forward(frame, truth)
             candidates = tuple(decode_boxes(oracle_out))
-            rec = FrameRecord(index=ev.frame_id, frame=ev.frame, truth=truth,
-                              oracle_out=oracle_out, candidates=candidates,
-                              gt_boxes=tuple(nms(candidates)), student=student)
+            rec = FrameRecord(index=i, frame=frame, truth=truth, oracle_out=oracle_out,
+                              candidates=candidates, gt_boxes=tuple(nms(candidates)),
+                              head_inputs=student.head_inputs(frame) if serves_student
+                              else None)
             for proc in procs:
                 try:
                     proc.send(rec)

@@ -80,13 +80,12 @@ class ModelConfig:
 
 @dataclass(frozen=True, eq=False)
 class DetectionTensorSet:
-    """The three per-scale outputs, read-only float32 GxGxC arrays, and the
-    producer version. Not ``Tensor``s: they are computed from values checked
-    finite where those entered the run. Construction checks each scale's
-    dtype and shape and marks it read-only."""
+    """The three per-scale outputs, read-only float32 GxGxC arrays. Not
+    ``Tensor``s: they are computed from values checked finite where those
+    entered the run. Construction checks each scale's dtype and shape and
+    marks it read-only."""
 
     scales: tuple[np.ndarray, np.ndarray, np.ndarray]
-    version: int = 0
 
     def __post_init__(self):
         if len(self.scales) != 3:
@@ -199,9 +198,9 @@ class StudentModel:
         per_scale_a: list[list[np.ndarray]] = [[] for _ in GRIDS]
         per_scale_y: list[list[np.ndarray]] = [[] for _ in GRIDS]
         with closing(SceneStream(pretrain_script(size=config.input_hw)).events()) as events:
-            for ev in events:
-                phis, raw = model._pooled(ev.frame)
-                targets = teacher.forward(ev.frame, ev.truth).scales
+            for frame, truth in events:
+                phis, raw = model._pooled(frame)
+                targets = teacher.forward(frame, truth).scales
                 for i in range(3):
                     per_scale_x[i].append(phis[i])
                     per_scale_a[i].append(raw[i])
@@ -268,11 +267,14 @@ class StudentModel:
     def head_inputs(self, frame: Tensor) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Per scale, ``(bases, ada_x)`` of the frozen half: the general
         head's float32 output ``phi @ wg + bg`` as (G*G, C), and the adaptive
-        head inputs whitened with statistics frozen at pretraining."""
+        head inputs whitened with statistics frozen at pretraining. Serving
+        and training share them, so the arrays are read-only."""
         phis, raw = self._pooled(frame)
         ex = self._extractor
         bases = [phi @ wg.array + bg.array for phi, (wg, bg) in zip(phis, self._general)]
         ada_x = [(x - ex[f"mu{i}"].array) @ ex[f"white{i}"].array for i, x in enumerate(raw)]
+        for a in (*bases, *ada_x):
+            a.flags.writeable = False
         return bases, ada_x
 
     def forward(self, frame: Tensor) -> DetectionTensorSet:
@@ -286,7 +288,7 @@ class StudentModel:
         for g, base, x, w, b in zip(GRIDS, *inputs, ada[0::2], ada[1::2]):
             out = base + x @ w.array + b.array
             scales.append(out.reshape(g, g, CHANNELS))
-        return DetectionTensorSet(scales=tuple(scales), version=self.version)
+        return DetectionTensorSet(scales=tuple(scales))
 
     # -- bookkeeping ---------------------------------------------------------
 

@@ -109,13 +109,13 @@ class EdgeNode:
         """Handle one request for the frame of ``record``; returns the
         encoded response message.
 
-        ``record`` is made with this node's oracle and a student whose frozen
-        extractor the clone shares. Only an upload of ``record.index`` is
-        served. An upload of the record's exact frame bytes (any
-        full-precision upload of it) takes the record's oracle output and
-        head inputs, which are what this request would compute: the oracle's
-        noise is keyed by the frame bytes. A rounded half-precision frame is
-        scored afresh against ``record.truth``.
+        ``record`` is made with this node's oracle and holds the read-only
+        head inputs of a student whose frozen half the clone shares. Only an
+        upload of ``record.index`` is served. An upload of the record's exact
+        frame bytes (any full-precision upload of it) takes the record's
+        oracle output and head inputs, which are what this request would
+        compute: the oracle's noise is keyed by the frame bytes. A rounded
+        half-precision frame is scored afresh against ``record.truth``.
         """
         try:
             m = decode_message(data)

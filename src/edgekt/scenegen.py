@@ -273,17 +273,6 @@ def validate_script(script: SceneScript) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Frame events
-
-
-@dataclass(frozen=True)
-class FrameEvent:
-    frame_id: int
-    frame: Tensor
-    truth: list[Box]
-
-
-# ---------------------------------------------------------------------------
 # Geometry
 
 
@@ -478,10 +467,10 @@ class SceneStream:
     def truth_at(self, frame_id: int) -> list[Box]:
         return truth_boxes(self.script, frame_id)
 
-    def events(self) -> Iterator[FrameEvent]:
-        """Every frame's event in order, rendered ahead by a forked renderer
-        process where ``os.fork`` exists, so rendering runs on another core
-        while the consumer works on the frame before.
+    def events(self) -> Iterator[tuple[Tensor, list[Box]]]:
+        """Every frame's ``(frame, truth)`` pair in order, rendered ahead by
+        a forked renderer process where ``os.fork`` exists, so rendering runs
+        on another core while the consumer works on the frame before.
 
         The renderer writes each ``frame_at(i)``'s float32 bytes to a pipe,
         and the truth is computed here. If the pipe ends early (the renderer
@@ -499,7 +488,7 @@ class SceneStream:
                 frame = None if pipe is None else _read_frame(pipe, shape)
                 if frame is None:
                     frame = self.frame_at(i)
-                yield FrameEvent(frame_id=i, frame=frame, truth=self.truth_at(i))
+                yield frame, self.truth_at(i)
         finally:
             if pipe is not None:
                 pipe.close()

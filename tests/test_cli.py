@@ -48,6 +48,35 @@ def test_missing_stream_exits_2(tmp_path, run_cli, name):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("args, bad, reason", [
+    (["run", "--scenario", "shallow", "--out", "{d}/missing/r.json"], "{d}/missing/r.json",
+     "No such file or directory"),
+    (["run", "--scenario", "shallow", "--out", "{d}/r.json", "--trace-csv", "{d}"], "{d}",
+     "Is a directory"),
+    (["compare", "--out", "{d}"], "{d}", "Is a directory"),
+], ids=["run_out_missing_dir", "run_trace_csv_directory", "compare_out_directory"])
+def test_unwritable_output_exits_2(tmp_path, run_cli, args, bad, reason):
+    proc = run_cli([a.format(d=tmp_path) for a in args])
+    assert proc.returncode == 2, proc.stderr
+    assert (f"config error: cannot write output {bad.format(d=tmp_path)!r}: {reason}"
+            in proc.stderr)
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "r.json").exists()  # the checked --out is not left behind
+
+
+def test_output_check_keeps_existing_files_and_renders_nothing(tmp_path, monkeypatch):
+    from edgekt import cli
+    from edgekt.scenegen import SceneStream
+    opened = []
+    monkeypatch.setattr(SceneStream, "events", lambda self: opened.append(self) or iter(()))
+    out = tmp_path / "r.json"
+    out.write_text("kept")
+    assert cli.main(["run", "--scenario", "shallow", "--out", str(out),
+                     "--trace-csv", str(tmp_path)]) == 2
+    assert out.read_text() == "kept"
+    assert opened == []
+
+
 def test_stream_size_the_student_cannot_pool_exits_2(tmp_path, run_cli):
     # 48 is a valid scene size (a multiple of 4), but the student's 8x8
     # output grid needs a multiple of 32

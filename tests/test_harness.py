@@ -6,10 +6,9 @@ import json
 import pytest
 
 from edgekt import harness
-from edgekt.harness import (ACTIVITIES, POWER_W, SCENARIO_NAMES, EnergyLedger,
-                            FrameRecord, compare, emit_report, resolve_stream,
-                            run_named_scenario, scenario_config)
-from edgekt.models import ModelConfig, OracleModel, StudentModel
+from edgekt.harness import (ACTIVITIES, POWER_W, SCENARIO_NAMES, EnergyLedger, compare,
+                            emit_report, resolve_stream, run_named_scenario, scenario_config)
+from edgekt.models import StudentModel
 from edgekt.runtime import ConfigError
 from edgekt.scenegen import PRESETS, SceneStream, fixed_cam_default, pretrain_script
 
@@ -163,7 +162,8 @@ def test_compare_equals_separate_runs(preset):
     script = PRESETS[preset](duration=80)
     reports = compare(script, seed=0)
     for name in SCENARIO_NAMES:
-        assert reports[name].to_json() == run_named_scenario(name, script, seed=0).to_json()
+        assert (emit_report(reports[name], "json")
+                == emit_report(run_named_scenario(name, script, seed=0), "json"))
 
 
 def _counted(monkeypatch, owner, name, log):
@@ -200,20 +200,30 @@ def test_record_for_the_wrong_frame_raises(monkeypatch):
         run_named_scenario("shallow", fixed_cam_default(duration=6))
 
 
-def test_record_head_inputs_are_extracted_once_and_read_only():
+@pytest.mark.parametrize("run, calls", [
+    (lambda script: compare(script, seed=0), 12),
+    (lambda script: run_named_scenario("deep", script), 0),
+], ids=["compare", "deep"])
+def test_head_inputs_once_per_frame_only_when_the_student_serves(monkeypatch, run, calls):
     script = fixed_cam_default(duration=12)
-    cfg = ModelConfig(input_hw=script.size)
-    student = StudentModel.pretrained(cfg)
-    stream = SceneStream(script)
-    frame, truth = stream.frame_at(0), tuple(stream.truth_at(0))
-    rec = FrameRecord(index=0, frame=frame, truth=truth,
-                      oracle_out=OracleModel(cfg).forward(frame, truth),
-                      candidates=(), gt_boxes=(), student=student)
-    bases, ada_x = rec.head_inputs
-    assert rec.head_inputs is rec.head_inputs
-    for a in (*bases, *ada_x):
-        with pytest.raises(ValueError):
-            a[0, 0] = 0.0
+    head_inputs, record = StudentModel.head_inputs, harness.FrameRecord
+    extracted, records = [], []
+    monkeypatch.setattr(StudentModel, "head_inputs",
+                        lambda self, frame: extracted.append(frame) or head_inputs(self, frame))
+    monkeypatch.setattr(harness, "FrameRecord",
+                        lambda **fields: records.append(record(**fields)) or records[-1])
+    run(script)
+    assert len(extracted) == calls
+    assert [rec.index for rec in records] == list(range(12))
+    for rec in records:
+        arrays = [rec.frame.array, *rec.oracle_out.scales]
+        if calls:
+            arrays += [*rec.head_inputs[0], *rec.head_inputs[1]]
+        else:
+            assert rec.head_inputs is None
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a.flat[0] = 0.0
 
 
 def test_f1_ordering_on_moving_camera_stream():

@@ -67,10 +67,9 @@ def test_events_equal_in_process_rendering(monkeypatch, renderer_pids, script):
     monkeypatch.setattr(SceneStream, "frame_at",
                         lambda self, i: rendered_here.append(i) or frame_at(self, i))
     with closing(stream.events()) as events:
-        for i, ev in enumerate(events):
-            assert ev.frame_id == i
-            assert ev.frame.tobytes() == render_frame(script, i).tobytes()
-            assert ev.truth == stream.truth_at(i)
+        for i, (frame, truth) in enumerate(events):
+            assert frame.tobytes() == render_frame(script, i).tobytes()
+            assert truth == stream.truth_at(i)
     assert i == stream.script.duration_frames - 1
     assert rendered_here == []  # every frame came from the renderer
     assert len(renderer_pids) == 1
@@ -127,5 +126,5 @@ def test_events_render_in_process_without_a_fork(monkeypatch, fork):
             raise BlockingIOError("no process to spare")
         monkeypatch.setattr(os, "fork", failing)
     stream = SceneStream(fixed_cam_default(duration=12))
-    frames = [ev.frame.tobytes() for ev in stream.events()]
+    frames = [frame.tobytes() for frame, _ in stream.events()]
     assert frames == [stream.frame_at(i).tobytes() for i in range(12)]

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgekt import cli
-from edgekt.harness import (POWER_W, SCENARIO_NAMES, run_named_scenario,
+from edgekt.harness import (POWER_W, SCENARIO_NAMES, emit_report, run_named_scenario,
                             run_scenario, scenario_config)
 from edgekt.scenegen import REGIMES, TRAJECTORY_KINDS, ObjectSpec, SceneScript, Shift
 
@@ -97,8 +97,8 @@ def test_lockstep_reports_equal_separate_runs(kfs, script, seed):
     # a scenario's report does not depend on the scenarios run beside it
     configs = [scenario_config(name, seed=seed, kfs=kfs) for name in SCENARIO_NAMES]
     lockstep = run_scenario(configs, script, SCENARIO_NAMES)
-    assert [r.to_json() for r in lockstep] == [
-        run_named_scenario(name, script, seed=seed, kfs=kfs).to_json()
+    assert [emit_report(r, "json") for r in lockstep] == [
+        emit_report(run_named_scenario(name, script, seed=seed, kfs=kfs), "json")
         for name in SCENARIO_NAMES]
 
 

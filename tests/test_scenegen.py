@@ -41,7 +41,8 @@ def test_static_scene_frames_identical():
 def test_generation_deterministic():
     a = list(SceneStream(_static_script(noise_level=0.02)).events())
     b = list(SceneStream(_static_script(noise_level=0.02)).events())
-    assert all(x.frame == y.frame and x.truth == y.truth for x, y in zip(a, b))
+    assert len(a) == len(b) == 40
+    assert all(fa == fb and ta == tb for (fa, ta), (fb, tb) in zip(a, b))
 
 
 def test_linear_trajectory_constant_velocity():
@@ -155,8 +156,10 @@ def test_oracle_closure_on_presets():
 
 
 def test_arrival_times_follow_fps():
-    events = list(SceneStream(_static_script(duration_frames=5, fps=4.0)).events())
-    assert [e.frame_id for e in events] == [0, 1, 2, 3, 4]
+    stream = SceneStream(_static_script(duration_frames=5, fps=4.0))
+    events = list(enumerate(stream.events()))
+    assert [i for i, _ in events] == [0, 1, 2, 3, 4]
+    assert all(frame == stream.frame_at(i) for i, (frame, _) in events)
 
 
 def test_script_json_round_trip(tmp_path):
