@@ -33,11 +33,11 @@ import numpy as np
 
 from .detection import Box, MetricsReport, compute_metrics, decode_boxes, nms
 from .models import (ADAPT_LR, ADAPT_STEPS, CHANNELS, CLASSES, GRIDS, DetectionTensorSet,
-                     ModelConfig, OracleModel, StudentModel, adapt_decoder, distill_loss,
-                     swap_decoder)
+                     ModelConfig, OracleModel, Precision, StudentModel, adapt_decoder,
+                     distill_loss, swap_decoder)
 from .netproto import (FrameUpload, SimulatedChannel, WeightUpdate, decode_message,
                        encode_weights, lan_config, wifi_config)
-from .runtime import ConfigError, EdgeNode, Mode, ScenarioConfig, TrainJob, check_seed
+from .runtime import ConfigError, EdgeNode, Mode, ScenarioConfig, TrainJob
 from .scenegen import PRESETS, SceneScript, SceneStream
 from .selector import KeyFrameSelector
 from .tensor import Tensor
@@ -178,15 +178,16 @@ def _scenario(config: ScenarioConfig, script: SceneScript, name: str, student: S
     time, after a frame arriving just then. Everything the scenario changes
     (serving student, selector, ledger, channels, edge node) is its own.
     """
+    # the run seed s seeds every random stream: the selector's is 31 s + 1,
+    # and channel direction d (0 up, 1 down) draws its jitter from
+    # (31 s + 2) * 2 + d
     selector = KeyFrameSelector(seed=config.seed * 31 + 1)
     ledger = EnergyLedger()
 
-    up = down = None
-    edge = None
-    if config.channel is not None:
-        up = SimulatedChannel(config.channel, direction=0)
-        down = SimulatedChannel(config.channel, direction=1)
+    up = down = edge = None
     if config.mode is Mode.NETWORK:
+        up, down = (SimulatedChannel(config.channel, (config.seed * 31 + 2) * 2 + d)
+                    for d in (0, 1))
         edge = EdgeNode(oracle, student)
 
     period = 1.0 / script.fps
@@ -448,28 +449,24 @@ def run_scenario(configs: Sequence[ScenarioConfig], script: SceneScript,
 # ---------------------------------------------------------------------------
 # Named scenarios and the comparison table
 
-SCENARIO_NAMES = ("shallow", "deep", "lt", "nt-lan", "nt-wifi")
+# each named scenario's mode and channel
+SCENARIOS = {
+    "shallow": (Mode.NO_TRAINING, None),
+    "deep": (Mode.DEEP_ONLY, None),
+    "lt": (Mode.LOCAL, None),
+    "nt-lan": (Mode.NETWORK, lan_config()),
+    "nt-wifi": (Mode.NETWORK, wifi_config()),
+}
+SCENARIO_NAMES = tuple(SCENARIOS)
 
 
 def scenario_config(name: str, seed: int = 0, precision: str = "full",
                     kfs: bool = True) -> ScenarioConfig:
     """Build the config for one of the five named scenarios."""
-    if name not in SCENARIO_NAMES:
+    if name not in SCENARIOS:
         raise ConfigError(f"unknown scenario {name!r} (expected one of {SCENARIO_NAMES})")
-    check_seed(seed)  # before the channel seed derived from it
-    channel = None
-    if name == "nt-lan":
-        channel = lan_config(seed * 31 + 2)
-    elif name == "nt-wifi":
-        channel = wifi_config(seed * 31 + 2)
-    mode = {
-        "shallow": Mode.NO_TRAINING,
-        "deep": Mode.DEEP_ONLY,
-        "lt": Mode.LOCAL,
-        "nt-lan": Mode.NETWORK,
-        "nt-wifi": Mode.NETWORK,
-    }[name]
-    return ScenarioConfig(mode=mode, channel=channel, precision=precision,
+    mode, channel = SCENARIOS[name]
+    return ScenarioConfig(mode=mode, channel=channel, precision=Precision(precision),
                           kfs_enabled=kfs, seed=seed)
 
 

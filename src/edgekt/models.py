@@ -368,16 +368,15 @@ class DistillInputs(NamedTuple):
     targets: list[np.ndarray]  # oracle outputs, (G*G, C)
 
 
-def prepare_distill(model: StudentModel,
-                    inputs: tuple[list[np.ndarray], list[np.ndarray]],
+def prepare_distill(inputs: tuple[list[np.ndarray], list[np.ndarray]],
                     oracle_out: DetectionTensorSet, dtype=np.float32) -> DistillInputs:
     """Check the oracle output's shapes and cast to ``dtype`` what
     ``distill_gradients`` needs from the frame.
 
-    ``inputs`` are the frame's ``model.head_inputs``, so the general head is
-    not evaluated again: in float32 the arrays are the inputs themselves.
-    ``dtype`` may be float64 for high-precision verification of the
-    gradients, which then start from the widened float32 head outputs.
+    ``inputs`` are a student's ``head_inputs`` of the frame, so the general
+    head is not evaluated again: in float32 the arrays are the inputs
+    themselves. ``dtype`` may be float64 for high-precision verification of
+    the gradients, which then start from the widened float32 head outputs.
     """
     for g, o in zip(GRIDS, oracle_out.scales):
         if o.shape != (g, g, CHANNELS):
@@ -432,7 +431,7 @@ def adapt_decoder(model: StudentModel,
     raises ValueError in ``adam_step``, and the weights are discarded; the
     overflow itself emits no numpy warning.
     """
-    prepared = prepare_distill(model, inputs, oracle_out)
+    prepared = prepare_distill(inputs, oracle_out)
     layout, start = [], 0
     for b in model._adaptive:
         layout.append((slice(start, start + b.size), b.shape))

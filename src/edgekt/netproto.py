@@ -11,7 +11,6 @@ now + base latency + jitter draw + size_bits / bandwidth.
 from __future__ import annotations
 
 import math
-import operator
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
@@ -215,35 +214,28 @@ class ChannelConfig:
     bandwidth_bps: float
     base_latency_s: float = 0.0
     jitter: LognormalJitter | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if not self.bandwidth_bps >= 1.0:
             raise ValueError(f"bandwidth_bps must be >= 1.0 (inf allowed), got {self.bandwidth_bps!r}")
         if not 0 <= self.base_latency_s <= MAX_DELAY_S:
             raise ValueError(f"base_latency_s must be in [0, {MAX_DELAY_S}], got {self.base_latency_s!r}")
-        try:
-            operator.index(self.seed)
-        except TypeError:
-            raise ValueError(f"channel seed must be an integer, got {self.seed!r}") from None
-        if self.seed < 0:
-            raise ValueError(f"channel seed must be >= 0, got {self.seed!r}")
 
 
-def lan_config(seed: int = 0) -> ChannelConfig:
+def lan_config() -> ChannelConfig:
     """100 Mb/s wired link, 0.2 ms latency, no jitter."""
-    return ChannelConfig(bandwidth_bps=100e6, base_latency_s=0.0002, jitter=None, seed=seed)
+    return ChannelConfig(bandwidth_bps=100e6, base_latency_s=0.0002, jitter=None)
 
 
-def wifi_config(seed: int = 0) -> ChannelConfig:
+def wifi_config() -> ChannelConfig:
     """13 Mb/s wireless link with lognormal jitter (median 5 ms)."""
     return ChannelConfig(bandwidth_bps=13e6, base_latency_s=0.001,
-                         jitter=LognormalJitter(median_s=0.005, sigma_log=0.5), seed=seed)
+                         jitter=LognormalJitter(median_s=0.005, sigma_log=0.5))
 
 
-def zero_cost_config(seed: int = 0) -> ChannelConfig:
+def zero_cost_config() -> ChannelConfig:
     """Infinitely fast lossless channel (for location-independence checks)."""
-    return ChannelConfig(bandwidth_bps=math.inf, base_latency_s=0.0, jitter=None, seed=seed)
+    return ChannelConfig(bandwidth_bps=math.inf, base_latency_s=0.0, jitter=None)
 
 
 @dataclass(frozen=True)
@@ -258,11 +250,12 @@ class TransmitResult:
 
 
 class SimulatedChannel:
-    """One direction of a point-to-point link; FIFO, lossless, seeded jitter."""
+    """One direction of a point-to-point link; FIFO, lossless, jitter drawn
+    from a PCG64 stream seeded with ``seed``."""
 
-    def __init__(self, config: ChannelConfig, direction: int = 0):
+    def __init__(self, config: ChannelConfig, seed: int):
         self.config = config
-        self._rng = np.random.Generator(np.random.PCG64(config.seed * 2 + direction))
+        self._rng = np.random.Generator(np.random.PCG64(seed))
         self._last_delivery = 0.0
 
     def transmit(self, m: Message, now: float) -> TransmitResult:

@@ -51,8 +51,11 @@ def check_seed(seed: int) -> None:
         raise ConfigError(f"seed must be >= 0, got {seed!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
+    """One scenario; a channel is the network between the user end and the
+    edge, so exactly the network mode has one."""
+
     mode: Mode = Mode.NO_TRAINING
     channel: ChannelConfig | None = None
     precision: Precision = Precision.FULL
@@ -60,12 +63,15 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if isinstance(self.mode, str) and not isinstance(self.mode, Mode):
-            self.mode = Mode(self.mode)
-        if isinstance(self.precision, str) and not isinstance(self.precision, Precision):
-            self.precision = Precision(self.precision)
+        # a plain string would compare equal to its member but fail mid-run
+        if not isinstance(self.mode, Mode):
+            raise ConfigError(f"mode must be a Mode, got {self.mode!r}")
+        if not isinstance(self.precision, Precision):
+            raise ConfigError(f"precision must be a Precision, got {self.precision!r}")
         if self.mode is Mode.NETWORK and self.channel is None:
             raise ConfigError(f"mode {self.mode.value} requires a channel")
+        if self.mode is not Mode.NETWORK and self.channel is not None:
+            raise ConfigError(f"mode {self.mode.value} takes no channel")
         check_seed(self.seed)
 
     @property

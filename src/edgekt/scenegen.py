@@ -456,7 +456,7 @@ _PIPE_BYTES = 1 << 20
 
 
 class SceneStream:
-    """Random-access view over a script: frames, truth and arrival times."""
+    """Random-access view over a script: frames and their truth."""
 
     def __init__(self, script: SceneScript):
         self.script = script

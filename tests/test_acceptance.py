@@ -157,7 +157,7 @@ def test_criterion_7_numerical_suites():
     frame = Tensor(rng.uniform(0, 1, (32, 32, 3)).astype(np.float32))
     target = oracle.forward(frame, [Box(0.4, 0.5, 0.3, 0.3, 1)])
     blocks = tuple(rng.normal(0, 0.2, b.shape) for b in model.adaptive_blocks)
-    prepared = prepare_distill(model, model.head_inputs(frame), target, dtype=np.float64)
+    prepared = prepare_distill(model.head_inputs(frame), target, dtype=np.float64)
     grads = distill_gradients(prepared, blocks, out=[np.empty_like(b) for b in blocks])
 
     def reference_loss():
@@ -249,7 +249,7 @@ def test_criterion_9_location_independent_training(monkeypatch):
     script = fixed_cam_default()
     monkeypatch.setattr(harness, "EDGE_SPEED", 1.0)  # the edge trains as fast as the user
     lt, nt = run_scenario([ScenarioConfig(mode=Mode.LOCAL, seed=0),
-                           ScenarioConfig(mode=Mode.NETWORK, channel=zero_cost_config(0),
+                           ScenarioConfig(mode=Mode.NETWORK, channel=zero_cost_config(),
                                           seed=0)], script, ["lt", "nt"])
     keys_ok = lt.key_frame_indices == nt.key_frame_indices
     weights_ok = ([e["checksum"] for e in lt.swap_log]

@@ -126,7 +126,7 @@ def test_prepare_distill_takes_the_general_head_output_as_is(student, oracle):
     # are the head inputs themselves
     f = _frame(seed=6)
     inputs = student.head_inputs(f)
-    prepared = prepare_distill(student, inputs, oracle.forward(f, _truth()))
+    prepared = prepare_distill(inputs, oracle.forward(f, _truth()))
     for i in range(3):
         assert prepared.base[i] is inputs[0][i]
         assert prepared.ada_x[i] is inputs[1][i]
@@ -247,7 +247,7 @@ def test_gradients_match_finite_differences():
     frame = Tensor(rng.uniform(0, 1, (32, 32, 3)).astype(np.float32))
     target = oracle.forward(frame, [Box(0.4, 0.5, 0.3, 0.3, 1)])
     blocks = tuple(rng.normal(0, 0.2, b.shape) for b in model.adaptive_blocks)
-    prepared = prepare_distill(model, model.head_inputs(frame), target, dtype=np.float64)
+    prepared = prepare_distill(model.head_inputs(frame), target, dtype=np.float64)
     grads = distill_gradients(prepared, blocks, out=[np.empty_like(b) for b in blocks])
     h = 1e-5
     for k, b in enumerate(blocks):

@@ -230,8 +230,7 @@ def test_transmit_monotone_in_payload():
 
 
 def test_transmit_fifo_order():
-    cfg = wifi_config(seed=2)
-    ch = SimulatedChannel(cfg, 0)
+    ch = SimulatedChannel(wifi_config(), 2)
     deliveries = [ch.transmit(Ack(i, AckStatus.OK), now=0.001 * i).delivery_time
                   for i in range(50)]
     assert all(a <= b for a, b in zip(deliveries, deliveries[1:]))
@@ -239,21 +238,21 @@ def test_transmit_fifo_order():
 
 def test_transmit_deterministic_given_seed():
     def run():
-        ch = SimulatedChannel(wifi_config(seed=4), 0)
+        ch = SimulatedChannel(wifi_config(), 4)
         return [ch.transmit(Ack(i, AckStatus.OK), now=float(i)).delivery_time
                 for i in range(20)]
     assert run() == run()
 
 
 def test_wifi_jitter_positive_and_lan_jitter_absent():
-    wifi = SimulatedChannel(wifi_config(seed=6), 0)
-    base = wifi_config(seed=6)
+    wifi = SimulatedChannel(wifi_config(), 6)
+    base = wifi_config()
     m = Ack(1, AckStatus.OK)
     res = wifi.transmit(m, 0.0)
     floor = base.base_latency_s + res.serialize_s
     assert res.delivery_time > floor  # jitter draw added
 
-    lan = SimulatedChannel(lan_config(seed=6), 0)
+    lan = SimulatedChannel(lan_config(), 6)
     res2 = lan.transmit(m, 0.0)
     assert res2.delivery_time == pytest.approx(lan_config().base_latency_s + res2.serialize_s)
 
@@ -274,8 +273,8 @@ def test_channel_config_validation():
 
 def test_jitter_median_scale():
     cfg = ChannelConfig(bandwidth_bps=1e9, base_latency_s=0.0,
-                        jitter=LognormalJitter(0.005, 0.5), seed=8)
-    ch = SimulatedChannel(cfg, 0)
+                        jitter=LognormalJitter(0.005, 0.5))
+    ch = SimulatedChannel(cfg, 8)
     draws = []
     for i in range(4000):
         res = ch.transmit(Ack(i, AckStatus.OK), now=float(i))

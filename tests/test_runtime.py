@@ -60,14 +60,21 @@ def test_network_mode_requires_channel():
         ScenarioConfig(mode=Mode.NETWORK)
 
 
+@pytest.mark.parametrize("mode", [Mode.LOCAL, Mode.NO_TRAINING, Mode.DEEP_ONLY])
+def test_only_network_mode_takes_a_channel(mode):
+    # a channel on another mode would carry no byte but echo in the report
+    with pytest.raises(ConfigError, match=f"mode {mode.value} takes no channel"):
+        ScenarioConfig(mode=mode, channel=lan_config())
+
+
 @pytest.mark.parametrize("build, field", [
     (lambda: ScenarioConfig(seed=-1), "seed"),
     (lambda: ScenarioConfig(seed=0.5), "seed must be an integer"),
     (lambda: scenario_config("nt-lan", seed=0.5), "seed must be an integer"),
+    (lambda: ScenarioConfig(mode="local"), "mode must be a Mode"),
+    (lambda: ScenarioConfig(precision="half"), "precision must be a Precision"),
     (lambda: ChannelConfig(1e6, base_latency_s=float("nan")), "base_latency_s"),
     (lambda: ChannelConfig(1e6, base_latency_s=float("inf")), "base_latency_s"),
-    (lambda: ChannelConfig(1e6, seed=-1), "channel seed"),
-    (lambda: ChannelConfig(1e6, seed=0.5), "channel seed must be an integer"),
     (lambda: LognormalJitter(median_s=-0.005, sigma_log=0.5), "median_s"),
     (lambda: LognormalJitter(median_s=0.0, sigma_log=0.5), "median_s"),
     (lambda: LognormalJitter(median_s=float("inf"), sigma_log=0.5), "median_s"),
@@ -77,13 +84,13 @@ def test_network_mode_requires_channel():
     (lambda: ChannelConfig(1e6, base_latency_s=1e308), "base_latency_s"),
     (lambda: LognormalJitter(median_s=1e308, sigma_log=50.0), "median_s"),
     (lambda: LognormalJitter(median_s=0.005, sigma_log=1e308), "sigma_log"),
-], ids=["seed_-1", "seed_0.5", "named_seed_0.5", "latency_nan", "latency_inf",
-        "channel_seed_-1", "channel_seed_0.5", "median_negative",
-        "median_0", "median_inf", "sigma_log_nan", "sigma_log_negative",
+], ids=["seed_-1", "seed_0.5", "named_seed_0.5", "mode_str", "precision_str",
+        "latency_nan", "latency_inf", "median_negative", "median_0", "median_inf",
+        "sigma_log_nan", "sigma_log_negative",
         "bandwidth_5e-324", "latency_1e308", "median_1e308", "sigma_log_1e308"])
 def test_config_values_that_cannot_run_are_rejected_at_construction(build, field):
-    # each of these used to construct and then fail mid-run or in the report
-    # (the last four with an infinite transfer or job time)
+    # without its check, each of these would construct and then fail mid-run
+    # or in the report (the last four with an infinite transfer or job time)
     with pytest.raises(ValueError, match=field):
         build()
 
@@ -106,36 +113,33 @@ _TINY = SceneScript(duration_frames=4, size=32, objects=(
     ObjectSpec(0, 0.3, 0.3, {"kind": "linear", "x": 0.4, "y": 0.5, "vx": 0.05, "vy": 0.0}),))
 
 
+_channels = st.tuples(_bandwidths, _latencies, st.tuples(_medians, _sigmas) | st.none())
+# a channel is drawn only for the network mode, the one mode that takes one
+_modes_and_channels = st.sampled_from(
+    [Mode.NETWORK, Mode.NETWORK, Mode.LOCAL, Mode.NO_TRAINING, Mode.DEEP_ONLY]).flatmap(
+    lambda mode: st.tuples(st.just(mode), _channels if mode is Mode.NETWORK else st.none()))
+
+
 @settings(max_examples=22, derandomize=True, database=None, deadline=None)
-@given(mode=st.sampled_from([Mode.NETWORK, Mode.NETWORK, Mode.LOCAL, Mode.NO_TRAINING,
-                             Mode.DEEP_ONLY]),
-       precision=st.sampled_from(list(Precision)), kfs=st.booleans(), seed=_seeds,
-       channel=st.tuples(_bandwidths, _latencies, st.tuples(_medians, _sigmas) | st.none(),
-                         _seeds))
-@example(mode=Mode.NETWORK, precision=Precision.HALF, kfs=False, seed=2**128,
-         channel=(1.0, 86_400.0, (86_400.0, 10.0), 2**128))  # the slowest channel accepted
-@example(mode=Mode.NETWORK, precision=Precision.FULL, kfs=True, seed=0,
-         channel=(math.inf, 0.0, None, 0))  # zero_cost_config
-@example(mode=Mode.NETWORK, precision=Precision.FULL, kfs=False, seed=0,
-         channel=(1e6, 0.0, None, 0.5))  # used to fail in SimulatedChannel's set-up
-def test_generated_configs_are_refused_or_run(mode, precision, kfs, seed, channel):
+@given(mode_channel=_modes_and_channels, precision=st.sampled_from(list(Precision)),
+       kfs=st.booleans(), seed=_seeds)
+@example(mode_channel=(Mode.NETWORK, (1.0, 86_400.0, (86_400.0, 10.0))),
+         precision=Precision.HALF, kfs=False, seed=2**128)  # the slowest channel accepted
+@example(mode_channel=(Mode.NETWORK, (math.inf, 0.0, None)),
+         precision=Precision.FULL, kfs=True, seed=0)  # zero_cost_config
+def test_generated_configs_are_refused_or_run(mode_channel, precision, kfs, seed):
     # a config either fails where it is built or runs to a strict-JSON report
-    bandwidth, latency, jitter, channel_seed = channel
+    mode, channel = mode_channel
     try:
-        channel = ChannelConfig(bandwidth, latency,
-                                None if jitter is None else LognormalJitter(*jitter), channel_seed)
+        if channel is not None:
+            bandwidth, latency, jitter = channel
+            channel = ChannelConfig(bandwidth, latency,
+                                    None if jitter is None else LognormalJitter(*jitter))
         config = ScenarioConfig(mode, channel, precision, kfs, seed)
     except ValueError:  # ConfigError is one
         return
     report = json.loads(emit_report(run_scenario([config], _TINY, ["generated"])[0]))
     assert report["frame_count"] == 4
-
-
-def test_mode_accepts_strings():
-    cfg = ScenarioConfig(mode="local")
-    assert cfg.mode is Mode.LOCAL
-    cfg = ScenarioConfig(mode="network", channel=lan_config(0), precision="half")
-    assert cfg.precision is Precision.HALF
 
 
 # -- edge node -------------------------------------------------------------------
@@ -425,7 +429,7 @@ def test_nt_round_trip_faster_than_lt_job(short_script):
 def test_zero_cost_channel_matches_local_training(short_script, monkeypatch):
     monkeypatch.setattr(harness, "EDGE_SPEED", 1.0)  # the edge trains as fast as the user
     lt, nt = run_scenario([ScenarioConfig(mode=Mode.LOCAL, seed=1),
-                           ScenarioConfig(mode=Mode.NETWORK, channel=zero_cost_config(1),
+                           ScenarioConfig(mode=Mode.NETWORK, channel=zero_cost_config(),
                                           seed=1)], short_script, ["lt", "nt"])
     assert lt.key_frame_indices == nt.key_frame_indices
     assert [e["checksum"] for e in lt.swap_log] == [e["checksum"] for e in nt.swap_log]

@@ -1,6 +1,6 @@
 """Print the SHA-256 of every CLI output in the report matrix.
 
-The matrix has 68 files, written to a temporary directory:
+The matrix has 70 files, written to a temporary directory:
 
 - ``run`` JSON report and ``--trace-csv`` trace for both presets, all five
   scenarios and ``--precision full|half``, with ``--kfs on`` (40 files);
@@ -15,12 +15,15 @@ The matrix has 68 files, written to a temporary directory:
   moving-camera scene script of the ``large-frames`` benchmark workload at
   seed 0 (``bench/scenes.py``), which this tool writes next to the outputs
   (6 files). Its background shifts render all three background styles, and
-  its ``nt-lan`` run sends every frame it can at full precision to the edge.
+  its ``nt-lan`` run sends every frame it can at full precision to the edge;
+- the same two outputs for ``nt-wifi --precision full --kfs on`` on
+  ``fixed_cam_default`` at seed 3 (2 files), so the selector's and both
+  channel directions' seeds are derived from a non-zero run seed.
 
 After each run, the tool exits non-zero if the process has a child left:
 every run must reap the renderer process it forks.
 
-All runs use seed 0. Each output prints as one ``sha256  name`` line, so two
+Every other run uses seed 0. Each output prints as one ``sha256  name`` line, so two
 versions of the program produce byte-identical reports iff ``diff`` of their
 outputs is empty::
 
@@ -73,6 +76,9 @@ def matrix(large: str = LARGE_SCRIPT):
         yield (f"large_frames_0-{scenario}-{precision}-kfs_{kfs}",
                ["run", "--scenario", scenario, "--stream", large,
                 "--precision", precision, "--kfs", kfs, "--seed", "0"], False)
+    yield ("fixed_cam_default-nt-wifi-full-kfs_on-seed_3",
+           ["run", "--scenario", "nt-wifi", "--stream", "fixed_cam_default",
+            "--precision", "full", "--kfs", "on", "--seed", "3"], False)
 
 
 def environment() -> str:
