@@ -56,7 +56,10 @@ def main(argv: list[str] | None = None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     args = _build_parser().parse_args(argv)
     try:
-        for path in filter(None, (args.out, getattr(args, "trace_csv", None))):
+        trace_csv = getattr(args, "trace_csv", None)
+        if trace_csv and os.path.realpath(trace_csv) == os.path.realpath(args.out):
+            raise ConfigError(f"--trace-csv and --out name one file: {args.out!r}")
+        for path in filter(None, (args.out, trace_csv)):
             _check_writable(path)  # before any frame is rendered
         if args.command == "run":
             script = resolve_stream(args.stream)

@@ -1,4 +1,4 @@
-"""Grid decoding of detection tensors, NMS, IoU matching and accuracy metrics.
+"""Grid encoding and decoding of detection tensors, NMS, IoU matching and metrics.
 
 All functions here are pure and safe to call concurrently.
 """
@@ -96,6 +96,18 @@ def _iou(a: tuple, b: tuple) -> float:
 def iou(a: Box, b: Box) -> float:
     """Intersection over union of two boxes, in [0, 1]."""
     return _iou(_geometry(a), _geometry(b))
+
+
+def encode_box(box: Box, g: int) -> tuple[int, int, tuple[float, float, float, float]]:
+    """The ``(row, col)`` of the g x g grid cell holding ``box``, and the box
+    channels ``(tx, ty, tw, th)`` that ``decode_boxes`` inverts. Each fraction,
+    the centre's offset in its cell and the size, is clipped to [0.02, 0.98]."""
+    c = min(int(box.x * g), g - 1)
+    r = min(int(box.y * g), g - 1)
+    k, prior = COORD_LOGIT_SCALE, logit(SIZE_PRIOR)
+    tx, ty, tw, th = (logit(float(np.clip(p, 0.02, 0.98)))
+                      for p in (box.x * g - c, box.y * g - r, box.w, box.h))
+    return r, c, (k * tx, k * ty, k * (tw - prior), k * (th - prior))
 
 
 def decode_boxes(out: "DetectionTensorSet") -> list[Box]:

@@ -288,7 +288,6 @@ def _scenario(config: ScenarioConfig, script: SceneScript, name: str, student: S
         if in_flight is not None and in_flight.done_at < t:
             complete(in_flight)
             in_flight = None
-        wall = max(wall, t)
         frame = rec.frame
         start = max(t, prev_done)
 

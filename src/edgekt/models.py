@@ -25,8 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .detection import (BOX_CHANNELS, CH_OBJ, CH_TH, CH_TW, CH_TX, CH_TY,
-                        COORD_LOGIT_SCALE, SIZE_PRIOR, Box, logit)
+from .detection import BOX_CHANNELS, CH_OBJ, CH_TH, CH_TX, Box, encode_box
 from .tensor import AdamState, Tensor, adam_step, l2_sq_distance
 
 
@@ -76,6 +75,12 @@ class ModelConfig:
     @property
     def feature_grid(self) -> int:
         return self.input_hw // 4
+
+    def check_frame(self, frame: Tensor) -> None:
+        """Refuse a frame that is not ``input_hw`` x ``input_hw`` RGB."""
+        shape = (self.input_hw, self.input_hw, 3)
+        if frame.shape != shape:
+            raise ValueError(f"frame shape {frame.shape} != {shape}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,10 +243,7 @@ class StudentModel:
 
     def features(self, frame: Tensor) -> np.ndarray:
         """Frozen two-stage extractor: pool, mix channels, tanh, twice."""
-        cfg = self.config
-        if frame.shape != (cfg.input_hw, cfg.input_hw, 3):
-            raise ValueError(
-                f"frame shape {frame.shape} != {(cfg.input_hw, cfg.input_hw, 3)}")
+        self.config.check_frame(frame)
         ex = self._extractor
         h = _avg_pool(frame.array, 2)
         h = np.tanh(h @ ex["mix1"].array + ex["b1"].array)
@@ -479,7 +481,9 @@ class OracleModel:
     Functionally it encodes the scene truth into output tensors and adds a
     small deterministic perturbation derived from the frame content, so the
     same frame always yields the same tensors and decoding recovers the
-    truth almost exactly. Its stage plan defines its depth and compute cost.
+    truth almost exactly. Each box takes the first free cell, by
+    ``encode_box``, at the scale nearest its preferred one, or none if its
+    cell is taken at every scale. Its stage plan defines its depth and cost.
     """
 
     OBJ_ON = 2.5    # sigmoid 0.924, comfortably above the 0.5 decode threshold
@@ -515,10 +519,7 @@ class OracleModel:
         return 2
 
     def forward(self, frame: Tensor, truth: list[Box]) -> DetectionTensorSet:
-        cfg = self.config
-        if frame.shape != (cfg.input_hw, cfg.input_hw, 3):
-            raise ValueError(
-                f"frame shape {frame.shape} != {(cfg.input_hw, cfg.input_hw, 3)}")
+        self.config.check_frame(frame)
         targets = [np.zeros((g, g, CHANNELS), dtype=np.float32) for g in GRIDS]
         for t in targets:
             t[:, :, CH_OBJ] = self.OBJ_OFF
@@ -530,33 +531,16 @@ class OracleModel:
                     and 0.0 < box.w <= 1.0 and 0.0 < box.h <= 1.0):
                 raise ValueError(f"truth box out of frame bounds: {box}")
             pref = self._preferred_scale(box.w, box.h)
-            placed = False
             for s in sorted(range(3), key=lambda k: abs(k - pref)):
-                g = GRIDS[s]
-                c = min(int(box.x * g), g - 1)
-                r = min(int(box.y * g), g - 1)
+                r, c, coded = encode_box(box, GRIDS[s])
                 if (s, r, c) in occupied:
                     continue
                 occupied.add((s, r, c))
                 cell = targets[s][r, c]
-                k = COORD_LOGIT_SCALE
-                prior = logit(SIZE_PRIOR)
-                cell[CH_TX] = k * logit(float(np.clip(box.x * g - c, 0.02, 0.98)))
-                cell[CH_TY] = k * logit(float(np.clip(box.y * g - r, 0.02, 0.98)))
-                cell[CH_TW] = k * (logit(float(np.clip(box.w, 0.02, 0.98))) - prior)
-                cell[CH_TH] = k * (logit(float(np.clip(box.h, 0.02, 0.98))) - prior)
+                cell[CH_TX:CH_TH + 1] = coded
                 cell[CH_OBJ] = self.OBJ_ON
                 cell[BOX_CHANNELS + box.class_id] = self.CLS_ON
-                placed = True
                 break
-            if not placed:
-                # all three scales collide; presets avoid this, last one wins
-                g = GRIDS[pref]
-                c = min(int(box.x * g), g - 1)
-                r = min(int(box.y * g), g - 1)
-                cell = targets[pref][r, c]
-                cell[CH_OBJ] = self.OBJ_ON
-                cell[BOX_CHANNELS + box.class_id] = self.CLS_ON
 
         if self.noise_amp > 0.0:
             mix = zlib.crc32(frame.tobytes()) ^ (MODEL_SEED * 0x9E3779B1 & 0xFFFFFFFF)

@@ -184,7 +184,8 @@ def _check_json_types(spec) -> None:
 # float fields that must be finite, and whether each must be > 0 (else >= 0);
 # the two periods divide the frame index
 _FLOAT_FIELDS = (("fps", True), ("noise_level", False), ("noise_breath", False),
-                 ("noise_breath_period", True), ("camera_period_frames", True))
+                 ("noise_breath_period", True), ("camera_period_frames", True),
+                 ("camera_amplitude_px", False))
 
 
 def validate_script(script: SceneScript) -> None:
@@ -208,8 +209,6 @@ def validate_script(script: SceneScript) -> None:
     # a deeper breath makes the noise sigma negative, which turns noise off
     if script.noise_breath > 1.0:
         raise ValueError("noise_breath must be in [0, 1]")
-    if not (_finite(script.camera_amplitude_px) and script.camera_amplitude_px >= 0):
-        raise ValueError("camera_amplitude_px must be finite and >= 0")
     # a frame's arrival time and the periods' sine arguments grow with the
     # frame index, and must stay finite up to the last frame
     n = script.duration_frames
@@ -392,13 +391,14 @@ def _draw_object(img: np.ndarray, box: Box, size: int) -> None:
     y2 = min(size, y1 + h_px)
     if x2 <= x1 or y2 <= y1:
         return
-    primary, secondary = _CLASS_COLORS.get(box.class_id % 3, _CLASS_COLORS[0])
+    pattern = box.class_id % 3
+    primary, secondary = _CLASS_COLORS[pattern]
     patch = np.empty((y2 - y1, x2 - x1, 3), dtype=np.float64)
     patch[:] = primary
-    if box.class_id % 3 == 1:  # horizontal stripes, 2 px period pairs
+    if pattern == 1:  # horizontal stripes, 2 px period pairs
         rows = (np.arange(y1, y2) // 2) % 2 == 1
         patch[rows] = secondary
-    elif box.class_id % 3 == 2:  # checker, 2 px tiles
+    elif pattern == 2:  # checker, 2 px tiles
         xx, yy = np.meshgrid(np.arange(x1, x2) // 2, np.arange(y1, y2) // 2)
         patch[(xx + yy) % 2 == 1] = secondary
     img[y1:y2, x1:x2] = patch

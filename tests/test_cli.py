@@ -77,6 +77,25 @@ def test_output_check_keeps_existing_files_and_renders_nothing(tmp_path, monkeyp
     assert opened == []
 
 
+@pytest.mark.parametrize("alias", ["dot", "symlink"])
+def test_trace_csv_on_the_report_path_exits_2(tmp_path, monkeypatch, capsys, alias):
+    from edgekt import cli
+    from edgekt.scenegen import SceneStream
+    opened = []
+    monkeypatch.setattr(SceneStream, "events", lambda self: opened.append(self) or iter(()))
+    out = tmp_path / "r.json"
+    if alias == "dot":
+        trace = tmp_path / "." / "r.json"
+    else:
+        trace = tmp_path / "link.csv"
+        trace.symlink_to(out)
+    assert cli.main(["run", "--scenario", "shallow", "--out", str(out),
+                     "--trace-csv", str(trace)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: --trace-csv and --out name one file" in err
+    assert opened == [] and not out.exists()
+
+
 def test_stream_size_the_student_cannot_pool_exits_2(tmp_path, run_cli):
     # 48 is a valid scene size (a multiple of 4), but the student's 8x8
     # output grid needs a multiple of 32

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from edgekt.detection import (BOX_CHANNELS, CH_OBJ, CH_TH, CH_TW, CH_TX, CH_TY,
                               COORD_LOGIT_SCALE, MATCH_IOU, NMS_IOU, OBJ_THRESHOLD,
-                              SIZE_PRIOR, Box, compute_metrics, decode_boxes, iou, logit,
-                              nms, sigmoid)
-from edgekt.models import DetectionTensorSet
+                              SIZE_PRIOR, Box, compute_metrics, decode_boxes, encode_box,
+                              iou, logit, nms, sigmoid)
+from edgekt.models import CLASSES, GRIDS, DetectionTensorSet
 
 
 def _tensor_set(grids=(8, 4, 2), channels=8, fill=0.0):
@@ -297,3 +297,22 @@ def test_iou_keeps_the_scalar_float_order(v):
     b = Box(v[4], v[5], v[6] + 1e-3, v[7] + 1e-3, 0)
     assert iou(a, b) == _reference_iou(a, b)
     assert iou(b, a) == _reference_iou(b, a)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(x=st.floats(0.0, 1.0), y=st.floats(0.0, 1.0), w=st.floats(1e-3, 1.0),
+       h=st.floats(1e-3, 1.0), class_id=st.integers(0, CLASSES - 1),
+       scale=st.integers(0, len(GRIDS) - 1))
+def test_encode_box_round_trips_through_decode(x, y, w, h, class_id, scale):
+    g = GRIDS[scale]
+    r, c, coded = encode_box(Box(x, y, w, h, class_id), g)
+    assert (r, c) == (min(int(y * g), g - 1), min(int(x * g), g - 1))
+    scales = [np.full((n, n, BOX_CHANNELS + CLASSES), -10.0, np.float32) for n in GRIDS]
+    cell = scales[scale][r, c]
+    cell[CH_TX:CH_TH + 1] = coded
+    cell[CH_OBJ] = 10.0
+    cell[BOX_CHANNELS + class_id] = 1.0
+    [box] = decode_boxes(DetectionTensorSet(scales=tuple(scales)))
+    fx, fy, fw, fh = np.clip([x * g - c, y * g - r, w, h], 0.02, 0.98).tolist()
+    assert box[:4] == pytest.approx(((c + fx) / g, (r + fy) / g, fw, fh), abs=1e-6)
+    assert box.class_id == class_id

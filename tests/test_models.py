@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgekt import models
-from edgekt.detection import Box, compute_metrics, decode_boxes, nms
+from edgekt.detection import BOX_CHANNELS, Box, compute_metrics, decode_boxes, nms
 from edgekt.models import (DecoderWeights, DetectionTensorSet, ModelConfig, OracleModel,
                            Precision, StudentModel, adapt_decoder, distill_gradients,
                            distill_loss, prepare_distill, swap_decoder)
@@ -102,9 +103,14 @@ def test_forward_deterministic(student):
     assert all(np.array_equal(x, y) for x, y in zip(a.scales, b.scales))
 
 
-def test_forward_shape_mismatch(student):
-    with pytest.raises(ValueError):
-        student.forward(Tensor(np.zeros((32, 32, 3), np.float32)))
+def test_forward_shape_mismatch(student, oracle):
+    # student and oracle refuse a frame by one rule, with one message
+    small = Tensor(np.zeros((32, 32, 3), np.float32))
+    message = re.escape("frame shape (32, 32, 3) != (64, 64, 3)")
+    with pytest.raises(ValueError, match=message):
+        student.forward(small)
+    with pytest.raises(ValueError, match=message):
+        oracle.forward(small, [])
 
 
 def test_zero_adaptive_decoder_is_noop(student):
@@ -148,6 +154,19 @@ def test_oracle_single_box_closure(oracle):
     assert m.true_positives == 1
     from edgekt.detection import iou
     assert iou(boxes[0], truth[0]) >= 0.9
+
+
+def test_oracle_gives_each_box_one_cell_or_none(oracle):
+    # four co-located small boxes: the first three take the cell holding
+    # (0.3, 0.3) at scales 0, 1 and 2; the fourth finds no free cell
+    truth = [Box(0.3, 0.3, 0.1, 0.1, c) for c in (0, 1, 2, 1)]
+    out = oracle.forward(_frame(seed=11), truth)
+    for arr in out.scales:
+        assert ((arr[:, :, BOX_CHANNELS:] > 0.0).sum(axis=2) <= 1).all()
+    boxes = decode_boxes(out)
+    assert [b.class_id for b in boxes] == [0, 1, 2]
+    m = compute_metrics(boxes, truth[:3])
+    assert (m.true_positives, m.false_positives) == (3, 0)
 
 
 def test_oracle_deterministic(oracle):
