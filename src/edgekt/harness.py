@@ -34,7 +34,7 @@ import numpy as np
 from .detection import Box, MetricsReport, compute_metrics, decode_boxes, nms
 from .models import (ADAPT_LR, ADAPT_STEPS, CHANNELS, CLASSES, GRIDS, DetectionTensorSet,
                      ModelConfig, OracleModel, Precision, StudentModel, adapt_decoder,
-                     distill_loss, swap_decoder)
+                     swap_decoder)
 from .netproto import (FrameUpload, SimulatedChannel, WeightUpdate, decode_message,
                        encode_weights, lan_config, wifi_config)
 from .runtime import ConfigError, EdgeNode, Mode, ScenarioConfig, TrainJob
@@ -46,21 +46,20 @@ logger = logging.getLogger("edgekt.harness")
 
 SCHEMA_VERSION = 1
 
-ACTIVITIES = ("Decode", "Inference", "NMS", "TrainLocal", "OracleLocal",
-              "Transmit", "Receive", "Idle")
-
-# the user-end device's calibration constants: power draw per activity, and
-# the virtual times and contention factors below
+# the user-end device's calibration constants: power draw per activity, in
+# the report's activity order, and the virtual times and contention factors
+# below
 POWER_W = {
-    "Idle": 1.0,
     "Decode": 1.5,
     "Inference": 4.0,
     "NMS": 2.0,
-    "OracleLocal": 8.0,
     "TrainLocal": 8.0,
+    "OracleLocal": 8.0,
     "Transmit": 2.5,
     "Receive": 2.5,
+    "Idle": 1.0,
 }
+ACTIVITIES = tuple(POWER_W)
 
 OP_SECONDS = 1.8e-7  # seconds per multiply-accumulate
 EDGE_SPEED = 12.0  # edge compute speed-up over the user device
@@ -217,19 +216,17 @@ def _scenario(config: ScenarioConfig, script: SceneScript, name: str, student: S
     train_s = train_macs * OP_SECONDS
     edge_s = (oracle_macs + train_macs) * OP_SECONDS / EDGE_SPEED
 
-    def dispatch(rec: FrameRecord, serve_out, now: float) -> TrainJob:
+    def dispatch(rec: FrameRecord, now: float) -> TrainJob:
         """Run the one training job on frame ``rec`` to its outcome, which
         ``complete`` applies: nothing a frame reads changes before the job
         ends, and the edge clone and downlink serve one job at a time."""
         nonlocal local_end, radio_accum_s
         frame_id = rec.index
         if config.mode is Mode.LOCAL:
-            # serve_out is this frame's, from the record's head inputs
             ledger.charge("OracleLocal", oracle_s)
             ledger.charge("TrainLocal", train_s)
             try:
-                pre_loss = distill_loss(serve_out, rec.oracle_out)
-                weights = adapt_decoder(student, rec.head_inputs, rec.oracle_out)
+                weights, pre_loss = adapt_decoder(student, rec.head_inputs, rec.oracle_out)
             except ValueError:
                 weights = pre_loss = None
             local_end = now + oracle_s + train_s
@@ -295,15 +292,13 @@ def _scenario(config: ScenarioConfig, script: SceneScript, name: str, student: S
         ledger.charge("Decode", decode_s)
 
         if config.mode is Mode.DEEP_ONLY:
-            serve_out = rec.oracle_out
             candidates, detections = rec.candidates, rec.gt_boxes  # decoded by the record
             serve_version = 0  # the oracle never changes
             infer_s = oracle_s
             infer_activity = "OracleLocal"
         else:
-            serve_out = student.outputs(rec.head_inputs)
             serve_version = student.version
-            candidates = decode_boxes(serve_out)
+            candidates = decode_boxes(student.outputs(rec.head_inputs))
             detections = nms(candidates)
             infer_s = student_macs * OP_SECONDS
             if start < local_end:
@@ -339,7 +334,7 @@ def _scenario(config: ScenarioConfig, script: SceneScript, name: str, student: S
                 if in_flight is not None:
                     raise RuntimeError("busy gate violated: overlapping jobs")
                 key_frames.append(i)
-                in_flight = dispatch(rec, serve_out, done)
+                in_flight = dispatch(rec, done)
 
     if in_flight is not None:
         complete(in_flight)

@@ -19,7 +19,7 @@ import math
 import zlib
 from collections.abc import Sequence
 from contextlib import closing
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple
 
@@ -142,31 +142,43 @@ def _avg_pool(a: np.ndarray, k: int) -> np.ndarray:
     return a.reshape(h // k, k, w // k, k, a.shape[2]).mean(axis=(1, 3))
 
 
+@dataclass(frozen=True, eq=False)
 class StudentModel:
-    """Shallow detector; only the adaptive decoder changes after construction.
+    """Shallow detector, an immutable value that ``pretrained`` builds.
 
-    The adaptive decoder mirrors the general decoder's per-scale linear
-    heads, but at the finest scale it carries one extra layer for small
-    objects: a fine feature view (the cell's four quadrant feature vectors,
-    not just their average) feeding a wider head. Adaptive head inputs are
-    whitened with statistics frozen at pretraining time.
+    ``extractor`` holds the frozen extractor's weights and the adaptive head
+    inputs' whitening, ``general`` the frozen general decoder's ``(W, b)``
+    per scale and ``adaptive_blocks`` the adaptive decoder's, ``(W, b)`` per
+    scale. The adaptive decoder mirrors the general decoder's per-scale
+    linear heads, but at the finest scale it carries one extra layer for
+    small objects: a fine feature view (the cell's four quadrant feature
+    vectors, not just their average) feeding a wider head, so scale 0's W
+    reads the four-quadrant view. Adaptive head inputs are whitened with
+    statistics frozen at pretraining time. No code writes to what a student
+    holds; ``swap_decoder`` returns a new student that shares the frozen
+    parts.
     """
 
-    def __init__(self, config: ModelConfig, extractor: dict, general: list,
-                 adaptive: tuple[Tensor, ...], version: int = 1):
-        self.config = config
-        self._extractor = extractor
-        self._general = general
-        # (W, b) per scale; scale 0's W reads the four-quadrant small-object view
-        self._adaptive = tuple(adaptive)
-        self.version = version
+    config: ModelConfig
+    extractor: dict[str, Tensor]
+    general: tuple[tuple[Tensor, Tensor], ...]
+    adaptive_blocks: tuple[Tensor, ...]
+    version: int = 1
 
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def seeded(cls, config: ModelConfig) -> "StudentModel":
-        """Frozen extractor drawn at ``MODEL_SEED``, zero decoders, identity
-        whitening."""
+    def pretrained(cls, config: ModelConfig) -> "StudentModel":
+        """Student whose extractor is drawn at ``MODEL_SEED`` and whose
+        general decoder was fit by ridge regression against oracle targets
+        on the built-in generic pretraining stream, standing in for base
+        training; its adaptive decoder is zero.
+
+        Object cells are rare, so their rows are up-weighted by
+        ``_POS_WEIGHT``; the resulting base detector is recall-leaning and
+        blurry -- the intended starting point for online adaptation.
+        """
+        from .scenegen import SceneStream, pretrain_script
         rng = np.random.Generator(np.random.PCG64(MODEL_SEED))
         extractor = {
             "mix1": Tensor(rng.normal(0.0, 0.8 / np.sqrt(3), (3, FEAT1)).astype(np.float32)),
@@ -175,28 +187,8 @@ class StudentModel:
                                       (FEAT1, FEAT2)).astype(np.float32)),
             "b2": Tensor(rng.normal(0.0, 0.05, (FEAT2,)).astype(np.float32)),
         }
-        for i, dim in enumerate(_ADAPTIVE_IN_DIMS):
-            extractor[f"mu{i}"] = Tensor.zeros((dim,))
-            extractor[f"white{i}"] = Tensor(np.eye(dim, dtype=np.float32))
-        general = [(Tensor.zeros((FEAT2, CHANNELS)), Tensor.zeros((CHANNELS,))) for _ in GRIDS]
-        adaptive = []
-        for dim in _ADAPTIVE_IN_DIMS:
-            adaptive.append(Tensor.zeros((dim, CHANNELS)))
-            adaptive.append(Tensor.zeros((CHANNELS,)))
-        return cls(config, extractor, general, tuple(adaptive), version=1)
-
-    @classmethod
-    def pretrained(cls, config: ModelConfig) -> "StudentModel":
-        """Student whose general decoder was fit by ridge regression against
-        oracle targets on the built-in generic pretraining stream, standing
-        in for base training.
-
-        Object cells are rare, so their rows are up-weighted by
-        ``_POS_WEIGHT``; the resulting base detector is recall-leaning and
-        blurry -- the intended starting point for online adaptation.
-        """
-        from .scenegen import SceneStream, pretrain_script
-        model = cls.seeded(config)
+        # pooling reads the extractor alone
+        pooler = cls(config, extractor, (), ())
         teacher = OracleModel(config, noise_amp=0.0)
 
         per_scale_x: list[list[np.ndarray]] = [[] for _ in GRIDS]
@@ -204,7 +196,7 @@ class StudentModel:
         per_scale_y: list[list[np.ndarray]] = [[] for _ in GRIDS]
         with closing(SceneStream(pretrain_script(size=config.input_hw)).events()) as events:
             for frame, truth in events:
-                phis, raw = model._pooled(frame)
+                phis, raw = pooler._pooled(frame)
                 targets = teacher.forward(frame, truth).scales
                 for i in range(3):
                     per_scale_x[i].append(phis[i])
@@ -213,6 +205,7 @@ class StudentModel:
 
         # freeze ZCA whitening of the adaptive head inputs; without it the
         # head features are correlated enough that Adam crawls
+        whitening = {}
         for i in range(3):
             a = np.concatenate(per_scale_a[i]).astype(np.float64)
             mu = a.mean(axis=0)
@@ -221,8 +214,8 @@ class StudentModel:
             evals, evecs = np.linalg.eigh(cov)
             floor = 1e-4 * max(float(evals.max()), 1e-12)
             inv_sqrt = evecs @ np.diag(1.0 / np.sqrt(np.maximum(evals, floor))) @ evecs.T
-            model._extractor[f"mu{i}"] = Tensor(mu.astype(np.float32))
-            model._extractor[f"white{i}"] = Tensor(inv_sqrt.astype(np.float32))
+            whitening[f"mu{i}"] = Tensor(mu.astype(np.float32))
+            whitening[f"white{i}"] = Tensor(inv_sqrt.astype(np.float32))
 
         general = []
         for i in range(3):
@@ -236,15 +229,18 @@ class StudentModel:
                                     xa.T @ (y * row_w[:, None]))
             general.append((Tensor(w_aug[:-1].astype(np.float32)),
                             Tensor(w_aug[-1].astype(np.float32))))
-        model._general = general
-        return model
+        adaptive = []
+        for dim in _ADAPTIVE_IN_DIMS:
+            adaptive.append(Tensor.zeros((dim, CHANNELS)))
+            adaptive.append(Tensor.zeros((CHANNELS,)))
+        return cls(config, {**extractor, **whitening}, tuple(general), tuple(adaptive))
 
     # -- forward ------------------------------------------------------------
 
     def features(self, frame: Tensor) -> np.ndarray:
         """Frozen two-stage extractor: pool, mix channels, tanh, twice."""
         self.config.check_frame(frame)
-        ex = self._extractor
+        ex = self.extractor
         h = _avg_pool(frame.array, 2)
         h = np.tanh(h @ ex["mix1"].array + ex["b1"].array)
         h = _avg_pool(h, 2)
@@ -272,8 +268,8 @@ class StudentModel:
         head inputs whitened with statistics frozen at pretraining. Serving
         and training share them, so the arrays are read-only."""
         phis, raw = self._pooled(frame)
-        ex = self._extractor
-        bases = [phi @ wg.array + bg.array for phi, (wg, bg) in zip(phis, self._general)]
+        ex = self.extractor
+        bases = [phi @ wg.array + bg.array for phi, (wg, bg) in zip(phis, self.general)]
         ada_x = [(x - ex[f"mu{i}"].array) @ ex[f"white{i}"].array for i, x in enumerate(raw)]
         for a in (*bases, *ada_x):
             a.flags.writeable = False
@@ -285,7 +281,7 @@ class StudentModel:
     def outputs(self, inputs: tuple[list[np.ndarray], list[np.ndarray]]) -> DetectionTensorSet:
         """Detection tensors from a frame's ``head_inputs``: per scale, the
         general head's output plus the adaptive head's."""
-        ada = self._adaptive
+        ada = self.adaptive_blocks
         scales = []
         for g, base, x, w, b in zip(GRIDS, *inputs, ada[0::2], ada[1::2]):
             out = base + x @ w.array + b.array
@@ -293,10 +289,6 @@ class StudentModel:
         return DetectionTensorSet(scales=tuple(scales))
 
     # -- bookkeeping ---------------------------------------------------------
-
-    @property
-    def adaptive_blocks(self) -> tuple[Tensor, ...]:
-        return self._adaptive
 
     @property
     def layer_count(self) -> int:
@@ -307,16 +299,16 @@ class StudentModel:
     def frozen_checksum(self) -> str:
         """Digest over extractor and general decoder bytes (must never move)."""
         h = hashlib.sha256()
-        for key in sorted(self._extractor):
-            h.update(self._extractor[key].tobytes())
-        for w, b in self._general:
+        for key in sorted(self.extractor):
+            h.update(self.extractor[key].tobytes())
+        for w, b in self.general:
             h.update(w.tobytes())
             h.update(b.tobytes())
         return h.hexdigest()
 
     def adaptive_checksum(self) -> str:
         h = hashlib.sha256()
-        for t in self._adaptive:
+        for t in self.adaptive_blocks:
             h.update(t.tobytes())
         return h.hexdigest()
 
@@ -416,33 +408,36 @@ def distill_gradients(prepared: DistillInputs, blocks: Sequence[np.ndarray],
 
 def adapt_decoder(model: StudentModel,
                   inputs: tuple[list[np.ndarray], list[np.ndarray]],
-                  oracle_out: DetectionTensorSet) -> DecoderWeights:
+                  oracle_out: DetectionTensorSet) -> tuple[DecoderWeights, float]:
     """Run ``ADAPT_STEPS`` Adam updates at ``ADAPT_LR`` on the adaptive
-    decoder against the oracle output and return the new versioned weights.
-    Both are read when the function is called, as ``adaptation_mac_count``
-    reads them.
+    decoder against the oracle output; both are read when the function is
+    called, as ``adaptation_mac_count`` reads them. Returns the new versioned
+    weights and the model's loss before the update, ``distill_loss`` of its
+    ``outputs(inputs)``: the selector's feedback, from the one call that
+    trains.
 
     ``inputs`` are the frame's ``model.head_inputs``, so the caller extracts
-    features once per adaptation. Frozen parts are untouched; the model,
-    ``inputs`` and ``oracle_out`` are only read. The adaptive blocks are
-    reshaped views of one flat vector, and the gradients are written into
-    views of one flat buffer allocated once per adaptation, so each step is
-    one gradient evaluation and one Adam update over all blocks, whose
-    result is copied back into the parameter vector. A non-finite gradient
-    (any non-finite residual makes its bias gradient non-finite) or update
-    raises ValueError in ``adam_step``, and the weights are discarded; the
-    overflow itself emits no numpy warning.
+    features once per adaptation. The model, ``inputs`` and ``oracle_out``
+    are only read; the oracle output's shapes are checked before the loss.
+    The adaptive blocks are reshaped views of one flat vector, and the
+    gradients are written into views of one flat buffer allocated once per
+    adaptation, so each step is one gradient evaluation and one Adam update
+    over all blocks, whose result is copied back into the parameter vector.
+    A non-finite gradient (any non-finite residual makes its bias gradient
+    non-finite) or update raises ValueError in ``adam_step``, and the
+    weights are discarded; the overflow itself emits no numpy warning.
     """
     prepared = prepare_distill(inputs, oracle_out)
+    pre_loss = distill_loss(model.outputs(inputs), oracle_out)
     layout, start = [], 0
-    for b in model._adaptive:
+    for b in model.adaptive_blocks:
         layout.append((slice(start, start + b.size), b.shape))
         start += b.size
 
     def views(vec: np.ndarray) -> list[np.ndarray]:
         return [vec[span].reshape(shape) for span, shape in layout]
 
-    flat = np.concatenate([b.data for b in model._adaptive])
+    flat = np.concatenate([b.data for b in model.adaptive_blocks])
     grad = np.empty_like(flat)
     params, grads = views(flat), views(grad)
     state = AdamState.for_param(flat, lr=ADAPT_LR)
@@ -450,8 +445,9 @@ def adapt_decoder(model: StudentModel,
         for _ in range(ADAPT_STEPS):
             distill_gradients(prepared, params, out=grads)
             flat[...] = adam_step(flat, grad, state)
-    return DecoderWeights(version=model.version + 1,
-                          blocks=tuple(Tensor(a) for a in params))
+    weights = DecoderWeights(version=model.version + 1,
+                             blocks=tuple(Tensor(a) for a in params))
+    return weights, pre_loss
 
 
 def swap_decoder(model: StudentModel, weights: DecoderWeights) -> StudentModel:
@@ -462,13 +458,12 @@ def swap_decoder(model: StudentModel, weights: DecoderWeights) -> StudentModel:
     """
     if weights.version <= model.version:
         return model
-    if len(weights.blocks) != len(model._adaptive):
+    if len(weights.blocks) != len(model.adaptive_blocks):
         raise ValueError("adaptive block count mismatch")
-    for new, cur in zip(weights.blocks, model._adaptive):
+    for new, cur in zip(weights.blocks, model.adaptive_blocks):
         if new.shape != cur.shape:
             raise ValueError(f"block shape {new.shape} != {cur.shape}")
-    return StudentModel(model.config, model._extractor, model._general,
-                        weights.blocks, version=weights.version)
+    return replace(model, adaptive_blocks=weights.blocks, version=weights.version)
 
 
 # ---------------------------------------------------------------------------

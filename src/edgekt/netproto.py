@@ -251,7 +251,7 @@ class TransmitResult:
 
 class SimulatedChannel:
     """One direction of a point-to-point link; FIFO, lossless, jitter drawn
-    from a PCG64 stream seeded with ``seed``."""
+    from a PCG64 stream keyed by ``seed``."""
 
     def __init__(self, config: ChannelConfig, seed: int):
         self.config = config

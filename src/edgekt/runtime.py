@@ -21,7 +21,7 @@ from enum import Enum
 from typing import TYPE_CHECKING
 
 from .models import (DecoderWeights, OracleModel, Precision, StudentModel, adapt_decoder,
-                     distill_loss, swap_decoder)
+                     swap_decoder)
 from .netproto import (Ack, AckStatus, ChannelConfig, FrameUpload, WeightUpdate,
                        decode_message, encode_message)
 
@@ -94,17 +94,16 @@ class TrainJob:
 
 class EdgeNode:
     """Edge device: oracle plus its clone of the student, the model it last
-    adapted. A ``StudentModel`` never changes after construction, so the
-    clone is the user-end student itself until the edge's first adaptation
-    replaces it.
+    adapted. A ``StudentModel`` is a frozen value, so the clone is the
+    user-end student itself until the edge's first adaptation replaces it.
 
     Serves FrameUpload messages by retraining the clone against the oracle
-    output for the uploaded frame (one ``adapt_decoder`` call, the one
-    adaptation policy) and answering with the new weights plus the loss the
-    stale clone scored on that frame before the update (the selector's
-    feedback signal). A request that is malformed, is not an upload of its
-    record's frame, or whose adaptation or reply encoding fails, gets an
-    error Ack.
+    output for the uploaded frame and answering with the new weights plus
+    the loss the stale clone scored on that frame before the update (the
+    selector's feedback signal); one ``adapt_decoder`` call, the one
+    adaptation policy, returns both. A request that is malformed, is not an
+    upload of its record's frame, or whose adaptation or reply encoding
+    fails, gets an error Ack.
     """
 
     def __init__(self, oracle: OracleModel, clone: StudentModel):
@@ -136,9 +135,8 @@ class EdgeNode:
             else:
                 oracle_out = self.oracle.forward(m.frame, record.truth)
                 inputs = self.clone.head_inputs(m.frame)
-            # one feature extraction scores the stale clone and trains it
-            pre_loss = distill_loss(self.clone.outputs(inputs), oracle_out)
-            weights = adapt_decoder(self.clone, inputs, oracle_out)
+            # one call scores the stale clone and trains it
+            weights, pre_loss = adapt_decoder(self.clone, inputs, oracle_out)
             # the reply travels at the request's precision; binary16 overflow
             # raises OverflowError, and the clone only advances once the
             # reply is encoded

@@ -308,7 +308,7 @@ def _object_center(obj: ObjectSpec, t: int, script: SceneScript, index: int) -> 
         radius = float(traj.get("radius", _ORBIT["radius"]))
         x = float(traj["cx"]) + radius * math.cos(ang)
         y = float(traj["cy"]) + radius * math.sin(ang)
-    else:  # scatter: fresh seeded position every frame
+    else:  # scatter: a fresh position every frame, keyed by seed, frame and object
         rng = np.random.Generator(np.random.PCG64(
             (script.seed * 1_000_003 + t) * 97 + index))
         x = float(rng.uniform(lo_x, hi_x))

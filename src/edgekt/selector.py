@@ -111,7 +111,7 @@ class KeyFrameSelector:
     def sample_binomial_gate(self) -> bool:
         """Draw two Bernoulli(p) trials; selected when either succeeds.
 
-        Always consumes exactly two draws from the seeded stream, so the
+        Always consumes exactly two draws from the selector's PCG64 stream, so the
         outcome of the first trial never changes how much randomness is used.
         """
         d1, d2 = self.rng.random(), self.rng.random()

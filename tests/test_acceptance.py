@@ -151,7 +151,7 @@ def test_criterion_7_numerical_suites():
 
     # distillation gradient vs central finite differences on a 32 px frame
     small = ModelConfig(input_hw=32)
-    model = StudentModel.seeded(small)
+    model = StudentModel.pretrained(small)
     oracle = OracleModel(small)
     rng = np.random.Generator(np.random.PCG64(6))
     frame = Tensor(rng.uniform(0, 1, (32, 32, 3)).astype(np.float32))

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import warnings
 
@@ -120,8 +121,8 @@ def test_zero_adaptive_decoder_is_noop(student):
     out = student.forward(f)
     phis, _ = student._pooled(f)
     assert not any(b.array.any() for b in student.adaptive_blocks)
-    assert all(wg.array.any() for wg, _ in student._general)
-    for i, (wg, bg) in enumerate(student._general):
+    assert all(wg.array.any() for wg, _ in student.general)
+    for i, (wg, bg) in enumerate(student.general):
         general_only = phis[i] @ wg.array + bg.array
         assert np.array_equal(out.scales[i].reshape(-1, models.CHANNELS),
                               general_only)
@@ -191,7 +192,7 @@ def test_adapt_self_target_is_fixpoint(student, monkeypatch):
     monkeypatch.setattr(models, "ADAPT_STEPS", 5)
     f = _frame(seed=11)
     own = student.forward(f)
-    weights = adapt_decoder(student, student.head_inputs(f), own)
+    weights, _ = adapt_decoder(student, student.head_inputs(f), own)
     assert distill_loss(swap_decoder(student, weights).forward(f), own) == 0.0
     assert weights.version == student.version + 1
     for new, old in zip(weights.blocks, student.adaptive_blocks):
@@ -203,7 +204,7 @@ def test_adapt_reduces_loss(student, oracle, monkeypatch):
     f = _frame(seed=12)
     target = oracle.forward(f, _truth())
     before = distill_loss(student.forward(f), target)
-    weights = adapt_decoder(student, student.head_inputs(f), target)
+    weights, _ = adapt_decoder(student, student.head_inputs(f), target)
     after = distill_loss(swap_decoder(student, weights).forward(f), target)
     assert after < before
 
@@ -211,7 +212,7 @@ def test_adapt_reduces_loss(student, oracle, monkeypatch):
 def test_adapt_leaves_frozen_parts_untouched(student, oracle):
     f = _frame(seed=13)
     checksum = student.frozen_checksum()
-    weights = adapt_decoder(student, student.head_inputs(f), oracle.forward(f, _truth()))
+    weights, _ = adapt_decoder(student, student.head_inputs(f), oracle.forward(f, _truth()))
     m2 = swap_decoder(student, weights)
     assert student.frozen_checksum() == checksum
     assert m2.frozen_checksum() == checksum
@@ -240,6 +241,22 @@ def test_adapt_rejects_shape_mismatch(student):
         adapt_decoder(student, inputs, bad)
 
 
+def test_adapt_returns_the_pre_update_loss(student, oracle, monkeypatch):
+    # the selector's feedback comes from the call that trains: the loss of
+    # the model it was given, on the same head inputs, before any update
+    monkeypatch.setattr(models, "ADAPT_STEPS", 3)
+    f = _frame(seed=21)
+    target = oracle.forward(f, _truth())
+    inputs = student.head_inputs(f)
+    weights, loss = adapt_decoder(student, inputs, target)
+    assert loss == distill_loss(student.outputs(inputs), target)
+    swapped = swap_decoder(student, weights)
+    assert all(b.array.any() for b in swapped.adaptive_blocks)
+    _, loss = adapt_decoder(swapped, inputs, target)
+    assert loss == distill_loss(swapped.outputs(inputs), target)
+    assert loss < distill_loss(student.outputs(inputs), target)
+
+
 def _reference_loss(prepared, blocks):
     """The distillation loss at ``blocks``, from float64 ``prepare_distill`` terms."""
     return sum(((base + x @ w + b - target) ** 2).sum()
@@ -261,7 +278,7 @@ def test_adapt_rejects_overflowing_target(student):
 
 def test_gradients_match_finite_differences():
     oracle = OracleModel(SMALL)
-    model = StudentModel.seeded(SMALL)
+    model = StudentModel.pretrained(SMALL)
     rng = np.random.Generator(np.random.PCG64(5))
     frame = Tensor(rng.uniform(0, 1, (32, 32, 3)).astype(np.float32))
     target = oracle.forward(frame, [Box(0.4, 0.5, 0.3, 0.3, 1)])
@@ -337,7 +354,7 @@ def test_adapt_decoder_writes_nothing_it_reads(student, oracle):
                 [t.tobytes() for t in student.adaptive_blocks], student.frozen_checksum())
 
     before = snapshot()
-    weights = adapt_decoder(student, inputs, target)
+    weights, _ = adapt_decoder(student, inputs, target)
     assert snapshot() == before
     assert weights.blocks != student.adaptive_blocks
 
@@ -355,7 +372,7 @@ def test_distillation_beats_never_adapted():
     for i in range(5):
         frame = stream.frame_at(i)
         target = oracle.forward(frame, stream.truth_at(i))
-        w = adapt_decoder(adapted, adapted.head_inputs(frame), target)
+        w, _ = adapt_decoder(adapted, adapted.head_inputs(frame), target)
         adapted = swap_decoder(adapted, w)
 
     def agg_f1(model):
@@ -377,13 +394,31 @@ def test_distillation_beats_never_adapted():
 def test_swap_equals_fresh_model(student, oracle, monkeypatch):
     monkeypatch.setattr(models, "ADAPT_STEPS", 10)
     f = _frame(seed=14)
-    weights = adapt_decoder(student, student.head_inputs(f), oracle.forward(f, _truth()))
+    weights, _ = adapt_decoder(student, student.head_inputs(f), oracle.forward(f, _truth()))
     swapped = swap_decoder(student, weights)
-    fresh = StudentModel(student.config, student._extractor, student._general,
+    fresh = StudentModel(student.config, student.extractor, student.general,
                          weights.blocks, version=weights.version)
     a, b = swapped.forward(f), fresh.forward(f)
     assert all(np.array_equal(x, y) for x, y in zip(a.scales, b.scales))
     assert swapped.version == student.version + 1
+
+
+def test_student_is_a_frozen_value(student, oracle, monkeypatch):
+    # no field of a constructed student can be assigned, and a swap shares
+    # the frozen parts with its base
+    names = [f.name for f in dataclasses.fields(student)]
+    assert names == ["config", "extractor", "general", "adaptive_blocks", "version"]
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(student, name, getattr(student, name))
+    monkeypatch.setattr(models, "ADAPT_STEPS", 2)
+    f = _frame(seed=19)
+    weights, _ = adapt_decoder(student, student.head_inputs(f), oracle.forward(f, _truth()))
+    swapped = swap_decoder(student, weights)
+    assert swapped.extractor is student.extractor
+    assert swapped.general is student.general
+    assert swapped.adaptive_blocks is weights.blocks
+    assert swapped.version == weights.version
 
 
 def test_swap_rejects_stale_version(student):
@@ -401,7 +436,7 @@ def test_swap_rejects_bad_shapes(student):
 def test_swap_half_precision_weights_equal_f16_round_trip(student, oracle, monkeypatch):
     monkeypatch.setattr(models, "ADAPT_STEPS", 10)
     f = _frame(seed=15)
-    weights = adapt_decoder(student, student.head_inputs(f), oracle.forward(f, _truth()))
+    weights, _ = adapt_decoder(student, student.head_inputs(f), oracle.forward(f, _truth()))
     wire = decode_weights(encode_weights(
         DecoderWeights(weights.version, weights.blocks, Precision.HALF)))
     swapped = swap_decoder(student, wire)
@@ -415,7 +450,7 @@ def test_frozen_hash_constant_across_adapt_swap_sequence(student, oracle, monkey
     model = student
     for i in range(3):
         f = _frame(seed=20 + i)
-        w = adapt_decoder(model, model.head_inputs(f), oracle.forward(f, _truth()))
+        w, _ = adapt_decoder(model, model.head_inputs(f), oracle.forward(f, _truth()))
         model = swap_decoder(model, w)
         assert model.frozen_checksum() == checksum
 

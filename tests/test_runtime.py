@@ -12,7 +12,7 @@ from edgekt import harness, models
 from edgekt.harness import (OP_SECONDS, emit_report, run_named_scenario, run_scenario,
                             scenario_config)
 from edgekt.models import (ADAPT_STEPS, DecoderWeights, ModelConfig, OracleModel, Precision,
-                           StudentModel, adapt_decoder, distill_loss, swap_decoder)
+                           StudentModel, adapt_decoder, swap_decoder)
 from edgekt.netproto import (Ack, AckStatus, ChannelConfig, FrameUpload, LognormalJitter,
                              WeightUpdate, decode_message, encode_message, lan_config,
                              zero_cost_config)
@@ -256,8 +256,8 @@ def test_edge_half_precision_trains_on_rounded_frame():
     reply = _serve(edge, student, stream, 3, Precision.HALF)
 
     rounded = f16_decode(f16_encode(frame), frame.shape)
-    expected = adapt_decoder(student, student.head_inputs(rounded),
-                             oracle.forward(rounded, stream.truth_at(3)))
+    expected, _ = adapt_decoder(student, student.head_inputs(rounded),
+                                oracle.forward(rounded, stream.truth_at(3)))
     # reply blocks are additionally f16-rounded on the wire (symmetric tags)
     for got, exp in zip(reply.weights.blocks, expected.blocks):
         assert got == f16_decode(f16_encode(exp), exp.shape)
@@ -325,10 +325,8 @@ def test_edge_serve_with_record_returns_the_same_bytes(edge_setup, precision, mo
         frame = f16_decode(f16_encode(frame), frame.shape)
     oracle_out = edge.oracle.forward(frame, stream.truth_at(6))
     inputs = clone.head_inputs(frame)
-    weights = adapt_decoder(clone, inputs, oracle_out)
-    expected = encode_message(WeightUpdate(
-        6, replace(weights, precision=precision),
-        distill_loss(clone.outputs(inputs), oracle_out)))
+    weights, loss = adapt_decoder(clone, inputs, oracle_out)
+    expected = encode_message(WeightUpdate(6, replace(weights, precision=precision), loss))
     features = _counted(monkeypatch, StudentModel, "features")
     oracle = _counted(monkeypatch, OracleModel, "forward")
     data = encode_message(FrameUpload(6, record.frame, precision))
