@@ -6,8 +6,10 @@ The scenarios of one run go through the stream in lockstep. Each frame is
 rendered, scored by the oracle and decoded once into a ``FrameRecord`` that
 every scenario reads, and the student is pretrained once. Frames are
 rendered ahead in a renderer process that ``SceneStream.events()`` forks, so
-rendering runs while this process serves the frame before; the truth, the
-oracle and every scenario run here. Each scenario is a generator process
+rendering runs while this process serves the frame before. The record's
+pure stage (the oracle, its decode and NMS, and the student's head inputs)
+runs in the renderer when the renderer is ahead, and here otherwise; the
+truth and every scenario run here. Each scenario is a generator process
 with its own serving student, selector, ledger, channels and edge node, so
 its report is the same as when it runs alone.
 
@@ -154,7 +156,9 @@ class FrameRecord:
     All of it is pure in the frame: the oracle's noise is keyed by the frame
     bytes and ``models.MODEL_SEED``, and the head inputs read only the frozen
     extractor and the frozen general decoder, which every ``swap_decoder``
-    result shares with the pretrained student.
+    result shares with the pretrained student. So the fields after ``truth``
+    are one stage of ``SceneStream.events``, which the renderer process
+    computes when it is ahead; either way they are equal, read-only values.
     """
 
     index: int
@@ -396,7 +400,8 @@ def run_scenario(configs: Sequence[ScenarioConfig], script: SceneScript,
 
     The student is pretrained once, and each frame is rendered (ahead, by
     the stream's renderer process), oracle-scored, decoded and, if some
-    scenario serves the student, fed to its frozen half once, into a
+    scenario serves the student, fed to its frozen half once (by the
+    renderer too, when it is ahead), into a
     ``FrameRecord`` that every scenario's process reads in config order; a
     scenario's report does not depend on the others. The metric ground truth
     is the oracle's decoded output (the deep model plays ground truth); the
@@ -420,18 +425,21 @@ def run_scenario(configs: Sequence[ScenarioConfig], script: SceneScript,
         logger.info("running scenario %s", name)
         procs.append(_scenario(config, script, name, student, oracle))
         next(procs[-1])  # run the set-up up to the first frame
+
+    def stage(frame: Tensor, truth: list[Box]) -> dict:
+        """The record's fields that are pure in the frame, which the renderer
+        computes when it is ahead. The oracle run is for evaluation and never
+        charged: its decoded output is the metric ground truth."""
+        oracle_out = oracle.forward(frame, truth)
+        candidates = tuple(decode_boxes(oracle_out))
+        return dict(oracle_out=oracle_out, candidates=candidates,
+                    gt_boxes=tuple(nms(candidates)),
+                    head_inputs=student.head_inputs(frame) if serves_student else None)
+
     reports = []
-    with closing(stream.events()) as events:  # an exception reaps the renderer too
-        for i, (frame, truth) in enumerate(events):
-            # evaluation oracle run; never charged (the deep model's decoded
-            # output is the metric ground truth)
-            truth = tuple(truth)
-            oracle_out = oracle.forward(frame, truth)
-            candidates = tuple(decode_boxes(oracle_out))
-            rec = FrameRecord(index=i, frame=frame, truth=truth, oracle_out=oracle_out,
-                              candidates=candidates, gt_boxes=tuple(nms(candidates)),
-                              head_inputs=student.head_inputs(frame) if serves_student
-                              else None)
+    with closing(stream.events(stage)) as events:  # an exception reaps the renderer too
+        for i, (frame, truth, fields) in enumerate(events):
+            rec = FrameRecord(index=i, frame=frame, truth=tuple(truth), **fields)
             for proc in procs:
                 try:
                     proc.send(rec)

@@ -194,10 +194,11 @@ class StudentModel:
         per_scale_x: list[list[np.ndarray]] = [[] for _ in GRIDS]
         per_scale_a: list[list[np.ndarray]] = [[] for _ in GRIDS]
         per_scale_y: list[list[np.ndarray]] = [[] for _ in GRIDS]
-        with closing(SceneStream(pretrain_script(size=config.input_hw)).events()) as events:
-            for frame, truth in events:
-                phis, raw = pooler._pooled(frame)
-                targets = teacher.forward(frame, truth).scales
+        stream = SceneStream(pretrain_script(size=config.input_hw))
+        # both stages are pure in the frame, so the renderer may run them
+        with closing(stream.events(lambda frame, truth: (
+                pooler._pooled(frame), teacher.forward(frame, truth).scales))) as events:
+            for _, _, ((phis, raw), targets) in events:
                 for i in range(3):
                     per_scale_x[i].append(phis[i])
                     per_scale_a[i].append(raw[i])

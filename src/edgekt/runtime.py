@@ -41,8 +41,10 @@ class ConfigError(ValueError):
 
 
 def check_seed(seed: int) -> None:
-    """A run seed must be an integer >= 0; it seeds the selector and, derived,
-    the channels."""
+    """A run seed must be an integer >= 0, and not a bool; it seeds the
+    selector and, derived, the channels."""
+    if isinstance(seed, bool):  # an int to operator.index, echoed as true/false
+        raise ConfigError("seed must be int, not bool")
     try:
         operator.index(seed)
     except TypeError:

@@ -14,10 +14,11 @@ import io
 import json
 import math
 import os
+import pickle
 import signal
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
-from typing import Iterator
+from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -453,6 +454,12 @@ def truth_boxes(script: SceneScript, t: int) -> list[Box]:
 # the renderer's pipe: 1 MiB, the unprivileged maximum on Linux by default,
 # holds 5 frames of 128x128 or 21 of 64x64
 _PIPE_BYTES = 1 << 20
+# the renderer runs a frame's stage itself when, after writing the frame, the
+# pipe holds at least this many frames' bytes unread: the consumer has that
+# much work queued, so the stage's time comes off the consumer's
+_AHEAD_FRAMES = 2
+
+_R = TypeVar("_R")
 
 
 class SceneStream:
@@ -467,28 +474,37 @@ class SceneStream:
     def truth_at(self, frame_id: int) -> list[Box]:
         return truth_boxes(self.script, frame_id)
 
-    def events(self) -> Iterator[tuple[Tensor, list[Box]]]:
-        """Every frame's ``(frame, truth)`` pair in order, rendered ahead by
-        a forked renderer process where ``os.fork`` exists, so rendering runs
-        on another core while the consumer works on the frame before.
+    def events(self, stage: Callable[[Tensor, list[Box]], _R]
+               ) -> Iterator[tuple[Tensor, list[Box], _R]]:
+        """Every frame's ``(frame, truth, stage(frame, truth))`` in order,
+        rendered ahead by a forked renderer process where ``os.fork``
+        exists, so rendering runs on another core while the consumer works
+        on the frame before.
 
         The renderer writes each ``frame_at(i)``'s float32 bytes to a pipe,
-        and the truth is computed here. If the pipe ends early (the renderer
-        failed), the remaining frames are rendered here, so a render error
-        is raised here at its frame. Close the generator when done with it
-        (``contextlib.closing``): that kills and reaps the renderer.
+        and the truth is computed here. ``stage`` must be pure in the frame
+        and its truth: the renderer runs it too, when it is ahead (the pipe
+        holds ``_AHEAD_FRAMES`` frames' bytes unread), and sends its pickled
+        result after the frame; otherwise it runs here. Either way it is the
+        same value, except that every array sent through the pipe arrives
+        read-only. If the pipe ends early (the renderer failed), the
+        remaining frames and stages are computed here, so a render or stage
+        error is raised here at its frame. Close the generator when done
+        with it (``contextlib.closing``): that kills and reaps the renderer.
         """
         shape = (self.script.size, self.script.size, 3)
         pid = pipe = None
         try:
             if hasattr(os, "fork"):
-                pid, pipe = self._fork_renderer()
+                pid, pipe = self._fork_renderer(stage)
             for i in range(self.script.duration_frames):
                 # once the pipe has ended early, every later read ends at once
                 frame = None if pipe is None else _read_frame(pipe, shape)
                 if frame is None:
                     frame = self.frame_at(i)
-                yield frame, self.truth_at(i)
+                truth = self.truth_at(i)
+                sent = None if pipe is None else _read_result(pipe)
+                yield frame, truth, stage(frame, truth) if sent is None else sent[0]
         finally:
             if pipe is not None:
                 pipe.close()
@@ -496,10 +512,9 @@ class SceneStream:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
 
-    def _fork_renderer(self) -> tuple[int, io.FileIO] | tuple[None, None]:
-        """Fork a process that writes every frame's bytes, in order, to a
-        pipe; returns its pid and the pipe's read end, or ``None, None`` if
-        the fork failed."""
+    def _fork_renderer(self, stage: Callable) -> tuple[int, io.FileIO] | tuple[None, None]:
+        """Fork the renderer, which runs ``_render``; returns its pid and the
+        pipe's read end, or ``None, None`` if the fork failed."""
         r, w = os.pipe()
         try:  # room for several frames ahead (F_SETPIPE_SZ is Linux only)
             import fcntl
@@ -519,29 +534,88 @@ class SceneStream:
                 # nothing here frees the parent's objects: no collector pass
                 # runs their finalizers or touches their shared pages
                 gc.disable()
-                for i in range(self.script.duration_frames):
-                    view = memoryview(self.frame_at(i).array).cast("B")
-                    while view:
-                        view = view[os.write(w, view):]
+                self._render(stage, w)
                 code = 0
             finally:
                 os._exit(code)
         os.close(w)
         return pid, io.FileIO(r, "r")
 
+    def _render(self, stage: Callable, w: int) -> None:
+        """Write every frame to the pipe ``w`` in order: its bytes, then flag
+        byte 0, or, when the pipe holds ``_AHEAD_FRAMES`` frames' bytes
+        unread, flag byte 1, the length of the stage's pickled result as 8
+        little-endian bytes and the pickle."""
+        for i in range(self.script.duration_frames):
+            frame = self.frame_at(i)
+            view = memoryview(frame.array).cast("B")
+            _write_all(w, view)
+            if _unread(w) < _AHEAD_FRAMES * len(view):
+                _write_all(w, b"\0")
+                continue
+            pickled = io.BytesIO()
+            _ReadOnlyPickler(pickled, protocol=5).dump(stage(frame, self.truth_at(i)))
+            payload = pickled.getvalue()
+            _write_all(w, b"\1" + len(payload).to_bytes(8, "little") + payload)
+
+
+class _ReadOnlyPickler(pickle.Pickler):
+    """Pickles each numpy array as its bytes, which unpickle into a
+    read-only array of the same dtype and shape."""
+
+    def reducer_override(self, obj):
+        if type(obj) is np.ndarray:
+            return _read_only_array, (obj.tobytes(), obj.dtype, obj.shape)
+        return NotImplemented
+
+
+def _read_only_array(data: bytes, dtype: np.dtype, shape: tuple[int, ...]) -> np.ndarray:
+    return np.frombuffer(data, dtype).reshape(shape)
+
+
+def _write_all(fd: int, data) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _unread(fd: int) -> int:
+    """The bytes in the pipe ``fd`` that its reader has not read (Linux
+    answers ``FIONREAD`` on the write end), or 0 where it cannot tell."""
+    import fcntl
+    import termios
+    try:
+        return int.from_bytes(fcntl.ioctl(fd, termios.FIONREAD, bytes(4)), sys.byteorder)
+    except OSError:
+        return 0
+
+
+def _read_into(pipe: io.FileIO, view: memoryview) -> bool:
+    """Fill ``view`` from the pipe; False if the pipe ends first."""
+    got = 0
+    while got < len(view):
+        n = pipe.readinto(view[got:])
+        if not n:
+            return False
+        got += n
+    return True
+
 
 def _read_frame(pipe: io.FileIO, shape: tuple[int, ...]) -> Tensor | None:
     """The next frame of ``shape`` from the renderer's pipe, or ``None`` if
     the pipe ends first."""
     out = np.empty(shape, dtype=np.float32)
-    view = memoryview(out).cast("B")
-    got = 0
-    while got < len(view):
-        n = pipe.readinto(view[got:])
-        if not n:
-            return None
-        got += n
-    return Tensor(out)
+    return Tensor(out) if _read_into(pipe, memoryview(out).cast("B")) else None
+
+
+def _read_result(pipe: io.FileIO) -> tuple | None:
+    """The renderer's stage result for the frame just read, as a 1-tuple,
+    or ``None`` if it left the stage to the consumer or the pipe ends first."""
+    head = memoryview(bytearray(9))
+    if not (_read_into(pipe, head[:1]) and head[0] == 1 and _read_into(pipe, head[1:])):
+        return None
+    payload = bytearray(int.from_bytes(head[1:], "little"))
+    return (pickle.loads(payload),) if _read_into(pipe, memoryview(payload)) else None
 
 
 # ---------------------------------------------------------------------------

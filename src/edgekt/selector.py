@@ -111,8 +111,9 @@ class KeyFrameSelector:
     def sample_binomial_gate(self) -> bool:
         """Draw two Bernoulli(p) trials; selected when either succeeds.
 
-        Always consumes exactly two draws from the selector's PCG64 stream, so the
-        outcome of the first trial never changes how much randomness is used.
+        Always consumes exactly two draws from the selector's ``random.Random``
+        stream (a Mersenne Twister), so the outcome of the first trial never
+        changes how much randomness is used.
         """
         d1, d2 = self.rng.random(), self.rng.random()
         return d1 < self.p or d2 < self.p

@@ -68,7 +68,8 @@ def test_output_check_keeps_existing_files_and_renders_nothing(tmp_path, monkeyp
     from edgekt import cli
     from edgekt.scenegen import SceneStream
     opened = []
-    monkeypatch.setattr(SceneStream, "events", lambda self: opened.append(self) or iter(()))
+    monkeypatch.setattr(SceneStream, "events",
+                        lambda self, stage: opened.append(self) or iter(()))
     out = tmp_path / "r.json"
     out.write_text("kept")
     assert cli.main(["run", "--scenario", "shallow", "--out", str(out),
@@ -82,7 +83,8 @@ def test_trace_csv_on_the_report_path_exits_2(tmp_path, monkeypatch, capsys, ali
     from edgekt import cli
     from edgekt.scenegen import SceneStream
     opened = []
-    monkeypatch.setattr(SceneStream, "events", lambda self: opened.append(self) or iter(()))
+    monkeypatch.setattr(SceneStream, "events",
+                        lambda self, stage: opened.append(self) or iter(()))
     out = tmp_path / "r.json"
     if alias == "dot":
         trace = tmp_path / "." / "r.json"

@@ -204,16 +204,17 @@ def test_record_for_the_wrong_frame_raises(monkeypatch):
     (lambda script: compare(script, seed=0), 12),
     (lambda script: run_named_scenario("deep", script), 0),
 ], ids=["compare", "deep"])
-def test_head_inputs_once_per_frame_only_when_the_student_serves(monkeypatch, run, calls):
+def test_head_inputs_once_per_frame_only_when_the_student_serves(monkeypatch, tmp_path,
+                                                                  run, calls):
     script = fixed_cam_default(duration=12)
-    head_inputs, record = StudentModel.head_inputs, harness.FrameRecord
-    extracted, records = [], []
-    monkeypatch.setattr(StudentModel, "head_inputs",
-                        lambda self, frame: extracted.append(frame) or head_inputs(self, frame))
+    log = tmp_path / "calls.txt"
+    log.write_text("", encoding="utf-8")
+    _counted(monkeypatch, StudentModel, "head_inputs", log)
+    record, records = harness.FrameRecord, []
     monkeypatch.setattr(harness, "FrameRecord",
                         lambda **fields: records.append(record(**fields)) or records[-1])
     run(script)
-    assert len(extracted) == calls
+    assert log.read_text(encoding="utf-8").split() == ["head_inputs"] * calls
     assert [rec.index for rec in records] == list(range(12))
     for rec in records:
         arrays = [rec.frame.array, *rec.oracle_out.scales]

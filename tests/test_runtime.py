@@ -1,6 +1,8 @@
 import json
 import math
+import os
 import struct
+import tempfile
 from dataclasses import replace
 
 import numpy as np
@@ -70,6 +72,7 @@ def test_only_network_mode_takes_a_channel(mode):
 @pytest.mark.parametrize("build, field", [
     (lambda: ScenarioConfig(seed=-1), "seed"),
     (lambda: ScenarioConfig(seed=0.5), "seed must be an integer"),
+    (lambda: ScenarioConfig(seed=True), "seed must be int, not bool"),
     (lambda: scenario_config("nt-lan", seed=0.5), "seed must be an integer"),
     (lambda: ScenarioConfig(mode="local"), "mode must be a Mode"),
     (lambda: ScenarioConfig(precision="half"), "precision must be a Precision"),
@@ -84,7 +87,7 @@ def test_only_network_mode_takes_a_channel(mode):
     (lambda: ChannelConfig(1e6, base_latency_s=1e308), "base_latency_s"),
     (lambda: LognormalJitter(median_s=1e308, sigma_log=50.0), "median_s"),
     (lambda: LognormalJitter(median_s=0.005, sigma_log=1e308), "sigma_log"),
-], ids=["seed_-1", "seed_0.5", "named_seed_0.5", "mode_str", "precision_str",
+], ids=["seed_-1", "seed_0.5", "seed_True", "named_seed_0.5", "mode_str", "precision_str",
         "latency_nan", "latency_inf", "median_negative", "median_0", "median_inf",
         "sigma_log_nan", "sigma_log_negative",
         "bandwidth_5e-324", "latency_1e308", "median_1e308", "sigma_log_1e308"])
@@ -263,13 +266,32 @@ def test_edge_half_precision_trains_on_rounded_frame():
         assert got == f16_decode(f16_encode(exp), exp.shape)
 
 
+class _Calls:
+    """A call count that calls in the forked renderer process reach too: one
+    byte per call, written to a temporary file whose offset the renderer
+    shares."""
+
+    def __init__(self):
+        self._file = tempfile.TemporaryFile(buffering=0)
+
+    def add(self):
+        self._file.write(b".")
+
+    def __len__(self):
+        return os.fstat(self._file.fileno()).st_size
+
+    def clear(self):
+        self._file.seek(0)
+        self._file.truncate()
+
+
 def _counted(monkeypatch, owner, name):
     """Replace ``owner.name`` with a wrapper that counts its calls."""
-    calls = []
+    calls = _Calls()
     original = getattr(owner, name)
 
     def wrapper(*args, **kwargs):
-        calls.append(1)
+        calls.add()
         return original(*args, **kwargs)
     monkeypatch.setattr(owner, name, wrapper)
     return calls
@@ -437,6 +459,6 @@ def test_only_network_runs_build_an_edge_node(monkeypatch):
     built = _counted(monkeypatch, harness, "EdgeNode")
     script = fixed_cam_default(duration=12)
     assert run_named_scenario("lt", script, kfs=False).swap_log  # local jobs ran
-    assert built == []
+    assert not built
     run_named_scenario("nt-lan", script, kfs=False)
     assert len(built) == 1

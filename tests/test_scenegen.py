@@ -38,11 +38,17 @@ def test_static_scene_frames_identical():
     assert all(stream.truth_at(i) == stream.truth_at(0) for i in range(1, 10))
 
 
+def _truth_count(frame, truth):
+    """A pure stage: the number of truth boxes."""
+    return len(truth)
+
+
 def test_generation_deterministic():
-    a = list(SceneStream(_static_script(noise_level=0.02)).events())
-    b = list(SceneStream(_static_script(noise_level=0.02)).events())
+    a = list(SceneStream(_static_script(noise_level=0.02)).events(_truth_count))
+    b = list(SceneStream(_static_script(noise_level=0.02)).events(_truth_count))
     assert len(a) == len(b) == 40
-    assert all(fa == fb and ta == tb for (fa, ta), (fb, tb) in zip(a, b))
+    assert all(fa == fb and ta == tb and na == nb == len(ta)
+               for (fa, ta, na), (fb, tb, nb) in zip(a, b))
 
 
 def test_linear_trajectory_constant_velocity():
@@ -157,9 +163,10 @@ def test_oracle_closure_on_presets():
 
 def test_arrival_times_follow_fps():
     stream = SceneStream(_static_script(duration_frames=5, fps=4.0))
-    events = list(enumerate(stream.events()))
+    events = list(enumerate(stream.events(_truth_count)))
     assert [i for i, _ in events] == [0, 1, 2, 3, 4]
-    assert all(frame == stream.frame_at(i) for i, (frame, _) in events)
+    assert all(frame == stream.frame_at(i) and n == len(stream.truth_at(i))
+               for i, (frame, _, n) in events)
 
 
 def test_script_json_round_trip(tmp_path):
