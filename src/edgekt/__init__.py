@@ -6,11 +6,12 @@ binomial selector and weights travel over a simulated LAN/Wi-Fi channel
 while an energy ledger tracks the cost.
 """
 
-from .detection import Box, MetricsReport, compute_metrics, decode_boxes, iou, nms
+from .detection import (Box, DetectionTensorSet, MetricsReport, compute_metrics, decode_boxes,
+                        iou, nms)
 from .harness import (EnergyLedger, RunReport, compare, emit_report, run_named_scenario,
                       run_scenario, scenario_config)
-from .models import (DecoderWeights, DetectionTensorSet, ModelConfig, OracleModel,
-                     Precision, StudentModel, adapt_decoder, distill_loss, swap_decoder)
+from .models import (DecoderWeights, ModelConfig, OracleModel, Precision, StudentModel,
+                     adapt_decoder, distill_loss, swap_decoder)
 from .netproto import (Ack, ChannelConfig, FrameUpload, ProtocolError, SimulatedChannel,
                        WeightUpdate, decode_message, encode_message, lan_config,
                        wifi_config, zero_cost_config)

@@ -1,21 +1,28 @@
-"""Grid encoding and decoding of detection tensors, NMS, IoU matching and metrics.
+"""Output geometry, grid-cell coding of detection tensors, NMS, IoU matching and metrics.
 
 All functions here are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .models import DetectionTensorSet
 
 # Channel layout of one grid cell: box offsets, size, objectness, class scores.
 CH_TX, CH_TY, CH_TW, CH_TH, CH_OBJ = 0, 1, 2, 3, 4
 BOX_CHANNELS = 5
+
+# the one output geometry: object classes and output grid sides, finest
+# first; SCALE_ROWS are each scale's rows of a DetectionTensorSet's cells
+CLASSES = 3
+GRIDS = (8, 4, 2)
+CHANNELS = BOX_CHANNELS + CLASSES
+SCALE_ROWS = tuple(slice(end - g * g, end)
+                   for g, end in zip(GRIDS, itertools.accumulate(g * g for g in GRIDS)))
+GRID_CELLS = SCALE_ROWS[-1].stop
 
 # Box channels carry scaled logits: value = COORD_LOGIT_SCALE * logit(fraction).
 # The scaling halves the decode sensitivity to regression error. Width and
@@ -51,6 +58,34 @@ class Box(NamedTuple):
     score: float = 1.0
 
 
+def scale_views(cells: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The (g, g, C) view of each scale's rows of a cell table, finest first."""
+    return tuple(cells[rows].reshape(g, g, -1) for g, rows in zip(GRIDS, SCALE_ROWS))
+
+
+@dataclass(frozen=True, eq=False)
+class DetectionTensorSet:
+    """One model output: ``cells``, the read-only float32 cell table of shape
+    (``GRID_CELLS``, ``CHANNELS``), one row per grid cell, scale by scale
+    (finest first) and row-major within a scale. Not a ``Tensor``: it is
+    computed from values checked finite where those entered the run.
+    Construction refuses any other dtype or shape and marks it read-only."""
+
+    cells: np.ndarray
+
+    def __post_init__(self):
+        a, shape = self.cells, (GRID_CELLS, CHANNELS)
+        if not (isinstance(a, np.ndarray) and a.dtype == np.float32 and a.shape == shape):
+            got = f"{a.dtype} {a.shape}" if isinstance(a, np.ndarray) else type(a).__name__
+            raise ValueError(f"a detection tensor set is a float32 {shape} array, got {got}")
+        a.flags.writeable = False
+
+    @property
+    def scales(self) -> tuple[np.ndarray, ...]:
+        """The per-scale read-only (g, g, C) views of ``cells``, finest first."""
+        return scale_views(self.cells)
+
+
 @dataclass
 class MetricsReport:
     true_positives: int
@@ -73,6 +108,9 @@ class MetricsReport:
 # added to the scaled box channels before the sigmoid: the width and height
 # logits are relative to the size prior, in float32 like the channels
 _COORD_OFFSETS = np.array([0.0, 0.0, logit(SIZE_PRIOR), logit(SIZE_PRIOR)], dtype=np.float32)
+# per cell-table row: the cell's (column, row) in its grid, and the grid side
+_CELL_COL_ROW = np.array([(c, r) for g in GRIDS for r in range(g) for c in range(g)], np.float64)
+_CELL_SIDE = np.array([g for g in GRIDS for _ in range(g * g)], np.float64)
 
 
 def _geometry(b: Box) -> tuple[float, float, float, float, float]:
@@ -110,35 +148,26 @@ def encode_box(box: Box, g: int) -> tuple[int, int, tuple[float, float, float, f
     return r, c, (k * tx, k * ty, k * (tw - prior), k * (th - prior))
 
 
-def decode_boxes(out: "DetectionTensorSet") -> list[Box]:
+def decode_boxes(out: DetectionTensorSet) -> list[Box]:
     """Decode grid cells whose objectness is at least ``OBJ_THRESHOLD`` into boxes.
 
     One candidate per passing cell: center from the cell's sigmoid offsets,
     size from sigmoid of the width/height channels, class by argmax, score
-    is the objectness probability. Candidates are emitted scale by scale,
-    row-major within a scale, which fixes the tie-break order downstream.
-    Each scale is decoded in one masked pass: the passing cells' box
-    channels are scaled and offset by the size prior in float32, then
-    widened to float64 for the sigmoid, as a per-cell decode does.
+    is the objectness probability. Candidates are emitted in cell-table
+    order, which fixes the tie-break order downstream. The table is decoded
+    in one masked pass: the passing cells' box channels are scaled and
+    offset by the size prior in float32, then widened to float64 for the
+    sigmoid, as a per-cell decode does.
     """
-    boxes: list[Box] = []
-    for arr in out.scales:
-        g = arr.shape[0]
-        obj = sigmoid(arr[:, :, CH_OBJ])
-        # a NaN objectness is not below the threshold, so it passes
-        rows, cols = np.nonzero(~(obj < OBJ_THRESHOLD))
-        if not len(rows):
-            continue
-        cells = arr[rows, cols]
-        coords = sigmoid(cells[:, CH_TX:CH_TH + 1] / COORD_LOGIT_SCALE + _COORD_OFFSETS)
-        coords[:, CH_TX] += cols
-        coords[:, CH_TY] += rows
-        coords[:, CH_TX:CH_TY + 1] /= g
-        for (x, y, w, h), class_id, score in zip(
-                coords.tolist(), cells[:, BOX_CHANNELS:].argmax(axis=1).tolist(),
-                obj[rows, cols].tolist()):
-            boxes.append(Box(x, y, w, h, class_id, score))
-    return boxes
+    obj = sigmoid(out.cells[:, CH_OBJ])
+    # a NaN objectness is not below the threshold, so it passes
+    keep = np.flatnonzero(~(obj < OBJ_THRESHOLD))
+    passing = out.cells[keep]
+    coords = sigmoid(passing[:, CH_TX:CH_TH + 1] / COORD_LOGIT_SCALE + _COORD_OFFSETS)
+    coords[:, CH_TX:CH_TY + 1] += _CELL_COL_ROW[keep]
+    coords[:, CH_TX:CH_TY + 1] /= _CELL_SIDE[keep, None]
+    return [Box(x, y, w, h, class_id, score) for (x, y, w, h), class_id, score in zip(
+        coords.tolist(), passing[:, BOX_CHANNELS:].argmax(axis=1).tolist(), obj[keep].tolist())]
 
 
 def nms(boxes: Sequence[Box]) -> list[Box]:

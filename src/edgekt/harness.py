@@ -33,10 +33,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .detection import Box, MetricsReport, compute_metrics, decode_boxes, nms
-from .models import (ADAPT_LR, ADAPT_STEPS, CHANNELS, CLASSES, GRIDS, DetectionTensorSet,
-                     ModelConfig, OracleModel, Precision, StudentModel, adapt_decoder,
-                     swap_decoder)
+from .detection import (CHANNELS, CLASSES, GRID_CELLS, Box, DetectionTensorSet, MetricsReport,
+                        compute_metrics, decode_boxes, nms)
+from .models import (ADAPT_LR, ADAPT_STEPS, ModelConfig, OracleModel, Precision, StudentModel,
+                     adapt_decoder, swap_decoder)
 from .netproto import (FrameUpload, SimulatedChannel, WeightUpdate, decode_message,
                        encode_weights, lan_config, wifi_config)
 from .runtime import ConfigError, EdgeNode, Mode, ScenarioConfig, TrainJob
@@ -249,7 +249,7 @@ def _scenario(config: ScenarioConfig, script: SceneScript, name: str, student: S
 
     # feed the selector the per-element mean loss so loss deltas live on the
     # scale sigma was chosen for
-    loss_scale = sum(g * g * CHANNELS for g in GRIDS)
+    loss_scale = GRID_CELLS * CHANNELS
 
     def complete(job: TrainJob) -> None:
         """Apply a job's outcome at its end time ``job.done_at``."""

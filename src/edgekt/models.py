@@ -8,8 +8,8 @@ follows one policy, ``ADAPT_STEPS`` Adam updates at ``ADAPT_LR``, and
 distills the adaptive decoder alone towards the oracle output. The oracle is a
 much deeper frozen model realized as a near-perfect encoder of scene truth
 into detection tensors plus small deterministic noise, so its decoded output
-can serve as evaluation ground truth. Both have one geometry, the module
-constants below; ``ModelConfig`` is the frame size alone.
+can serve as evaluation ground truth. Both write ``detection``'s one output
+geometry; ``ModelConfig`` is the frame size alone.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .detection import BOX_CHANNELS, CH_OBJ, CH_TH, CH_TX, Box, encode_box
+from .detection import (BOX_CHANNELS, CH_OBJ, CH_TH, CH_TX, CHANNELS, GRID_CELLS, GRIDS,
+                        SCALE_ROWS, Box, DetectionTensorSet, encode_box, scale_views)
 from .tensor import AdamState, Tensor, adam_step, l2_sq_distance
 
 
@@ -43,13 +44,9 @@ _POS_WEIGHT = 20.0
 ADAPT_STEPS = 20
 ADAPT_LR = 0.05
 
-# the one detector geometry: object classes, output grid sides (finest
-# first) and the two extractor stages' widths
-CLASSES = 3
-GRIDS = (8, 4, 2)
+# the two extractor stages' widths
 FEAT1 = 10
 FEAT2 = 20
-CHANNELS = BOX_CHANNELS + CLASSES
 # the deployed base detector is one fixed artifact: this seed draws the
 # student's frozen extractor and keys the oracle's noise; a run's seed only
 # drives its runtime randomness (selector draws, channel jitter)
@@ -81,26 +78,6 @@ class ModelConfig:
         shape = (self.input_hw, self.input_hw, 3)
         if frame.shape != shape:
             raise ValueError(f"frame shape {frame.shape} != {shape}")
-
-
-@dataclass(frozen=True, eq=False)
-class DetectionTensorSet:
-    """The three per-scale outputs, read-only float32 GxGxC arrays. Not
-    ``Tensor``s: they are computed from values checked finite where those
-    entered the run. Construction checks each scale's dtype and shape and
-    marks it read-only."""
-
-    scales: tuple[np.ndarray, np.ndarray, np.ndarray]
-
-    def __post_init__(self):
-        if len(self.scales) != 3:
-            raise ValueError("a detection tensor set has exactly three scales")
-        for a in self.scales:
-            if not (isinstance(a, np.ndarray) and a.dtype == np.float32
-                    and a.ndim == 3 and a.shape[0] == a.shape[1]):
-                got = f"{a.dtype} {a.shape}" if isinstance(a, np.ndarray) else type(a).__name__
-                raise ValueError(f"a scale must be a float32 GxGxC array, got {got}")
-            a.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -191,24 +168,18 @@ class StudentModel:
         pooler = cls(config, extractor, (), ())
         teacher = OracleModel(config, noise_amp=0.0)
 
-        per_scale_x: list[list[np.ndarray]] = [[] for _ in GRIDS]
-        per_scale_a: list[list[np.ndarray]] = [[] for _ in GRIDS]
-        per_scale_y: list[list[np.ndarray]] = [[] for _ in GRIDS]
         stream = SceneStream(pretrain_script(size=config.input_hw))
-        # both stages are pure in the frame, so the renderer may run them
+        # both stages are pure in the frame, so the renderer may run them;
+        # each frame's result is its pooled features and the teacher's table
         with closing(stream.events(lambda frame, truth: (
-                pooler._pooled(frame), teacher.forward(frame, truth).scales))) as events:
-            for _, _, ((phis, raw), targets) in events:
-                for i in range(3):
-                    per_scale_x[i].append(phis[i])
-                    per_scale_a[i].append(raw[i])
-                    per_scale_y[i].append(targets[i].reshape(-1, CHANNELS))
+                pooler._pooled(frame), teacher.forward(frame, truth).cells))) as events:
+            stages = [result for _, _, result in events]
 
         # freeze ZCA whitening of the adaptive head inputs; without it the
         # head features are correlated enough that Adam crawls
         whitening = {}
         for i in range(3):
-            a = np.concatenate(per_scale_a[i]).astype(np.float64)
+            a = np.concatenate([raw[i] for (_, raw), _ in stages]).astype(np.float64)
             mu = a.mean(axis=0)
             centered = a - mu
             cov = centered.T @ centered / max(1, len(a) - 1)
@@ -219,9 +190,9 @@ class StudentModel:
             whitening[f"white{i}"] = Tensor(inv_sqrt.astype(np.float32))
 
         general = []
-        for i in range(3):
-            x = np.concatenate(per_scale_x[i]).astype(np.float64)
-            y = np.concatenate(per_scale_y[i]).astype(np.float64)
+        for i, rows in enumerate(SCALE_ROWS):
+            x = np.concatenate([phis[i] for (phis, _), _ in stages]).astype(np.float64)
+            y = np.concatenate([targets[rows] for _, targets in stages]).astype(np.float64)
             row_w = np.where(y[:, CH_OBJ] > 0.0, _POS_WEIGHT, 1.0)
             xa = np.concatenate([x, np.ones((x.shape[0], 1))], axis=1)
             reg = _RIDGE_LAMBDA * np.eye(xa.shape[1])
@@ -281,13 +252,13 @@ class StudentModel:
 
     def outputs(self, inputs: tuple[list[np.ndarray], list[np.ndarray]]) -> DetectionTensorSet:
         """Detection tensors from a frame's ``head_inputs``: per scale, the
-        general head's output plus the adaptive head's."""
+        general head's output plus the adaptive head's, in that scale's rows
+        of the cell table."""
         ada = self.adaptive_blocks
-        scales = []
-        for g, base, x, w, b in zip(GRIDS, *inputs, ada[0::2], ada[1::2]):
-            out = base + x @ w.array + b.array
-            scales.append(out.reshape(g, g, CHANNELS))
-        return DetectionTensorSet(scales=tuple(scales))
+        cells = np.empty((GRID_CELLS, CHANNELS), np.float32)
+        for rows, base, x, w, b in zip(SCALE_ROWS, *inputs, ada[0::2], ada[1::2]):
+            cells[rows] = base + x @ w.array + b.array
+        return DetectionTensorSet(cells)
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -365,20 +336,16 @@ class DistillInputs(NamedTuple):
 
 def prepare_distill(inputs: tuple[list[np.ndarray], list[np.ndarray]],
                     oracle_out: DetectionTensorSet, dtype=np.float32) -> DistillInputs:
-    """Check the oracle output's shapes and cast to ``dtype`` what
-    ``distill_gradients`` needs from the frame.
+    """Cast to ``dtype`` what ``distill_gradients`` needs from the frame.
 
     ``inputs`` are a student's ``head_inputs`` of the frame, so the general
     head is not evaluated again: in float32 the arrays are the inputs
     themselves. ``dtype`` may be float64 for high-precision verification of
     the gradients, which then start from the widened float32 head outputs.
     """
-    for g, o in zip(GRIDS, oracle_out.scales):
-        if o.shape != (g, g, CHANNELS):
-            raise ValueError(f"target shape {o.shape} != student shape {(g, g, CHANNELS)}")
     base = [b.astype(dtype, copy=False) for b in inputs[0]]
     xs = [x.astype(dtype, copy=False) for x in inputs[1]]
-    targets = [s.reshape(-1, CHANNELS).astype(dtype, copy=False) for s in oracle_out.scales]
+    targets = [oracle_out.cells[rows].astype(dtype, copy=False) for rows in SCALE_ROWS]
     return DistillInputs(base, xs, [x.T for x in xs], targets)
 
 
@@ -419,7 +386,7 @@ def adapt_decoder(model: StudentModel,
 
     ``inputs`` are the frame's ``model.head_inputs``, so the caller extracts
     features once per adaptation. The model, ``inputs`` and ``oracle_out``
-    are only read; the oracle output's shapes are checked before the loss.
+    are only read.
     The adaptive blocks are reshaped views of one flat vector, and the
     gradients are written into views of one flat buffer allocated once per
     adaptation, so each step is one gradient evaluation and one Adam update
@@ -479,7 +446,9 @@ class OracleModel:
     same frame always yields the same tensors and decoding recovers the
     truth almost exactly. Each box takes the first free cell, by
     ``encode_box``, at the scale nearest its preferred one, or none if its
-    cell is taken at every scale. Its stage plan defines its depth and cost.
+    cell is taken at every scale. It fills one cell table, writing boxes
+    through its scale views, and adds its noise to the table in one draw.
+    Its stage plan defines its depth and cost.
     """
 
     OBJ_ON = 2.5    # sigmoid 0.924, comfortably above the 0.5 decode threshold
@@ -516,10 +485,10 @@ class OracleModel:
 
     def forward(self, frame: Tensor, truth: list[Box]) -> DetectionTensorSet:
         self.config.check_frame(frame)
-        targets = [np.zeros((g, g, CHANNELS), dtype=np.float32) for g in GRIDS]
-        for t in targets:
-            t[:, :, CH_OBJ] = self.OBJ_OFF
-            t[:, :, BOX_CHANNELS:] = self.CLS_OFF
+        cells = np.zeros((GRID_CELLS, CHANNELS), dtype=np.float32)
+        cells[:, CH_OBJ] = self.OBJ_OFF
+        cells[:, BOX_CHANNELS:] = self.CLS_OFF
+        targets = scale_views(cells)
 
         occupied: set[tuple[int, int, int]] = set()
         for box in truth:
@@ -541,7 +510,6 @@ class OracleModel:
         if self.noise_amp > 0.0:
             mix = zlib.crc32(frame.tobytes()) ^ (MODEL_SEED * 0x9E3779B1 & 0xFFFFFFFF)
             nrng = np.random.Generator(np.random.PCG64(mix))
-            for t in targets:
-                t += nrng.uniform(-self.noise_amp, self.noise_amp,
-                                  t.shape).astype(np.float32)
-        return DetectionTensorSet(scales=tuple(targets))
+            cells += nrng.uniform(-self.noise_amp, self.noise_amp,
+                                  cells.shape).astype(np.float32)
+        return DetectionTensorSet(cells)

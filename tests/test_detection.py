@@ -5,16 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgekt.detection import (BOX_CHANNELS, CH_OBJ, CH_TH, CH_TW, CH_TX, CH_TY,
-                              COORD_LOGIT_SCALE, MATCH_IOU, NMS_IOU, OBJ_THRESHOLD,
-                              SIZE_PRIOR, Box, compute_metrics, decode_boxes, encode_box,
-                              iou, logit, nms, sigmoid)
-from edgekt.models import CLASSES, GRIDS, DetectionTensorSet
+from edgekt.detection import (BOX_CHANNELS, CH_OBJ, CH_TH, CH_TW, CH_TX, CH_TY, CHANNELS,
+                              CLASSES, COORD_LOGIT_SCALE, GRID_CELLS, GRIDS, MATCH_IOU,
+                              NMS_IOU, OBJ_THRESHOLD, SIZE_PRIOR, Box, DetectionTensorSet,
+                              compute_metrics, decode_boxes, encode_box, iou, logit, nms,
+                              scale_views, sigmoid)
 
 
-def _tensor_set(grids=(8, 4, 2), channels=8, fill=0.0):
-    return DetectionTensorSet(scales=tuple(
-        np.full((g, g, channels), fill, dtype=np.float32) for g in grids))
+def _cells(fill=0.0):
+    return np.full((GRID_CELLS, CHANNELS), fill, dtype=np.float32)
+
+
+def _tensor_set(fill=0.0):
+    return DetectionTensorSet(_cells(fill))
 
 
 # -- IoU ---------------------------------------------------------------------
@@ -52,8 +55,8 @@ def test_decode_below_threshold_emits_nothing():
 
 
 def test_decode_hot_cell():
-    out = _tensor_set(fill=-1.0)
-    arr = out.scales[0].copy()
+    cells = _cells(fill=-1.0)
+    arr = scale_views(cells)[0]
     # encode a box centered at cell (2, 5) of the 8-grid
     g = 8
     x, y, w, h = (5 + 0.4) / g, (2 + 0.7) / g, 0.25, 0.125
@@ -63,8 +66,7 @@ def test_decode_hot_cell():
     arr[2, 5, 3] = COORD_LOGIT_SCALE * (logit(h) - logit(SIZE_PRIOR))
     arr[2, 5, CH_OBJ] = 3.0
     arr[2, 5, BOX_CHANNELS + 2] = 2.0
-    scales = (arr,) + out.scales[1:]
-    boxes = decode_boxes(DetectionTensorSet(scales=scales))
+    boxes = decode_boxes(DetectionTensorSet(cells))
     assert len(boxes) == 1
     b = boxes[0]
     assert b.x == pytest.approx(x, abs=1e-6)
@@ -264,30 +266,40 @@ def _reference_decode_boxes(out):
 
 @st.composite
 def _detection_tensors(draw):
-    """Random (8, 4, 2)-grid tensor sets: spread-out values, grids where no
-    cell or every cell passes, and grids of tied scores and classes."""
-    classes = draw(st.integers(1, 4))
+    """Random tensor sets, each scale's rows drawn apart: spread-out values,
+    scales where no cell or every cell passes, and scales of tied scores
+    and classes; in some sets, a NaN objectness in about one cell in five."""
     kind = draw(st.sampled_from(["random", "none_pass", "all_pass", "tied"]))
     rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
     scales = []
-    for g in (8, 4, 2):
-        arr = rng.normal(0.0, draw(st.sampled_from([0.5, 3.0, 30.0])),
-                         (g, g, BOX_CHANNELS + classes))
+    for g in GRIDS:
+        arr = rng.normal(0.0, draw(st.sampled_from([0.5, 3.0, 30.0])), (g * g, CHANNELS))
         if kind == "none_pass":
-            arr[:, :, CH_OBJ] = -rng.uniform(1.0, 50.0, (g, g))
+            arr[:, CH_OBJ] = -rng.uniform(1.0, 50.0, g * g)
         elif kind == "all_pass":
-            arr[:, :, CH_OBJ] = rng.uniform(0.0, 50.0, (g, g))
+            arr[:, CH_OBJ] = rng.uniform(0.0, 50.0, g * g)
         elif kind == "tied":
-            arr[:, :, CH_OBJ] = draw(st.sampled_from([0.0, 0.7, 2.5]))
-            arr[:, :, BOX_CHANNELS:] = rng.integers(0, 2, (g, g, classes))
-        scales.append(arr.astype(np.float32))
-    return DetectionTensorSet(scales=tuple(scales))
+            arr[:, CH_OBJ] = draw(st.sampled_from([0.0, 0.7, 2.5]))
+            arr[:, BOX_CHANNELS:] = rng.integers(0, 2, (g * g, CLASSES))
+        scales.append(arr)
+    cells = np.concatenate(scales).astype(np.float32)
+    if draw(st.booleans()):
+        cells[rng.random(GRID_CELLS) < 0.2, CH_OBJ] = np.nan
+    return DetectionTensorSet(cells)
+
+
+def _same_value(a, b):
+    """Equal Python type and value, a NaN equal to a NaN."""
+    return type(a) is type(b) and (a == b or (a != a and b != b))
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(out=_detection_tensors())
 def test_array_decode_equals_per_cell_loop(out):
-    assert decode_boxes(out) == _reference_decode_boxes(out)
+    got, want = decode_boxes(out), _reference_decode_boxes(out)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert type(g) is Box and all(_same_value(a, b) for a, b in zip(g, w)), (g, w)
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
@@ -307,12 +319,12 @@ def test_encode_box_round_trips_through_decode(x, y, w, h, class_id, scale):
     g = GRIDS[scale]
     r, c, coded = encode_box(Box(x, y, w, h, class_id), g)
     assert (r, c) == (min(int(y * g), g - 1), min(int(x * g), g - 1))
-    scales = [np.full((n, n, BOX_CHANNELS + CLASSES), -10.0, np.float32) for n in GRIDS]
-    cell = scales[scale][r, c]
+    cells = _cells(fill=-10.0)
+    cell = scale_views(cells)[scale][r, c]
     cell[CH_TX:CH_TH + 1] = coded
     cell[CH_OBJ] = 10.0
     cell[BOX_CHANNELS + class_id] = 1.0
-    [box] = decode_boxes(DetectionTensorSet(scales=tuple(scales)))
+    [box] = decode_boxes(DetectionTensorSet(cells))
     fx, fy, fw, fh = np.clip([x * g - c, y * g - r, w, h], 0.02, 0.98).tolist()
     assert box[:4] == pytest.approx(((c + fx) / g, (r + fy) / g, fw, fh), abs=1e-6)
     assert box.class_id == class_id

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from edgekt import harness, netproto, runtime
+from edgekt.detection import DetectionTensorSet
 from edgekt.harness import run_named_scenario
-from edgekt.models import DetectionTensorSet
 from edgekt.netproto import decode_message, encode_message
 from edgekt.runtime import EdgeNode
 from edgekt.scenegen import fixed_cam_default
@@ -65,8 +65,7 @@ def test_overflowing_local_adaptation_is_a_failed_job(script, monkeypatch, caplo
         # the second job distills towards a target near the float32 maximum
         calls.append(1)
         if len(calls) == 2:
-            oracle_out = DetectionTensorSet(scales=tuple(
-                np.full(s.shape, 3e38, np.float32) for s in oracle_out.scales))
+            oracle_out = DetectionTensorSet(np.full(oracle_out.cells.shape, 3e38, np.float32))
         return adapt(model, inputs, oracle_out, **kwargs)
 
     monkeypatch.setattr(harness, "adapt_decoder", overflow_second_target)

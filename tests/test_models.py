@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgekt import models
-from edgekt.detection import BOX_CHANNELS, Box, compute_metrics, decode_boxes, nms
-from edgekt.models import (DecoderWeights, DetectionTensorSet, ModelConfig, OracleModel,
-                           Precision, StudentModel, adapt_decoder, distill_gradients,
-                           distill_loss, prepare_distill, swap_decoder)
+from edgekt.detection import (BOX_CHANNELS, CHANNELS, GRID_CELLS, Box, DetectionTensorSet,
+                              compute_metrics, decode_boxes, nms)
+from edgekt.models import (DecoderWeights, ModelConfig, OracleModel, Precision, StudentModel,
+                           adapt_decoder, distill_gradients, distill_loss, prepare_distill,
+                           swap_decoder)
 from edgekt.netproto import decode_weights, encode_weights
 from edgekt.tensor import Tensor, f16_decode, f16_encode, l2_sq_distance
 
@@ -42,15 +43,28 @@ def _truth():
 
 # -- tensor set / loss ---------------------------------------------------------
 
+def _table(fill=0.0):
+    return np.full((GRID_CELLS, CHANNELS), fill, np.float32)
+
+
 def test_tensor_set_requires_three_scales():
-    a = np.zeros((4, 4, 8), np.float32)
-    with pytest.raises(ValueError):
-        DetectionTensorSet(scales=(a, a))
+    # a table without the coarsest scale's rows
+    with pytest.raises(ValueError, match=re.escape(f"float32 {(GRID_CELLS, CHANNELS)} array")):
+        DetectionTensorSet(_table()[:-models.GRIDS[-1] ** 2])
+
+
+def test_tensor_set_refuses_a_foreign_geometry():
+    # grids (4, 2, 1), not the models' (8, 4, 2), a wrong channel count and
+    # float64 cells are each refused at construction, so no adaptation sees them
+    for bad in (np.zeros((16 + 4 + 1, CHANNELS), np.float32),
+                np.zeros((GRID_CELLS, CHANNELS + 1), np.float32), _table().astype(np.float64)):
+        with pytest.raises(ValueError, match="a detection tensor set is a float32"):
+            DetectionTensorSet(bad)
 
 
 def test_model_outputs_are_read_only_float32_arrays(student, oracle, monkeypatch):
     # a model output is computed from checked values, so neither model
-    # builds a Tensor for it; the set checks each scale's dtype and shape
+    # builds a Tensor for it; the set checks its table's dtype and shape
     f = _frame(seed=3)
     inputs = student.head_inputs(f)
     calls, init = [], Tensor.__init__
@@ -58,13 +72,15 @@ def test_model_outputs_are_read_only_float32_arrays(student, oracle, monkeypatch
     outs = [student.outputs(inputs), oracle.forward(f, _truth())]
     assert calls == []
     for out in outs:
+        assert type(out.cells) is np.ndarray and out.cells.dtype == np.float32
+        assert out.cells.shape == (GRID_CELLS, CHANNELS) and not out.cells.flags.writeable
         for a, g in zip(out.scales, models.GRIDS):
-            assert type(a) is np.ndarray and a.dtype == np.float32
-            assert a.shape == (g, g, models.CHANNELS) and not a.flags.writeable
-    ok = np.zeros((2, 2, 8), np.float32)
-    for bad in (Tensor(ok), ok.astype(np.float64), np.zeros((2, 3, 8), np.float32)):
-        with pytest.raises(ValueError, match="float32 GxGxC array"):
-            DetectionTensorSet(scales=(ok, ok, bad))
+            assert a.base is out.cells
+            assert a.shape == (g, g, CHANNELS) and not a.flags.writeable
+        # scales are views of the rows in table order, row-major within a scale
+        assert np.array_equal(out.scales[1][2, 3], out.cells[8 * 8 + 2 * 4 + 3])
+    with pytest.raises(ValueError, match="got Tensor"):
+        DetectionTensorSet(Tensor(_table()))
 
 
 def test_distill_loss_identity(student):
@@ -73,13 +89,9 @@ def test_distill_loss_identity(student):
 
 
 def test_distill_loss_single_element():
-    arr = np.zeros((4, 4, 8), np.float32)
-    arr[1, 2, 3] = 1.0
-    a = DetectionTensorSet(scales=(np.zeros((4, 4, 8), np.float32),
-                                   np.zeros((2, 2, 8), np.float32),
-                                   np.zeros((1, 1, 8), np.float32)))
-    b = DetectionTensorSet(scales=(arr, a.scales[1], a.scales[2]))
-    assert distill_loss(a, b) == pytest.approx(1.0)
+    cells = _table()
+    cells[70, 3] = 1.0
+    assert distill_loss(DetectionTensorSet(_table()), DetectionTensorSet(cells)) == 1.0
 
 
 def test_distill_loss_compositional(student, oracle):
@@ -232,15 +244,6 @@ def test_adapt_steps_are_read_when_called(student, oracle, monkeypatch, steps):
                                               + steps * 3 * student.adaptive_mac_count())
 
 
-def test_adapt_rejects_shape_mismatch(student):
-    # targets on grids (4, 2, 1), not the student's (8, 4, 2)
-    bad = DetectionTensorSet(scales=tuple(np.zeros((g, g, models.CHANNELS), np.float32)
-                                          for g in (4, 2, 1)))
-    inputs = student.head_inputs(_frame())
-    with pytest.raises(ValueError, match="target shape"):
-        adapt_decoder(student, inputs, bad)
-
-
 def test_adapt_returns_the_pre_update_loss(student, oracle, monkeypatch):
     # the selector's feedback comes from the call that trains: the loss of
     # the model it was given, on the same head inputs, before any update
@@ -268,8 +271,7 @@ def test_adapt_rejects_overflowing_target(student):
     # adam_step's finiteness check rejects it before any weights are built;
     # the overflow raises no numpy RuntimeWarning on the way
     f = _frame(seed=16)
-    huge = DetectionTensorSet(scales=tuple(
-        np.full(s.shape, 3e38, np.float32) for s in student.forward(f).scales))
+    huge = DetectionTensorSet(_table(3e38))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="non-finite gradient"):

@@ -14,7 +14,8 @@ import pytest
 
 from edgekt import harness, scenegen
 from edgekt.harness import emit_report, run_named_scenario
-from edgekt.models import CHANNELS, GRIDS, ModelConfig, OracleModel, StudentModel
+from edgekt.detection import CHANNELS, GRID_CELLS, GRIDS
+from edgekt.models import ModelConfig, OracleModel, StudentModel
 from edgekt.scenegen import (ObjectSpec, SceneScript, SceneStream, Shift, fixed_cam_default,
                              moving_cam_default, pretrain_script, render_frame)
 
@@ -194,12 +195,11 @@ def test_arrays_through_the_pipe_arrive_read_only(monkeypatch):
     with closing(SceneStream(fixed_cam_default(duration=6)).events(stage)) as events:
         for frame, truth, (doubled, out) in events:
             assert np.array_equal(doubled, frame.array * 2)
-            expected = oracle.forward(frame, truth).scales
-            assert [a.tobytes() for a in out.scales] == [a.tobytes() for a in expected]
+            assert out.cells.tobytes() == oracle.forward(frame, truth).cells.tobytes()
             # the detection tensor set's invariants hold on what arrived
-            assert [(a.dtype, a.shape) for a in out.scales] == [
-                (np.float32, (g, g, CHANNELS)) for g in GRIDS]
-            for a in (doubled, *out.scales):
+            assert (out.cells.dtype, out.cells.shape) == (np.float32, (GRID_CELLS, CHANNELS))
+            assert [a.shape for a in out.scales] == [(g, g, CHANNELS) for g in GRIDS]
+            for a in (doubled, out.cells, *out.scales):
                 assert not a.flags.writeable
                 with pytest.raises(ValueError):
                     a.flat[0] = 0.0
