@@ -51,8 +51,6 @@ FEAT2 = 20
 # student's frozen extractor and keys the oracle's noise; a run's seed only
 # drives its runtime randomness (selector draws, channel jitter)
 MODEL_SEED = 7
-# adaptive head input widths per scale: the finest reads the small-object view
-_ADAPTIVE_IN_DIMS = (4 * FEAT2, FEAT2, FEAT2)
 
 
 @dataclass(frozen=True)
@@ -94,7 +92,7 @@ class DecoderWeights:
 
 
 def distill_loss(student_out: DetectionTensorSet, oracle_out: DetectionTensorSet) -> float:
-    """Sum over the three scales of squared L2 distance between outputs."""
+    """Sum over every scale of ``GRIDS`` of squared L2 distance between outputs."""
     return sum(l2_sq_distance(s, o) for s, o in zip(student_out.scales, oracle_out.scales))
 
 
@@ -129,8 +127,9 @@ class StudentModel:
     scale. The adaptive decoder mirrors the general decoder's per-scale
     linear heads, but at the finest scale it carries one extra layer for
     small objects: a fine feature view (the cell's four quadrant feature
-    vectors, not just their average) feeding a wider head, so scale 0's W
-    reads the four-quadrant view. Adaptive head inputs are whitened with
+    vectors, not just their average) feeding a wider head. Each scale's
+    adaptive W is as wide as that scale's pooled input, four times
+    ``FEAT2`` at the finest scale. Adaptive head inputs are whitened with
     statistics frozen at pretraining time. No code writes to what a student
     holds; ``swap_decoder`` returns a new student that shares the frozen
     parts.
@@ -175,22 +174,21 @@ class StudentModel:
                 pooler._pooled(frame), teacher.forward(frame, truth).cells))) as events:
             stages = [result for _, _, result in events]
 
-        # freeze ZCA whitening of the adaptive head inputs; without it the
-        # head features are correlated enough that Adam crawls
-        whitening = {}
-        for i in range(3):
+        whitening, general, adaptive = {}, [], []
+        for i, rows in enumerate(SCALE_ROWS):
+            # freeze ZCA whitening of the adaptive head inputs; without it the
+            # head features are correlated enough that Adam crawls
             a = np.concatenate([raw[i] for (_, raw), _ in stages]).astype(np.float64)
             mu = a.mean(axis=0)
-            centered = a - mu
-            cov = centered.T @ centered / max(1, len(a) - 1)
+            a -= mu  # centered in place: a stays alive through the ridge fit below
+            cov = a.T @ a / max(1, len(a) - 1)
             evals, evecs = np.linalg.eigh(cov)
             floor = 1e-4 * max(float(evals.max()), 1e-12)
             inv_sqrt = evecs @ np.diag(1.0 / np.sqrt(np.maximum(evals, floor))) @ evecs.T
             whitening[f"mu{i}"] = Tensor(mu.astype(np.float32))
             whitening[f"white{i}"] = Tensor(inv_sqrt.astype(np.float32))
 
-        general = []
-        for i, rows in enumerate(SCALE_ROWS):
+            # ridge fit of the general head
             x = np.concatenate([phis[i] for (phis, _), _ in stages]).astype(np.float64)
             y = np.concatenate([targets[rows] for _, targets in stages]).astype(np.float64)
             row_w = np.where(y[:, CH_OBJ] > 0.0, _POS_WEIGHT, 1.0)
@@ -201,10 +199,9 @@ class StudentModel:
                                     xa.T @ (y * row_w[:, None]))
             general.append((Tensor(w_aug[:-1].astype(np.float32)),
                             Tensor(w_aug[-1].astype(np.float32))))
-        adaptive = []
-        for dim in _ADAPTIVE_IN_DIMS:
-            adaptive.append(Tensor.zeros((dim, CHANNELS)))
-            adaptive.append(Tensor.zeros((CHANNELS,)))
+
+            # the zero adaptive head, as wide as the scale's pooled input
+            adaptive += [Tensor.zeros((a.shape[1], CHANNELS)), Tensor.zeros((CHANNELS,))]
         return cls(config, {**extractor, **whitening}, tuple(general), tuple(adaptive))
 
     # -- forward ------------------------------------------------------------
@@ -241,7 +238,8 @@ class StudentModel:
         and training share them, so the arrays are read-only."""
         phis, raw = self._pooled(frame)
         ex = self.extractor
-        bases = [phi @ wg.array + bg.array for phi, (wg, bg) in zip(phis, self.general)]
+        bases = [phi @ wg.array + bg.array
+                 for phi, (wg, bg) in zip(phis, self.general, strict=True)]
         ada_x = [(x - ex[f"mu{i}"].array) @ ex[f"white{i}"].array for i, x in enumerate(raw)]
         for a in (*bases, *ada_x):
             a.flags.writeable = False
@@ -256,7 +254,7 @@ class StudentModel:
         of the cell table."""
         ada = self.adaptive_blocks
         cells = np.empty((GRID_CELLS, CHANNELS), np.float32)
-        for rows, base, x, w, b in zip(SCALE_ROWS, *inputs, ada[0::2], ada[1::2]):
+        for rows, base, x, w, b in zip(SCALE_ROWS, *inputs, ada[0::2], ada[1::2], strict=True):
             cells[rows] = base + x @ w.array + b.array
         return DetectionTensorSet(cells)
 
@@ -291,12 +289,16 @@ class StudentModel:
         fg2 = cfg.feature_grid ** 2
         macs = hw2 * 3 * FEAT1 + fg2 * FEAT1 * FEAT2
         macs += sum(g * g * FEAT2 * CHANNELS for g in GRIDS)
-        macs += sum(g * g * d * d for g, d in zip(GRIDS, _ADAPTIVE_IN_DIMS))  # whitening
+        # whitening: a square matrix as wide as each scale's adaptive W
+        macs += sum(g * g * w.shape[0] ** 2
+                    for g, w in zip(GRIDS, self.adaptive_blocks[0::2], strict=True))
         macs += self.adaptive_mac_count()
         return macs
 
     def adaptive_mac_count(self) -> int:
-        return sum(g * g * d * CHANNELS for g, d in zip(GRIDS, _ADAPTIVE_IN_DIMS))
+        # each scale's adaptive W is (input width, CHANNELS)
+        return sum(g * g * w.size
+                   for g, w in zip(GRIDS, self.adaptive_blocks[0::2], strict=True))
 
     def adaptation_mac_count(self) -> int:
         """Multiply-accumulate count of one adaptation: one forward pass
@@ -363,7 +365,7 @@ def distill_gradients(prepared: DistillInputs, blocks: Sequence[np.ndarray],
     per-call cost.
     """
     for base, x, xt, target, w, b, gw, gb in zip(*prepared, blocks[0::2], blocks[1::2],
-                                                 out[0::2], out[1::2]):
+                                                 out[0::2], out[1::2], strict=True):
         r = np.dot(x, w)
         r += base
         r += b
@@ -444,10 +446,12 @@ class OracleModel:
     Functionally it encodes the scene truth into output tensors and adds a
     small deterministic perturbation derived from the frame content, so the
     same frame always yields the same tensors and decoding recovers the
-    truth almost exactly. Each box takes the first free cell, by
-    ``encode_box``, at the scale nearest its preferred one, or none if its
-    cell is taken at every scale. It fills one cell table, writing boxes
-    through its scale views, and adds its noise to the table in one draw.
+    truth almost exactly. A box prefers the finest scale whose grid side
+    ``g`` has ``max(w, h) <= 1.8 / g``, else the coarsest, and takes the
+    first free cell, by ``encode_box``, at the scale nearest that one, or
+    none if its cell is taken at every scale. It fills one cell table,
+    writing boxes through its scale views, and adds its noise to the table
+    in one draw.
     Its stage plan defines its depth and cost.
     """
 
@@ -475,14 +479,6 @@ class OracleModel:
         return sum((hw // div) ** 2 * cin * cout
                    for div, cin, cout in self._STAGE_PLAN)
 
-    def _preferred_scale(self, w: float, h: float) -> int:
-        m = max(w, h)
-        if m <= 1.8 / GRIDS[0]:
-            return 0
-        if m <= 1.8 / GRIDS[1]:
-            return 1
-        return 2
-
     def forward(self, frame: Tensor, truth: list[Box]) -> DetectionTensorSet:
         self.config.check_frame(frame)
         cells = np.zeros((GRID_CELLS, CHANNELS), dtype=np.float32)
@@ -495,8 +491,9 @@ class OracleModel:
             if not (0.0 <= box.x <= 1.0 and 0.0 <= box.y <= 1.0
                     and 0.0 < box.w <= 1.0 and 0.0 < box.h <= 1.0):
                 raise ValueError(f"truth box out of frame bounds: {box}")
-            pref = self._preferred_scale(box.w, box.h)
-            for s in sorted(range(3), key=lambda k: abs(k - pref)):
+            m = max(box.w, box.h)
+            pref = next((s for s, g in enumerate(GRIDS) if m <= 1.8 / g), len(GRIDS) - 1)
+            for s in sorted(range(len(GRIDS)), key=lambda k: abs(k - pref)):
                 r, c, coded = encode_box(box, GRIDS[s])
                 if (s, r, c) in occupied:
                     continue

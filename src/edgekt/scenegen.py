@@ -197,8 +197,9 @@ def validate_script(script: SceneScript) -> None:
         raise ValueError("duration_frames must be >= 1")
     if script.size % 4 != 0 or script.size < 16:
         raise ValueError("frame size must be a multiple of 4 and >= 16")
-    if script.seed < 0:
-        raise ValueError("seed must be >= 0")
+    for name in ("seed", "texture_drift_period"):
+        if getattr(script, name) < 0:
+            raise ValueError(f"{name} must be >= 0")
     for name, positive in _FLOAT_FIELDS:
         value = getattr(script, name)
         if not (_finite(value) and (value > 0 if positive else value >= 0)):

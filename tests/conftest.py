@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -28,3 +29,38 @@ def run_cli():
         return subprocess.run([sys.executable, "-m", "edgekt", *args],
                               capture_output=True, text=True, env=child_env)
     return run
+
+
+class CallCount:
+    """A call count that calls in the forked renderer process reach too: one
+    byte per call, written to a temporary file whose offset the renderer
+    shares."""
+
+    def __init__(self):
+        self._file = tempfile.TemporaryFile(buffering=0)
+
+    def add(self):
+        self._file.write(b".")
+
+    def __len__(self):
+        return os.fstat(self._file.fileno()).st_size
+
+    def clear(self):
+        self._file.seek(0)
+        self._file.truncate()
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(owner, name)`` replaces ``owner.name`` for the test with
+    a wrapper that counts its calls, and returns their ``CallCount``."""
+    def count(owner, name):
+        calls = CallCount()
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls.add()
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+        return calls
+    return count

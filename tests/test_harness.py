@@ -166,28 +166,14 @@ def test_compare_equals_separate_runs(preset):
                 == emit_report(run_named_scenario(name, script, seed=0), "json"))
 
 
-def _counted(monkeypatch, owner, name, log):
-    """Count calls of ``owner.name`` as lines appended to the file ``log``,
-    which calls in the forked renderer process reach too."""
-    original = getattr(owner, name)
-
-    def wrapper(*args, **kwargs):
-        with open(log, "a", encoding="utf-8") as f:
-            f.write(f"{name}\n")
-        return original(*args, **kwargs)
-    monkeypatch.setattr(owner, name, wrapper)
-
-
-def test_compare_renders_each_frame_and_pretrains_once(monkeypatch, tmp_path):
+def test_compare_renders_each_frame_and_pretrains_once(count_calls):
     script = fixed_cam_default(duration=12)
-    log = tmp_path / "calls.txt"
-    _counted(monkeypatch, SceneStream, "frame_at", log)
-    _counted(monkeypatch, StudentModel, "pretrained", log)
+    frames = count_calls(SceneStream, "frame_at")
+    pretrained = count_calls(StudentModel, "pretrained")
     compare(script, seed=0)
-    calls = log.read_text(encoding="utf-8").split()
     # pretraining renders its own stream (60 frames) once
-    assert calls.count("frame_at") == 12 + pretrain_script(size=script.size).duration_frames
-    assert calls.count("pretrained") == 1
+    assert len(frames) == 12 + pretrain_script(size=script.size).duration_frames
+    assert len(pretrained) == 1
 
 
 def test_record_for_the_wrong_frame_raises(monkeypatch):
@@ -204,17 +190,15 @@ def test_record_for_the_wrong_frame_raises(monkeypatch):
     (lambda script: compare(script, seed=0), 12),
     (lambda script: run_named_scenario("deep", script), 0),
 ], ids=["compare", "deep"])
-def test_head_inputs_once_per_frame_only_when_the_student_serves(monkeypatch, tmp_path,
+def test_head_inputs_once_per_frame_only_when_the_student_serves(monkeypatch, count_calls,
                                                                   run, calls):
     script = fixed_cam_default(duration=12)
-    log = tmp_path / "calls.txt"
-    log.write_text("", encoding="utf-8")
-    _counted(monkeypatch, StudentModel, "head_inputs", log)
+    head_inputs = count_calls(StudentModel, "head_inputs")
     record, records = harness.FrameRecord, []
     monkeypatch.setattr(harness, "FrameRecord",
                         lambda **fields: records.append(record(**fields)) or records[-1])
     run(script)
-    assert log.read_text(encoding="utf-8").split() == ["head_inputs"] * calls
+    assert len(head_inputs) == calls
     assert [rec.index for rec in records] == list(range(12))
     for rec in records:
         arrays = [rec.frame.array, *rec.oracle_out.scales]

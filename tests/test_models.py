@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 import warnings
 
@@ -8,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgekt import models
-from edgekt.detection import (BOX_CHANNELS, CHANNELS, GRID_CELLS, Box, DetectionTensorSet,
-                              compute_metrics, decode_boxes, nms)
+from edgekt.detection import (BOX_CHANNELS, CH_OBJ, CHANNELS, GRID_CELLS, Box,
+                              DetectionTensorSet, compute_metrics, decode_boxes, nms)
 from edgekt.models import (DecoderWeights, ModelConfig, OracleModel, Precision, StudentModel,
                            adapt_decoder, distill_gradients, distill_loss, prepare_distill,
                            swap_decoder)
@@ -146,9 +147,33 @@ def test_prepare_distill_takes_the_general_head_output_as_is(student, oracle):
     f = _frame(seed=6)
     inputs = student.head_inputs(f)
     prepared = prepare_distill(inputs, oracle.forward(f, _truth()))
-    for i in range(3):
+    for i in range(len(models.GRIDS)):
         assert prepared.base[i] is inputs[0][i]
         assert prepared.ada_x[i] is inputs[1][i]
+
+
+def test_outputs_refuse_head_inputs_without_the_coarsest_scale(student):
+    # every scale's rows are written, or none: a missing scale is not left
+    # as whatever the uninitialised table held
+    bases, ada_x = student.head_inputs(_frame(seed=6))
+    with pytest.raises(ValueError, match="zip"):
+        student.outputs((bases[:-1], ada_x[:-1]))
+
+
+def test_distill_gradients_refuse_a_two_scale_set(student, oracle):
+    f = _frame(seed=6)
+    bases, ada_x = student.head_inputs(f)
+    prepared = prepare_distill((bases[:2], ada_x[:2]), oracle.forward(f, _truth()))
+    blocks = [b.array for b in student.adaptive_blocks]
+    with pytest.raises(ValueError, match="zip"):
+        distill_gradients(prepared, blocks, out=[np.empty_like(b) for b in blocks])
+
+
+def test_mac_counts_read_the_adaptive_widths(student):
+    # the adaptive W are 80, 20 and 20 wide at grids 8, 4 and 2
+    assert student.adaptive_mac_count() == 44_160
+    assert student.mac_count() == 557_120
+    assert student.adaptation_mac_count() == 3_206_720
 
 
 # -- oracle ----------------------------------------------------------------------
@@ -180,6 +205,22 @@ def test_oracle_gives_each_box_one_cell_or_none(oracle):
     assert [b.class_id for b in boxes] == [0, 1, 2]
     m = compute_metrics(boxes, truth[:3])
     assert (m.true_positives, m.false_positives) == (3, 0)
+
+
+@pytest.mark.parametrize("w, h, scale", [
+    (0.1, 0.1, 0),
+    (1.8 / 8, 0.1, 0),
+    (0.1, math.nextafter(1.8 / 8, 1.0), 1),
+    (1.8 / 4, 1.8 / 4, 1),
+    (math.nextafter(1.8 / 4, 1.0), 0.1, 2),
+    (0.9, 0.9, 2),
+])
+def test_oracle_places_a_lone_box_at_the_scale_its_size_names(oracle, w, h, scale):
+    # the finest scale whose grid side g has max(w, h) <= 1.8 / g, else the
+    # coarsest
+    out = oracle.forward(_frame(seed=12), [Box(0.5, 0.5, w, h, 0)])
+    assert [int((arr[:, :, CH_OBJ] > 0.0).sum()) for arr in out.scales] == [
+        int(s == scale) for s in range(len(models.GRIDS))]
 
 
 def test_oracle_deterministic(oracle):

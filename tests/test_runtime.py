@@ -1,8 +1,6 @@
 import json
 import math
-import os
 import struct
-import tempfile
 from dataclasses import replace
 
 import numpy as np
@@ -266,52 +264,21 @@ def test_edge_half_precision_trains_on_rounded_frame():
         assert got == f16_decode(f16_encode(exp), exp.shape)
 
 
-class _Calls:
-    """A call count that calls in the forked renderer process reach too: one
-    byte per call, written to a temporary file whose offset the renderer
-    shares."""
-
-    def __init__(self):
-        self._file = tempfile.TemporaryFile(buffering=0)
-
-    def add(self):
-        self._file.write(b".")
-
-    def __len__(self):
-        return os.fstat(self._file.fileno()).st_size
-
-    def clear(self):
-        self._file.seek(0)
-        self._file.truncate()
-
-
-def _counted(monkeypatch, owner, name):
-    """Replace ``owner.name`` with a wrapper that counts its calls."""
-    calls = _Calls()
-    original = getattr(owner, name)
-
-    def wrapper(*args, **kwargs):
-        calls.add()
-        return original(*args, **kwargs)
-    monkeypatch.setattr(owner, name, wrapper)
-    return calls
-
-
-def test_edge_serve_extracts_features_once(edge_setup, monkeypatch):
+def test_edge_serve_extracts_features_once(edge_setup, count_calls):
     # a rounded frame is not the record's, so its features are extracted here
     edge, student, stream = edge_setup
     edge = EdgeNode(edge.oracle, edge.clone)
     record = _record(edge.oracle, student, stream, 4)
-    features = _counted(monkeypatch, StudentModel, "features")
+    features = count_calls(StudentModel, "features")
     reply = decode_message(edge.serve(encode_message(
         FrameUpload(4, record.frame, Precision.HALF)), record))
     assert isinstance(reply, WeightUpdate)
     assert len(features) == 1
 
 
-def test_lt_run_extracts_features_once_per_frame(monkeypatch):
+def test_lt_run_extracts_features_once_per_frame(count_calls):
     script = fixed_cam_default(duration=12)
-    features = _counted(monkeypatch, StudentModel, "features")
+    features = count_calls(StudentModel, "features")
     StudentModel.pretrained(ModelConfig(input_hw=script.size))
     pretraining = len(features)
     features.clear()
@@ -321,10 +288,10 @@ def test_lt_run_extracts_features_once_per_frame(monkeypatch):
     assert len(features) == pretraining + 12
 
 
-def test_network_run_extracts_and_scores_each_frame_once(monkeypatch):
+def test_network_run_extracts_and_scores_each_frame_once(count_calls):
     script = fixed_cam_default(duration=12)
-    features = _counted(monkeypatch, StudentModel, "features")
-    oracle = _counted(monkeypatch, OracleModel, "forward")
+    features = count_calls(StudentModel, "features")
+    oracle = count_calls(OracleModel, "forward")
     StudentModel.pretrained(ModelConfig(input_hw=script.size))
     pretraining = (len(features), len(oracle))
     features.clear()
@@ -337,7 +304,7 @@ def test_network_run_extracts_and_scores_each_frame_once(monkeypatch):
 
 
 @pytest.mark.parametrize("precision", list(Precision))
-def test_edge_serve_with_record_returns_the_same_bytes(edge_setup, precision, monkeypatch):
+def test_edge_serve_with_record_returns_the_same_bytes(edge_setup, precision, count_calls):
     edge, student, stream = edge_setup
     clone = edge.clone
     record = _record(edge.oracle, student, stream, 6)
@@ -349,8 +316,8 @@ def test_edge_serve_with_record_returns_the_same_bytes(edge_setup, precision, mo
     inputs = clone.head_inputs(frame)
     weights, loss = adapt_decoder(clone, inputs, oracle_out)
     expected = encode_message(WeightUpdate(6, replace(weights, precision=precision), loss))
-    features = _counted(monkeypatch, StudentModel, "features")
-    oracle = _counted(monkeypatch, OracleModel, "forward")
+    features = count_calls(StudentModel, "features")
+    oracle = count_calls(OracleModel, "forward")
     data = encode_message(FrameUpload(6, record.frame, precision))
     assert EdgeNode(edge.oracle, clone).serve(data, record) == expected
     # a full-precision upload is the record's frame; a rounded one is not
@@ -359,7 +326,8 @@ def test_edge_serve_with_record_returns_the_same_bytes(edge_setup, precision, mo
 
 
 @pytest.mark.parametrize("steps", [1, 7, None])
-def test_edge_adaptation_runs_one_adam_update_per_step(edge_setup, monkeypatch, steps):
+def test_edge_adaptation_runs_one_adam_update_per_step(edge_setup, monkeypatch, steps,
+                                                       count_calls):
     edge, student, stream = edge_setup
     edge = EdgeNode(edge.oracle, edge.clone)
     if steps is None:
@@ -367,8 +335,8 @@ def test_edge_adaptation_runs_one_adam_update_per_step(edge_setup, monkeypatch, 
     else:
         # pin the step count the edge's adaptation call runs
         monkeypatch.setattr(models, "ADAPT_STEPS", steps)
-    adam = _counted(monkeypatch, models, "adam_step")
-    gradients = _counted(monkeypatch, models, "distill_gradients")
+    adam = count_calls(models, "adam_step")
+    gradients = count_calls(models, "distill_gradients")
     reply = _serve(edge, student, stream, 5)
     assert isinstance(reply, WeightUpdate)
     assert len(adam) == steps
@@ -455,8 +423,8 @@ def test_zero_cost_channel_matches_local_training(short_script, monkeypatch):
     assert [e["checksum"] for e in lt.swap_log] == [e["checksum"] for e in nt.swap_log]
 
 
-def test_only_network_runs_build_an_edge_node(monkeypatch):
-    built = _counted(monkeypatch, harness, "EdgeNode")
+def test_only_network_runs_build_an_edge_node(count_calls):
+    built = count_calls(harness, "EdgeNode")
     script = fixed_cam_default(duration=12)
     assert run_named_scenario("lt", script, kfs=False).swap_log  # local jobs ran
     assert not built

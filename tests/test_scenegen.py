@@ -113,6 +113,7 @@ def test_invalid_scripts_rejected():
     (dict(seed=-1), "seed must be >= 0"),
     (dict(objects=(ObjectSpec(True, 0.2, 0.2),)), "class_id must be int, not bool"),
     (dict(shifts=(Shift(frame_index=5.0),)), "frame_index must be int, not float"),
+    (dict(texture_drift_period=-3), "texture_drift_period must be >= 0"),
 ])
 def test_python_built_scripts_are_checked_like_json(overrides, message):
     with pytest.raises(ValueError, match=message):
