@@ -27,7 +27,7 @@ import numpy as np
 
 from .detection import (BOX_CHANNELS, CH_OBJ, CH_TH, CH_TX, CHANNELS, GRID_CELLS, GRIDS,
                         SCALE_ROWS, Box, DetectionTensorSet, encode_box, scale_views)
-from .tensor import AdamState, Tensor, adam_step, l2_sq_distance
+from .tensor import AdamState, Tensor, adam_step
 
 
 class Precision(str, Enum):
@@ -92,8 +92,11 @@ class DecoderWeights:
 
 
 def distill_loss(student_out: DetectionTensorSet, oracle_out: DetectionTensorSet) -> float:
-    """Sum over every scale of ``GRIDS`` of squared L2 distance between outputs."""
-    return sum(l2_sq_distance(s, o) for s, o in zip(student_out.scales, oracle_out.scales))
+    """Sum over every scale of ``GRIDS`` of squared L2 distance between
+    outputs: one float64 difference of the two cell tables, then one dot
+    product per scale's rows, summed finest first."""
+    d = np.subtract(student_out.cells, oracle_out.cells, dtype=np.float64)
+    return sum(float(np.dot(r, r)) for r in (d[rows].reshape(-1) for rows in SCALE_ROWS))
 
 
 # ---------------------------------------------------------------------------
@@ -250,12 +253,10 @@ class StudentModel:
 
     def outputs(self, inputs: tuple[list[np.ndarray], list[np.ndarray]]) -> DetectionTensorSet:
         """Detection tensors from a frame's ``head_inputs``: per scale, the
-        general head's output plus the adaptive head's, in that scale's rows
-        of the cell table."""
-        ada = self.adaptive_blocks
+        general head's output plus the adaptive head's, written by
+        ``_head_pass`` into that scale's rows of a fresh cell table."""
         cells = np.empty((GRID_CELLS, CHANNELS), np.float32)
-        for rows, base, x, w, b in zip(SCALE_ROWS, *inputs, ada[0::2], ada[1::2], strict=True):
-            cells[rows] = base + x @ w.array + b.array
+        _head_pass(cells, *inputs, [t.array for t in self.adaptive_blocks])
         return DetectionTensorSet(cells)
 
     # -- bookkeeping ---------------------------------------------------------
@@ -325,20 +326,38 @@ def _quadrant_pool(feats: np.ndarray, k: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Adaptation
 
-class DistillInputs(NamedTuple):
-    """Per-scale terms of the distillation loss that do not depend on the
-    adaptive blocks, all in one dtype: a frame's ``head_inputs`` and oracle
-    output, cast once per adaptation."""
+def _head_pass(cells: np.ndarray, bases: Sequence[np.ndarray], xs: Sequence[np.ndarray],
+               blocks: Sequence[np.ndarray]) -> None:
+    """Write each scale's head output ``(base + x @ w) + b`` into its rows of
+    ``cells``, an (``GRID_CELLS``, C) table, in place: the product into the
+    rows, then the base, then the bias. Addition commutes, so this is the
+    float order of ``base + x @ w + b``; ``np.dot`` makes the same BLAS call
+    as ``@`` on these 2-D operands. A missing scale raises ValueError."""
+    for rows, base, x, w, b in zip(SCALE_ROWS, bases, xs, blocks[0::2], blocks[1::2],
+                                   strict=True):
+        out = cells[rows]
+        np.dot(x, w, out=out)
+        out += base
+        out += b
 
-    base: list[np.ndarray]     # general head output phi @ wg + bg, (G*G, C)
-    ada_x: list[np.ndarray]    # adaptive head inputs, (G*G, D)
+
+class DistillInputs(NamedTuple):
+    """The terms of the distillation loss that do not depend on the adaptive
+    blocks, all in one dtype: a frame's ``head_inputs`` and oracle output,
+    cast once per adaptation, and the residual table every
+    ``distill_gradients`` call of the adaptation writes."""
+
+    base: list[np.ndarray]     # general head output phi @ wg + bg per scale, (G*G, C)
+    ada_x: list[np.ndarray]    # adaptive head inputs per scale, (G*G, D)
     ada_xt: list[np.ndarray]   # their transposes, for the weight gradients
-    targets: list[np.ndarray]  # oracle outputs, (G*G, C)
+    target: np.ndarray         # the oracle's cell table, (GRID_CELLS, C)
+    resid: np.ndarray          # work space for the residual, (GRID_CELLS, C)
 
 
 def prepare_distill(inputs: tuple[list[np.ndarray], list[np.ndarray]],
                     oracle_out: DetectionTensorSet, dtype=np.float32) -> DistillInputs:
-    """Cast to ``dtype`` what ``distill_gradients`` needs from the frame.
+    """Cast to ``dtype`` what ``distill_gradients`` needs from the frame,
+    and allocate its residual table.
 
     ``inputs`` are a student's ``head_inputs`` of the frame, so the general
     head is not evaluated again: in float32 the arrays are the inputs
@@ -347,8 +366,8 @@ def prepare_distill(inputs: tuple[list[np.ndarray], list[np.ndarray]],
     """
     base = [b.astype(dtype, copy=False) for b in inputs[0]]
     xs = [x.astype(dtype, copy=False) for x in inputs[1]]
-    targets = [oracle_out.cells[rows].astype(dtype, copy=False) for rows in SCALE_ROWS]
-    return DistillInputs(base, xs, [x.T for x in xs], targets)
+    target = oracle_out.cells.astype(dtype, copy=False)
+    return DistillInputs(base, xs, [x.T for x in xs], target, np.empty(target.shape, dtype))
 
 
 def distill_gradients(prepared: DistillInputs, blocks: Sequence[np.ndarray],
@@ -357,22 +376,22 @@ def distill_gradients(prepared: DistillInputs, blocks: Sequence[np.ndarray],
     adaptive block, at the given blocks: ``(W, b)`` per scale, in the dtype
     ``prepared`` was built with.
 
-    Per scale the residual is ``2.0 * (base + x @ w + b - target)``, built in
-    place in that float order, and the gradients are ``x.T @ resid`` and
-    ``resid.sum(axis=0)``. They are written into ``out``, arrays shaped and
-    typed like the gradients, and returned. The products use ``np.dot``,
-    which makes the same BLAS call as ``@`` on these 2-D operands at less
-    per-call cost.
+    The residual ``2.0 * (base + x @ w + b - target)`` is built in place in
+    ``prepared.resid``, in that float order: ``_head_pass``, then the target
+    and the factor over all rows at once. Per scale, the gradients are
+    ``x.T @ resid`` and the column sums of its rows (one sum per scale:
+    ``np.add.reduceat`` adds in another order). They are written into
+    ``out``, arrays shaped and typed like the gradients, and returned.
     """
-    for base, x, xt, target, w, b, gw, gb in zip(*prepared, blocks[0::2], blocks[1::2],
-                                                 out[0::2], out[1::2], strict=True):
-        r = np.dot(x, w)
-        r += base
-        r += b
-        r -= target
-        r *= 2.0
-        np.dot(xt, r, out=gw)
-        r.sum(axis=0, out=gb)
+    r = prepared.resid
+    _head_pass(r, prepared.base, prepared.ada_x, blocks)
+    r -= prepared.target
+    r *= 2.0
+    for rows, xt, gw, gb in zip(SCALE_ROWS, prepared.ada_xt, out[0::2], out[1::2],
+                                strict=True):
+        rs = r[rows]
+        np.dot(xt, rs, out=gw)
+        np.add.reduce(rs, axis=0, out=gb)
     return list(out)
 
 
@@ -389,32 +408,32 @@ def adapt_decoder(model: StudentModel,
     ``inputs`` are the frame's ``model.head_inputs``, so the caller extracts
     features once per adaptation. The model, ``inputs`` and ``oracle_out``
     are only read.
-    The adaptive blocks are reshaped views of one flat vector, and the
-    gradients are written into views of one flat buffer allocated once per
-    adaptation, so each step is one gradient evaluation and one Adam update
-    over all blocks, whose result is copied back into the parameter vector.
-    A non-finite gradient (any non-finite residual makes its bias gradient
-    non-finite) or update raises ValueError in ``adam_step``, and the
-    weights are discarded; the overflow itself emits no numpy warning.
+    Every buffer is allocated once per adaptation: the residual table in
+    ``prepare_distill``, one flat gradient vector and one ``AdamState``,
+    whose parameter row the adaptive blocks are reshaped views of. Each
+    step is one gradient evaluation into views of the gradient vector and
+    one in-place Adam update over all blocks. A non-finite gradient or
+    update leaves a non-finite value in the state (any non-finite residual
+    makes its bias gradient non-finite), so ``state.check_finite()`` after
+    the last step raises ValueError for it, and the weights are discarded;
+    the overflow itself emits no numpy warning.
     """
     prepared = prepare_distill(inputs, oracle_out)
     pre_loss = distill_loss(model.outputs(inputs), oracle_out)
-    layout, start = [], 0
+    state = AdamState.for_param(np.concatenate([b.data for b in model.adaptive_blocks]),
+                                lr=ADAPT_LR)
+    grad = np.empty_like(state.param)
+    params, grads, start = [], [], 0
     for b in model.adaptive_blocks:
-        layout.append((slice(start, start + b.size), b.shape))
+        span = slice(start, start + b.size)
+        params.append(state.param[span].reshape(b.shape))
+        grads.append(grad[span].reshape(b.shape))
         start += b.size
-
-    def views(vec: np.ndarray) -> list[np.ndarray]:
-        return [vec[span].reshape(shape) for span, shape in layout]
-
-    flat = np.concatenate([b.data for b in model.adaptive_blocks])
-    grad = np.empty_like(flat)
-    params, grads = views(flat), views(grad)
-    state = AdamState.for_param(flat, lr=ADAPT_LR)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(ADAPT_STEPS):
             distill_gradients(prepared, params, out=grads)
-            flat[...] = adam_step(flat, grad, state)
+            adam_step(grad, state)
+    state.check_finite()
     weights = DecoderWeights(version=model.version + 1,
                              blocks=tuple(Tensor(a) for a in params))
     return weights, pre_loss

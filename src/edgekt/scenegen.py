@@ -546,12 +546,15 @@ class SceneStream:
         """Write every frame to the pipe ``w`` in order: its bytes, then flag
         byte 0, or, when the pipe holds ``_AHEAD_FRAMES`` frames' bytes
         unread, flag byte 1, the length of the stage's pickled result as 8
-        little-endian bytes and the pickle."""
+        little-endian bytes and the pickle. On fewer than 2 usable CPUs the
+        flag is always 0: the renderer and the consumer share the one CPU,
+        so a stage run here takes its time off the consumer all the same."""
+        second_cpu = _usable_cpus() >= 2
         for i in range(self.script.duration_frames):
             frame = self.frame_at(i)
             view = memoryview(frame.array).cast("B")
             _write_all(w, view)
-            if _unread(w) < _AHEAD_FRAMES * len(view):
+            if not second_cpu or _unread(w) < _AHEAD_FRAMES * len(view):
                 _write_all(w, b"\0")
                 continue
             pickled = io.BytesIO()
@@ -578,6 +581,14 @@ def _write_all(fd: int, data) -> None:
     view = memoryview(data)
     while view:
         view = view[os.write(fd, view):]
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS
+    has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _unread(fd: int) -> int:

@@ -59,7 +59,7 @@ class Tensor:
 
     def tobytes(self) -> bytes:
         """Row-major little-endian float32 bytes."""
-        return self._array.astype("<f4").tobytes()
+        return self._array.astype("<f4", copy=False).tobytes()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Tensor):
@@ -81,70 +81,86 @@ def l2_sq_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(d, d))
 
 
-@dataclass
+@dataclass(eq=False)
 class AdamState:
-    """Per-parameter Adam optimizer state (first/second moments plus step count)."""
+    """Adam's state over one flat float32 parameter vector, updated in place.
 
-    m: np.ndarray
-    v: np.ndarray
+    ``block`` is one (3, n) float32 array whose rows are the first moment,
+    the second moment and the parameters; ``scratch`` is two rows of work
+    space. ``for_param`` allocates both once, and every ``adam_step``
+    writes into them, so views of the ``param`` row follow the updates.
+    """
+
+    block: np.ndarray
+    scratch: np.ndarray
+    lr: np.float32
     step: int = 0
-    lr: float = 1e-3
 
     @classmethod
     def for_param(cls, param: np.ndarray, lr: float = 1e-3) -> "AdamState":
-        """Fresh zero-moment float32 state matching a parameter's shape."""
-        return cls(m=np.zeros(param.shape, np.float32), v=np.zeros(param.shape, np.float32),
-                   step=0, lr=lr)
+        """Zero-moment state whose parameter row is a float32 copy of
+        ``param``, flattened row-major."""
+        flat = np.asarray(param, np.float32).reshape(-1)
+        block = np.zeros((3, flat.size), np.float32)
+        block[2] = flat
+        return cls(block, np.empty((2, flat.size), np.float32), np.float32(lr))
+
+    @property
+    def param(self) -> np.ndarray:
+        """The parameter row of ``block``."""
+        return self.block[2]
+
+    def check_finite(self) -> None:
+        """Raise ValueError if any moment or parameter is non-finite: after
+        the last ``adam_step``, this covers every step's gradient and
+        update."""
+        if not np.isfinite(self.block).all():
+            raise ValueError("non-finite gradient or Adam update")
 
 
-def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> np.ndarray:
-    """One bias-corrected Adam update on float32 arrays; returns new params,
-    mutates ``state``.
+# per moment row of the block: its decay rate and its gradient term's weight
+_ADAM_DECAY = np.array([[ADAM_BETA1], [ADAM_BETA2]], np.float32)
+_ADAM_RATE = np.array([[1.0 - ADAM_BETA1], [1.0 - ADAM_BETA2]], np.float32)
+_ADAM_EPS = np.float32(ADAM_EPS)
+
+
+def adam_step(grad: np.ndarray, state: AdamState) -> None:
+    """One bias-corrected Adam update of ``state`` by the flat float32
+    ``grad``, in place.
 
     The update follows the standard rule: moment estimates are decayed
     averages of the gradient and its square, corrected by 1/(1-beta^t),
     and the parameter moves by lr * m_hat / (sqrt(v_hat) + eps), with the
-    module's ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``. A
-    non-finite gradient, or a moment or parameter that overflows, raises
-    ValueError and leaves ``state`` unchanged.
+    module's ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``. The float
+    order is that of ``0.9 * m + 0.1 * g``, ``0.999 * v + 0.001 * g * g``
+    and ``param - lr * (m / c1) / (sqrt(v / c2) + eps)``, each constant
+    rounded to float32; both moment rows take one broadcast operation.
 
-    The new moments and parameters are the three rows of one fresh float32
-    block, computed with in-place ufuncs in the float order of
-    ``0.9 * m + 0.1 * g``, ``0.999 * v + 0.001 * g * g`` and
-    ``param - lr * (m / c1) / (sqrt(v / c2) + eps)``, so one finiteness
-    check covers all three. ``state.m``, ``state.v`` and the returned array
-    are views of that block; the caller's ``param`` and ``grad`` are only
-    read.
+    The update checks nothing: a non-finite gradient, or a moment or
+    parameter that overflows, leaves a non-finite value in its slot of
+    ``block``, and no later update makes that slot finite again. So one
+    ``state.check_finite()`` after the last step covers them all (callers
+    silence numpy's overflow warnings with ``np.errstate``).
     """
-    if param.shape != grad.shape or param.shape != state.m.shape:
-        raise ValueError("param, grad and state moments must share one shape")
-    if not np.isfinite(grad).all():
-        raise ValueError("non-finite gradient")
-
+    if grad.shape != state.param.shape:
+        raise ValueError(f"gradient shape {grad.shape} != parameter shape {state.param.shape}")
     t = state.step + 1
-    block = np.empty((3,) + param.shape, np.float32)
-    m, v, new = block[0, ...], block[1, ...], block[2, ...]  # views, also for 0-d params
-    np.multiply(state.m, ADAM_BETA1, out=m)
-    np.multiply(grad, 1.0 - ADAM_BETA1, out=new)  # ``new`` is scratch until the last line
-    m += new
-    np.multiply(state.v, ADAM_BETA2, out=v)
-    np.multiply(grad, 1.0 - ADAM_BETA2, out=new)
-    new *= grad
-    v += new
-    denom = np.divide(v, 1.0 - ADAM_BETA2 ** t, out=np.empty_like(v))
+    block, terms = state.block, state.scratch
+    moments = block[:2]
+    moments *= _ADAM_DECAY                     # 0.9 * m, 0.999 * v
+    np.multiply(grad, _ADAM_RATE, out=terms)   # 0.1 * g, 0.001 * g
+    terms[1] *= grad
+    moments += terms
+    m, v, param = block
+    step, denom = terms  # the moment terms are spent: reuse their rows
+    np.divide(v, np.float32(1.0 - ADAM_BETA2 ** t), out=denom)
     np.sqrt(denom, out=denom)
-    denom += ADAM_EPS
-    np.divide(m, 1.0 - ADAM_BETA1 ** t, out=new)
-    new *= state.lr
-    new /= denom
-    np.subtract(param, new, out=new)
-    if not np.isfinite(block).all():
-        raise ValueError("Adam update overflowed to a non-finite value")
-
-    state.m = m
-    state.v = v
+    denom += _ADAM_EPS
+    np.divide(m, np.float32(1.0 - ADAM_BETA1 ** t), out=step)
+    step *= state.lr
+    step /= denom
+    param -= step
     state.step = t
-    return new
 
 
 def f16_encode(t: Tensor) -> bytes:

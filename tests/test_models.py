@@ -303,8 +303,9 @@ def test_adapt_returns_the_pre_update_loss(student, oracle, monkeypatch):
 
 def _reference_loss(prepared, blocks):
     """The distillation loss at ``blocks``, from float64 ``prepare_distill`` terms."""
-    return sum(((base + x @ w + b - target) ** 2).sum()
-               for base, x, _, target, w, b in zip(*prepared, blocks[0::2], blocks[1::2]))
+    return sum(((base + x @ w + b - prepared.target[rows]) ** 2).sum()
+               for rows, base, x, w, b in zip(models.SCALE_ROWS, prepared.base, prepared.ada_x,
+                                              blocks[0::2], blocks[1::2]))
 
 
 def test_adapt_rejects_overflowing_target(student):
@@ -344,36 +345,39 @@ def test_gradients_match_finite_differences():
 
 
 def _reference_gradients(prepared, blocks):
-    """The allocating gradient formulas ``distill_gradients`` replaced."""
+    """The allocating per-scale gradient formulas ``distill_gradients``
+    replaced."""
     grads = []
-    for base, x, xt, target, w, b in zip(*prepared, blocks[0::2], blocks[1::2]):
-        resid = 2.0 * (base + x @ w + b - target)
+    for rows, base, x, xt, w, b in zip(models.SCALE_ROWS, prepared.base, prepared.ada_x,
+                                       prepared.ada_xt, blocks[0::2], blocks[1::2]):
+        resid = 2.0 * (base + x @ w + b - prepared.target[rows])
         grads.extend([xt @ resid, resid.sum(axis=0)])
     return grads
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
-@given(grids=st.lists(st.integers(1, 9), min_size=1, max_size=3),
-       dims=st.lists(st.integers(1, 90), min_size=3, max_size=3), channels=st.integers(1, 9),
+@given(dims=st.lists(st.integers(1, 90), min_size=len(models.GRIDS),
+                     max_size=len(models.GRIDS)),
        scale=st.sampled_from([1e-3, 1.0, 1e19]), dtype=st.sampled_from([np.float32, np.float64]),
        seed=st.integers(0, 2**32 - 1))
-def test_in_place_gradients_equal_allocating_formulas(grids, dims, channels, scale, dtype,
-                                                      seed):
-    # random head shapes, both dtypes, and residuals up to overflow: the
-    # in-place residual and the ``out`` products equal the formulas bit for
-    # bit, and every ``out`` array is written
+def test_in_place_gradients_equal_allocating_formulas(dims, scale, dtype, seed):
+    # the one geometry with random head input widths, both dtypes, and
+    # residuals up to overflow: the residual built in place in one table and
+    # the ``out`` products equal the per-scale formulas bit for bit, and
+    # every ``out`` array is written
     rng = np.random.Generator(np.random.PCG64(seed))
 
     def draw(*shape):
         return (scale * rng.normal(0.0, 1.0, shape)).astype(dtype)
 
-    xs = [draw(g * g, d) for g, d in zip(grids, dims)]
-    prepared = models.DistillInputs([draw(g * g, channels) for g in grids], xs,
-                                    [x.T for x in xs], [draw(g * g, channels) for g in grids])
+    xs = [draw(g * g, d) for g, d in zip(models.GRIDS, dims)]
+    prepared = models.DistillInputs([draw(g * g, CHANNELS) for g in models.GRIDS], xs,
+                                    [x.T for x in xs], draw(GRID_CELLS, CHANNELS),
+                                    np.full((GRID_CELLS, CHANNELS), np.nan, dtype))
     blocks = []
-    for d in dims[:len(grids)]:
-        blocks += [rng.normal(0.0, 0.3, (d, channels)).astype(np.float32),
-                   rng.normal(0.0, 0.3, channels).astype(np.float32)]
+    for d in dims:
+        blocks += [rng.normal(0.0, 0.3, (d, CHANNELS)).astype(np.float32),
+                   rng.normal(0.0, 0.3, CHANNELS).astype(np.float32)]
     with np.errstate(over="ignore", invalid="ignore"):
         expected = _reference_gradients(prepared, blocks)
         out = [np.full(b.shape, np.nan, dtype) for b in blocks]
@@ -382,6 +386,73 @@ def test_in_place_gradients_equal_allocating_formulas(grids, dims, channels, sca
     for want, w in zip(expected, written):
         assert w.dtype == want.dtype
         assert w.tobytes() == want.tobytes()
+
+
+def _reference_adapt(model, inputs, oracle_out):
+    """The allocating adaptation ``adapt_decoder`` replaced, kept as its
+    reference: per-scale outputs, loss and residuals, and Adam moments and
+    parameters allocated afresh by every step and checked finite on every
+    step. Returns the new blocks' bytes and the pre-update loss."""
+    blocks = [t.array.copy() for t in model.adaptive_blocks]
+    bases, xs = inputs
+    targets = [oracle_out.cells[rows] for rows in models.SCALE_ROWS]
+
+    def heads():
+        return [base + x @ w + b for base, x, w, b in zip(bases, xs, blocks[0::2], blocks[1::2])]
+
+    def l2(a, b):
+        d = a.reshape(-1).astype(np.float64) - b.reshape(-1).astype(np.float64)
+        return float(np.dot(d, d))
+
+    pre_loss = sum(l2(h, t) for h, t in zip(heads(), targets))
+    m = [np.zeros_like(b) for b in blocks]
+    v = [np.zeros_like(b) for b in blocks]
+    for t in range(1, models.ADAPT_STEPS + 1):
+        grads = []
+        for x, h, target in zip(xs, heads(), targets):
+            resid = 2.0 * (h - target)
+            grads += [x.T @ resid, resid.sum(axis=0)]
+        for k, g in enumerate(grads):
+            assert np.isfinite(g).all()
+            m[k] = 0.9 * m[k] + (1.0 - 0.9) * g
+            v[k] = 0.999 * v[k] + (1.0 - 0.999) * g * g
+            step = models.ADAPT_LR * (m[k] / (1.0 - 0.9 ** t))
+            blocks[k] = blocks[k] - step / (np.sqrt(v[k] / (1.0 - 0.999 ** t)) + 1e-8)
+            assert all(np.isfinite(a).all() for a in (m[k], v[k], blocks[k]))
+    return [b.tobytes() for b in blocks], pre_loss
+
+
+def _large_frames_script():
+    """Seed 0's script of the benchmark's 128 px ``large-frames`` workload."""
+    import importlib.util
+    from pathlib import Path
+    from edgekt.scenegen import SceneScript
+    path = Path(__file__).resolve().parents[1] / "bench" / "scenes.py"
+    spec = importlib.util.spec_from_file_location("_edgekt_bench_scenes", path)
+    scenes = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scenes)
+    return SceneScript.from_dict(scenes.large_frames_script(0))
+
+
+@pytest.mark.parametrize("script", ["fixed_cam_default", "moving_cam_default", "large_frames"])
+def test_chained_adaptations_equal_the_allocating_reference(script):
+    # 60 adaptations, each starting from the weights of the one before:
+    # the in-place adaptation gives the reference's weights and pre-update
+    # loss bit for bit on frames of both presets and of the 128 px script
+    from edgekt.scenegen import SceneStream, fixed_cam_default, moving_cam_default
+    make = {"fixed_cam_default": fixed_cam_default, "moving_cam_default": moving_cam_default,
+            "large_frames": _large_frames_script}[script]
+    stream = SceneStream(make())
+    cfg = ModelConfig(input_hw=stream.script.size)
+    model, oracle = StudentModel.pretrained(cfg), OracleModel(cfg)
+    for i in range(0, 600, 10):
+        frame = stream.frame_at(i)
+        inputs, target = model.head_inputs(frame), oracle.forward(frame, stream.truth_at(i))
+        want = _reference_adapt(model, inputs, target)
+        weights, loss = adapt_decoder(model, inputs, target)
+        assert ([t.tobytes() for t in weights.blocks], loss) == want
+        model = swap_decoder(model, weights)
+    assert model.version == 61
 
 
 def test_adapt_decoder_writes_nothing_it_reads(student, oracle):

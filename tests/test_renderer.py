@@ -132,6 +132,43 @@ def test_records_equal_under_every_split(monkeypatch, script):
     assert slack[:2] == never[:2]
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+def test_one_cpu_runs_every_stage_in_the_consumer(monkeypatch, count_calls):
+    # a renderer that shares the consumer's one CPU takes nothing off it by
+    # running a stage, so it leaves every stage to the consumer even when it
+    # is always ahead; the records are those of a 2-CPU run
+    cpus = os.sched_getaffinity(0)
+    if len(cpus) < 2:
+        pytest.skip("the 2-CPU reference run needs 2 CPUs")
+    monkeypatch.setattr(scenegen, "_AHEAD_FRAMES", SPLITS["always"])
+    script, parent = fixed_cam_default(duration=24), os.getpid()
+    record, head_inputs = harness.FrameRecord, StudentModel.head_inputs
+
+    def run():
+        """The run's record digests and report, the stage calls in this
+        process and in both processes."""
+        digests, ran_here = [], []
+        monkeypatch.setattr(harness, "FrameRecord", lambda **fields: (
+            digests.append(_record_digest(fields)) or record(**fields)))
+        # the stage is the one caller of head_inputs in a shallow run
+        monkeypatch.setattr(StudentModel, "head_inputs", lambda self, frame: (
+            os.getpid() == parent and ran_here.append(1) or head_inputs(self, frame)))
+        stages = count_calls(StudentModel, "head_inputs")
+        report = emit_report(run_named_scenario("shallow", script))
+        return digests, report, len(ran_here), len(stages)
+
+    n = script.duration_frames
+    two = run()
+    assert two[2:] == (0, n)  # with 2 CPUs the renderer ran every stage
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        one = run()
+    finally:
+        os.sched_setaffinity(0, cpus)
+    assert one[:2] == two[:2]
+    assert one[2:] == (n, n)
+
+
 def test_stage_error_surfaces_in_the_parent_at_its_frame(monkeypatch, renderer_pids):
     monkeypatch.setattr(scenegen, "_AHEAD_FRAMES", SPLITS["always"])
     script, parent = fixed_cam_default(duration=12), os.getpid()

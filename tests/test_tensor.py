@@ -55,21 +55,29 @@ def test_l2_shape_mismatch():
         l2_sq_distance(np.ones(1, np.float32), np.ones(2, np.float32))
 
 
+def test_tensor_bytes_are_little_endian_float32():
+    # a tensor built from big-endian floats holds native float32 values and
+    # still serializes them little-endian, in one copy
+    values = np.array([[1.5, -2.0], [0.25, 3e-8]], ">f4")
+    t = Tensor(values)
+    assert t.tobytes() == values.astype("<f4").tobytes()
+    assert t.tobytes() == np.array([[1.5, -2.0], [0.25, 3e-8]], "<f4").tobytes()
+
+
 def test_adam_zero_gradient_fixpoint():
     param = Tensor([1.5, -2.0, 0.25])
-    state = AdamState.for_param(param)
-    out = Tensor(adam_step(param.array, np.zeros(3, np.float32), state))
-    assert out == param
+    state = AdamState.for_param(param.array)
+    adam_step(np.zeros(3, np.float32), state)
+    assert Tensor(state.param) == param
     assert state.step == 1
 
 
 def test_adam_first_step_hand_calc():
     # scalar param 1.0, grad 1.0, lr 0.1: bias correction makes the first
     # update one full lr step (up to eps)
-    param = Tensor([1.0])
-    state = AdamState.for_param(param, lr=0.1)
-    out = Tensor(adam_step(param.array, np.array([1.0], np.float32), state))
-    assert out.data[0] == pytest.approx(0.9, abs=1e-6)
+    state = AdamState.for_param(np.array([1.0], np.float32), lr=0.1)
+    adam_step(np.array([1.0], np.float32), state)
+    assert state.param[0] == pytest.approx(0.9, abs=1e-6)
     assert state.step == 1
 
 
@@ -85,41 +93,41 @@ def test_adam_descends_quadratic():
             x -= lr * (m / (1 - 0.9 ** t)) / (math.sqrt(v / (1 - 0.999 ** t)) + 1e-8)
         return x
 
-    param = Tensor([1.0])
-    state = AdamState.for_param(param, lr=0.05)
+    state = AdamState.for_param(np.array([1.0], np.float32), lr=0.05)
     for _ in range(200):
-        param = Tensor(adam_step(param.array, np.array([2.0 * float(param.data[0])], np.float32),
-                                 state))
-    assert abs(param.data[0]) < 0.1
-    assert param.data[0] == pytest.approx(reference(1.0, 0.05, 200), abs=1e-3)
+        adam_step(np.array([2.0 * float(state.param[0])], np.float32), state)
+    assert abs(state.param[0]) < 0.1
+    assert state.param[0] == pytest.approx(reference(1.0, 0.05, 200), abs=1e-3)
 
 
 def test_adam_deterministic():
     def run():
-        p = Tensor([0.5, -0.5])
-        st = AdamState.for_param(p, lr=0.01)
+        st = AdamState.for_param(np.array([0.5, -0.5], np.float32), lr=0.01)
         for k in range(10):
-            p = Tensor(adam_step(p.array, np.array([0.1 * (k + 1), -0.2], np.float32), st))
-        return p.tobytes()
+            adam_step(np.array([0.1 * (k + 1), -0.2], np.float32), st)
+        return st.block.tobytes()
 
     assert run() == run()
 
 
 def test_adam_shape_mismatch():
-    p = Tensor([1.0, 2.0])
-    st = AdamState.for_param(p)
+    st = AdamState.for_param(np.array([1.0, 2.0], np.float32))
     with pytest.raises(ValueError):
-        adam_step(p.array, np.array([1.0], np.float32), st)
+        adam_step(np.array([1.0], np.float32), st)
 
 
 @pytest.mark.parametrize("g", [float("nan"), 1e21])
 def test_adam_non_finite_update_raises(g):
-    # 1e21 is a finite float32, but its square overflows the second moment
-    p = Tensor([1.0])
-    st = AdamState.for_param(p)
-    with np.errstate(over="ignore"), pytest.raises(ValueError):
-        adam_step(p.array, np.array([g], np.float32), st)
-    assert st.step == 0
+    # 1e21 is a finite float32, but its square overflows the second moment;
+    # the update leaves the non-finite value in the state, and the one check
+    # after the last step raises for it
+    st = AdamState.for_param(np.array([1.0], np.float32))
+    with np.errstate(over="ignore"):
+        adam_step(np.array([g], np.float32), st)
+        adam_step(np.array([0.5], np.float32), st)
+    with pytest.raises(ValueError, match="non-finite gradient"):
+        st.check_finite()
+    AdamState.for_param(np.array([1.0], np.float32)).check_finite()
 
 
 _block_shapes = st.lists(st.lists(st.integers(1, 6), min_size=1, max_size=3).map(tuple),
@@ -133,88 +141,135 @@ def test_adam_on_concatenation_equals_per_block(shapes, steps, seed):
     # must give the per-block updates bit for bit, moments included
     rng = np.random.Generator(np.random.PCG64(seed))
     params = [rng.normal(0.0, 1.0, s).astype(np.float32) for s in shapes]
-    flat = np.concatenate([p.reshape(-1) for p in params])
     per_block = [AdamState.for_param(p, lr=0.05) for p in params]
-    fused = AdamState.for_param(flat, lr=0.05)
+    fused = AdamState.for_param(np.concatenate([p.reshape(-1) for p in params]), lr=0.05)
     for _ in range(steps):
-        grads = [rng.normal(0.0, 3.0, s).astype(np.float32) for s in shapes]
-        params = [adam_step(p, g, st_) for p, g, st_ in zip(params, grads, per_block)]
-        flat = adam_step(flat, np.concatenate([g.reshape(-1) for g in grads]), fused)
+        grads = [rng.normal(0.0, 3.0, s).astype(np.float32).reshape(-1) for s in shapes]
+        for g, st_ in zip(grads, per_block):
+            adam_step(g, st_)
+        adam_step(np.concatenate(grads), fused)
 
-    def joined(arrays):
-        return np.concatenate([a.reshape(-1) for a in arrays]).tobytes()
+    def joined(rows):
+        return np.concatenate(list(rows)).tobytes()
 
-    assert flat.tobytes() == joined(params)
-    assert fused.m.tobytes() == joined(st_.m for st_ in per_block)
-    assert fused.v.tobytes() == joined(st_.v for st_ in per_block)
+    for row in range(3):  # m, v, param
+        assert fused.block[row].tobytes() == joined(st_.block[row] for st_ in per_block)
     assert fused.step == steps and all(st_.step == steps for st_ in per_block)
 
 
+class _FreshBlockState:
+    """The state of the fresh-block update ``adam_step`` replaced."""
+
+    def __init__(self, param, lr):
+        self.m = np.zeros(param.shape, np.float32)
+        self.v = np.zeros(param.shape, np.float32)
+        self.step = 0
+        self.lr = lr
+
+
 def _reference_adam_step(param, grad, state):
-    """The allocating update rule ``adam_step`` replaced, kept as its reference."""
-    if not np.all(np.isfinite(grad)):
+    """The fresh-block update ``adam_step`` replaced, kept as its reference:
+    a new (3, n) block per step and a finiteness check on every step."""
+    if param.shape != grad.shape or param.shape != state.m.shape:
+        raise ValueError("param, grad and state moments must share one shape")
+    if not np.isfinite(grad).all():
         raise ValueError("non-finite gradient")
     t = state.step + 1
-    m = 0.9 * state.m + (1.0 - 0.9) * grad
-    v = 0.999 * state.v + (1.0 - 0.999) * grad * grad
-    m_hat = m / (1.0 - 0.9 ** t)
-    v_hat = v / (1.0 - 0.999 ** t)
-    new = param - state.lr * m_hat / (np.sqrt(v_hat) + 1e-8)
-    if not (np.all(np.isfinite(m)) and np.all(np.isfinite(v)) and np.all(np.isfinite(new))):
+    block = np.empty((3,) + param.shape, np.float32)
+    m, v, new = block[0, ...], block[1, ...], block[2, ...]
+    np.multiply(state.m, 0.9, out=m)
+    np.multiply(grad, 1.0 - 0.9, out=new)
+    m += new
+    np.multiply(state.v, 0.999, out=v)
+    np.multiply(grad, 1.0 - 0.999, out=new)
+    new *= grad
+    v += new
+    denom = np.divide(v, 1.0 - 0.999 ** t, out=np.empty_like(v))
+    np.sqrt(denom, out=denom)
+    denom += 1e-8
+    np.divide(m, 1.0 - 0.9 ** t, out=new)
+    new *= state.lr
+    new /= denom
+    np.subtract(param, new, out=new)
+    if not np.isfinite(block).all():
         raise ValueError("Adam update overflowed to a non-finite value")
     state.m, state.v, state.step = m, v, t
     return new
 
 
-def _adam_outcome(step, param, grad, state):
-    """(returned bytes or error message, state bytes) of one update."""
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            result = step(param, grad, state).tobytes()
-    except ValueError as exc:
-        result = str(exc)
-    return result, (state.m.tobytes(), state.v.tobytes(), state.step)
-
-
-_shapes = st.lists(st.integers(1, 7), max_size=3).map(tuple)
 _specials = st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e21, -1e21])
 
 
 @settings(max_examples=80, derandomize=True, database=None, deadline=None)
-@given(shape=_shapes, steps=st.integers(1, 5), lr=st.floats(1e-4, 1.0),
+@given(size=st.integers(1, 300), steps=st.integers(1, 5), lr=st.floats(1e-4, 1.0),
        scale=st.sampled_from([1e-3, 1.0, 1e3]), seed=st.integers(0, 2**32 - 1),
        special=st.none() | st.tuples(st.integers(0, 4), st.integers(0, 10**6), _specials))
-def test_adam_step_equals_allocating_reference(shape, steps, lr, scale, seed, special):
-    # bit for bit: new params, moments and step; a gradient with NaN, inf or
-    # an overflowing 1e21 gives the same message and leaves the state as it was
+def test_adam_step_equals_allocating_reference(size, steps, lr, scale, seed, special):
+    # bit for bit: params, moments and step after every update. Where the
+    # reference refuses a gradient with NaN, inf or an overflowing 1e21,
+    # the in-place state holds a non-finite value from that step to the
+    # last, so the one check after the last step refuses it too
     rng = np.random.Generator(np.random.PCG64(seed))
-    param = rng.normal(0.0, 1.0, shape).astype(np.float32)
-    ours, ref = AdamState.for_param(param, lr=lr), AdamState.for_param(param, lr=lr)
-    p_ours = p_ref = param
-    for k in range(steps):
-        grad = (scale * rng.normal(0.0, 1.0, shape)).astype(np.float32)
-        if special is not None and special[0] == k:
-            grad.reshape(-1)[special[1] % grad.size] = special[2]
-        before = (ours.m.tobytes(), ours.v.tobytes(), ours.step)
-        got = _adam_outcome(adam_step, p_ours, grad, ours)
-        assert got == _adam_outcome(_reference_adam_step, p_ref, grad, ref)
-        if isinstance(got[0], str):
-            assert got[1] == before
-            return
-        p_ours = np.frombuffer(got[0], np.float32).reshape(shape)
-        p_ref = p_ours.copy()
+    param = rng.normal(0.0, 1.0, size).astype(np.float32)
+    ours, ref = AdamState.for_param(param, lr=lr), _FreshBlockState(param, lr)
+    p_ref, refused = param, False
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            grad = (scale * rng.normal(0.0, 1.0, size)).astype(np.float32)
+            if special is not None and special[0] == k:
+                grad[special[1] % size] = special[2]
+            adam_step(grad, ours)
+            if not refused:
+                try:
+                    p_ref = _reference_adam_step(p_ref, grad, ref)
+                except ValueError:
+                    refused = True
+            if refused:
+                assert not np.isfinite(ours.block).all()
+            else:
+                assert ours.block.tobytes() == np.stack([ref.m, ref.v, p_ref]).tobytes()
+                assert ours.step == ref.step
+    if refused:
+        with pytest.raises(ValueError, match="non-finite gradient"):
+            ours.check_finite()
+    else:
+        ours.check_finite()
+
+
+_slot_values = st.sampled_from([float("nan"), float("inf"), -float("inf")])
+_grad_values = st.floats(width=32, allow_nan=True, allow_infinity=True)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(size=st.integers(1, 8), row=st.integers(0, 2), index=st.integers(0, 7),
+       value=_slot_values, grads=st.lists(st.lists(_grad_values, min_size=8, max_size=8),
+                                          min_size=1, max_size=6),
+       lr=st.floats(1e-4, 1.0))
+def test_a_non_finite_state_slot_stays_non_finite(size, row, index, value, grads, lr):
+    # the basis of the one check after the last step: once m, v or a
+    # parameter holds an inf or NaN, no update by any gradient, finite or
+    # not, makes that slot finite again
+    state = AdamState.for_param(np.ones(size, np.float32), lr=lr)
+    slot = (row, index % size)
+    state.block[slot] = value
+    with np.errstate(over="ignore", invalid="ignore"):
+        for g in grads:
+            adam_step(np.array(g[:size], np.float32), state)
+            assert not np.isfinite(state.block[slot])
 
 
 def test_adam_step_reads_its_inputs_only():
-    param = np.array([1.0, -2.0, 0.5], np.float32)
+    # the gradient is only read; the update writes only the state's own
+    # block and scratch, allocated once, so views of its rows follow it
     grad = np.array([0.3, 0.0, -4.0], np.float32)
-    state = AdamState.for_param(param, lr=0.1)
-    m, v = state.m, state.v
-    for a in (param, grad, m, v):
-        a.flags.writeable = False
-    new = adam_step(param, grad, state)
-    assert new.dtype == np.float32 and state.m is not m and state.v is not v
-    assert not any(np.shares_memory(new, a) for a in (param, grad, m, v))
+    grad.flags.writeable = False
+    state = AdamState.for_param(np.array([1.0, -2.0, 0.5], np.float32), lr=0.1)
+    block, scratch, param = state.block, state.scratch, state.param
+    adam_step(grad, state)
+    assert state.block is block and state.scratch is scratch
+    assert param.base is block and block.dtype == np.float32
+    assert param[0] < 1.0 and param[1] == -2.0 and param[2] > 0.5
+    assert not any(np.shares_memory(grad, a) for a in (block, scratch))
 
 
 def test_f16_exact_values_round_trip():
