@@ -18,6 +18,6 @@ from .netproto import (Ack, ChannelConfig, FrameUpload, ProtocolError, Simulated
 from .runtime import EdgeNode, Mode, ScenarioConfig
 from .scenegen import SceneScript, SceneStream, fixed_cam_default, moving_cam_default
 from .selector import KalmanState, KeyFrameSelector, kalman_update, scene_change_statistic
-from .tensor import AdamState, Tensor, adam_step, f16_decode, f16_encode, l2_sq_distance
+from .tensor import AdamState, Tensor, adam_step, f16_decode, f16_encode
 
 __version__ = "0.1.0"

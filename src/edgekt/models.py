@@ -124,22 +124,22 @@ def _avg_pool(a: np.ndarray, k: int) -> np.ndarray:
 class StudentModel:
     """Shallow detector, an immutable value that ``pretrained`` builds.
 
-    ``extractor`` holds the frozen extractor's weights and the adaptive head
-    inputs' whitening, ``general`` the frozen general decoder's ``(W, b)``
+    ``extractor`` holds the frozen extractor's weights, ``whitening`` the
+    adaptive head inputs' ZCA whitening frozen at pretraining, ``(mu,
+    white)`` per scale, ``general`` the frozen general decoder's ``(W, b)``
     per scale and ``adaptive_blocks`` the adaptive decoder's, ``(W, b)`` per
     scale. The adaptive decoder mirrors the general decoder's per-scale
     linear heads, but at the finest scale it carries one extra layer for
     small objects: a fine feature view (the cell's four quadrant feature
     vectors, not just their average) feeding a wider head. Each scale's
     adaptive W is as wide as that scale's pooled input, four times
-    ``FEAT2`` at the finest scale. Adaptive head inputs are whitened with
-    statistics frozen at pretraining time. No code writes to what a student
-    holds; ``swap_decoder`` returns a new student that shares the frozen
-    parts.
+    ``FEAT2`` at the finest scale. No code writes to what a student holds;
+    ``swap_decoder`` returns a new student that shares the frozen parts.
     """
 
     config: ModelConfig
     extractor: dict[str, Tensor]
+    whitening: tuple[tuple[Tensor, Tensor], ...]
     general: tuple[tuple[Tensor, Tensor], ...]
     adaptive_blocks: tuple[Tensor, ...]
     version: int = 1
@@ -167,7 +167,7 @@ class StudentModel:
             "b2": Tensor(rng.normal(0.0, 0.05, (FEAT2,)).astype(np.float32)),
         }
         # pooling reads the extractor alone
-        pooler = cls(config, extractor, (), ())
+        pooler = cls(config, extractor, (), (), ())
         teacher = OracleModel(config, noise_amp=0.0)
 
         stream = SceneStream(pretrain_script(size=config.input_hw))
@@ -177,7 +177,7 @@ class StudentModel:
                 pooler._pooled(frame), teacher.forward(frame, truth).cells))) as events:
             stages = [result for _, _, result in events]
 
-        whitening, general, adaptive = {}, [], []
+        whitening, general, adaptive = [], [], []
         for i, rows in enumerate(SCALE_ROWS):
             # freeze ZCA whitening of the adaptive head inputs; without it the
             # head features are correlated enough that Adam crawls
@@ -188,8 +188,7 @@ class StudentModel:
             evals, evecs = np.linalg.eigh(cov)
             floor = 1e-4 * max(float(evals.max()), 1e-12)
             inv_sqrt = evecs @ np.diag(1.0 / np.sqrt(np.maximum(evals, floor))) @ evecs.T
-            whitening[f"mu{i}"] = Tensor(mu.astype(np.float32))
-            whitening[f"white{i}"] = Tensor(inv_sqrt.astype(np.float32))
+            whitening.append((Tensor(mu.astype(np.float32)), Tensor(inv_sqrt.astype(np.float32))))
 
             # ridge fit of the general head
             x = np.concatenate([phis[i] for (phis, _), _ in stages]).astype(np.float64)
@@ -205,7 +204,7 @@ class StudentModel:
 
             # the zero adaptive head, as wide as the scale's pooled input
             adaptive += [Tensor.zeros((a.shape[1], CHANNELS)), Tensor.zeros((CHANNELS,))]
-        return cls(config, {**extractor, **whitening}, tuple(general), tuple(adaptive))
+        return cls(config, extractor, tuple(whitening), tuple(general), tuple(adaptive))
 
     # -- forward ------------------------------------------------------------
 
@@ -240,10 +239,10 @@ class StudentModel:
         head inputs whitened with statistics frozen at pretraining. Serving
         and training share them, so the arrays are read-only."""
         phis, raw = self._pooled(frame)
-        ex = self.extractor
         bases = [phi @ wg.array + bg.array
                  for phi, (wg, bg) in zip(phis, self.general, strict=True)]
-        ada_x = [(x - ex[f"mu{i}"].array) @ ex[f"white{i}"].array for i, x in enumerate(raw)]
+        ada_x = [(x - mu.array) @ white.array
+                 for x, (mu, white) in zip(raw, self.whitening, strict=True)]
         for a in (*bases, *ada_x):
             a.flags.writeable = False
         return bases, ada_x
@@ -268,13 +267,13 @@ class StudentModel:
         return 5
 
     def frozen_checksum(self) -> str:
-        """Digest over extractor and general decoder bytes (must never move)."""
+        """Digest over the extractor, whitening and general decoder (must never move)."""
         h = hashlib.sha256()
         for key in sorted(self.extractor):
             h.update(self.extractor[key].tobytes())
-        for w, b in self.general:
-            h.update(w.tobytes())
-            h.update(b.tobytes())
+        for pair in (*self.whitening, *self.general):
+            for t in pair:
+                h.update(t.tobytes())
         return h.hexdigest()
 
     def adaptive_checksum(self) -> str:
@@ -290,9 +289,9 @@ class StudentModel:
         fg2 = cfg.feature_grid ** 2
         macs = hw2 * 3 * FEAT1 + fg2 * FEAT1 * FEAT2
         macs += sum(g * g * FEAT2 * CHANNELS for g in GRIDS)
-        # whitening: a square matrix as wide as each scale's adaptive W
-        macs += sum(g * g * w.shape[0] ** 2
-                    for g, w in zip(GRIDS, self.adaptive_blocks[0::2], strict=True))
+        # whitening: each scale's square matrix
+        macs += sum(g * g * white.size
+                    for g, (_, white) in zip(GRIDS, self.whitening, strict=True))
         macs += self.adaptive_mac_count()
         return macs
 

@@ -12,9 +12,11 @@ from __future__ import annotations
 import gc
 import io
 import json
+import logging
 import math
 import os
 import pickle
+import select
 import signal
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
@@ -25,6 +27,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .detection import Box
 from .tensor import Tensor
+
+logger = logging.getLogger("edgekt.scenegen")
 
 REGIMES = ("fixed_camera", "moving_camera")
 # trajectory kind -> {key: its default, or None if the key is required};
@@ -459,6 +463,7 @@ _PIPE_BYTES = 1 << 20
 # pipe holds at least this many frames' bytes unread: the consumer has that
 # much work queued, so the stage's time comes off the consumer's
 _AHEAD_FRAMES = 2
+_STALL_S = 30.0  # seconds without a byte that drop the renderer as stalled
 
 _R = TypeVar("_R")
 
@@ -482,40 +487,36 @@ class SceneStream:
         exists, so rendering runs on another core while the consumer works
         on the frame before.
 
-        The renderer writes each ``frame_at(i)``'s float32 bytes to a pipe,
-        and the truth is computed here. ``stage`` must be pure in the frame
-        and its truth: the renderer runs it too, when it is ahead (the pipe
-        holds ``_AHEAD_FRAMES`` frames' bytes unread), and sends its pickled
-        result after the frame; otherwise it runs here. Either way it is the
-        same value, except that every array sent through the pipe arrives
-        read-only. If the pipe ends early (the renderer failed), the
-        remaining frames and stages are computed here, so a render or stage
-        error is raised here at its frame. Close the generator when done
-        with it (``contextlib.closing``): that kills and reaps the renderer.
+        Per frame the renderer writes one message to a pipe: the frame's
+        float32 bytes, an 8-byte little-endian length and that many bytes of
+        pickled stage result. ``stage`` must be pure in the frame and its
+        truth: the renderer runs it when the pipe holds ``_AHEAD_FRAMES``
+        frames' bytes unread, else it sends length 0 and the stage runs
+        here; every array sent arrives read-only. The first read that comes
+        up short, at the pipe's end or after ``_STALL_S`` s without a byte
+        (logged), drops the renderer: it is killed and reaped, and this and
+        every later frame and stage are computed here, as without a fork, so
+        a render or stage error is raised here at its frame. Closing the
+        generator (``contextlib.closing``) drops the renderer too.
         """
         shape = (self.script.size, self.script.size, 3)
-        pid = pipe = None
+        renderer = self._fork_renderer(stage) if hasattr(os, "fork") else None
         try:
-            if hasattr(os, "fork"):
-                pid, pipe = self._fork_renderer(stage)
             for i in range(self.script.duration_frames):
-                # once the pipe has ended early, every later read ends at once
-                frame = None if pipe is None else _read_frame(pipe, shape)
-                if frame is None:
-                    frame = self.frame_at(i)
+                event = None if renderer is None else _read_event(renderer[1], shape, i)
+                if event is None and renderer is not None:
+                    _drop(*renderer)
+                    renderer = None
+                frame, sent = event or (self.frame_at(i), ())
                 truth = self.truth_at(i)
-                sent = None if pipe is None else _read_result(pipe)
-                yield frame, truth, stage(frame, truth) if sent is None else sent[0]
+                yield frame, truth, sent[0] if sent else stage(frame, truth)
         finally:
-            if pipe is not None:
-                pipe.close()
-            if pid is not None:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+            if renderer is not None:
+                _drop(*renderer)
 
-    def _fork_renderer(self, stage: Callable) -> tuple[int, io.FileIO] | tuple[None, None]:
+    def _fork_renderer(self, stage: Callable) -> tuple[int, io.FileIO] | None:
         """Fork the renderer, which runs ``_render``; returns its pid and the
-        pipe's read end, or ``None, None`` if the fork failed."""
+        pipe's read end, or ``None`` if the fork failed."""
         r, w = os.pipe()
         try:  # room for several frames ahead (F_SETPIPE_SZ is Linux only)
             import fcntl
@@ -527,7 +528,7 @@ class SceneStream:
         except OSError:  # no process to spare: render here
             os.close(r)
             os.close(w)
-            return None, None
+            return None
         if pid == 0:  # the renderer: leaves only through os._exit
             code = 1
             try:
@@ -543,24 +544,22 @@ class SceneStream:
         return pid, io.FileIO(r, "r")
 
     def _render(self, stage: Callable, w: int) -> None:
-        """Write every frame to the pipe ``w`` in order: its bytes, then flag
-        byte 0, or, when the pipe holds ``_AHEAD_FRAMES`` frames' bytes
-        unread, flag byte 1, the length of the stage's pickled result as 8
-        little-endian bytes and the pickle. On fewer than 2 usable CPUs the
-        flag is always 0: the renderer and the consumer share the one CPU,
-        so a stage run here takes its time off the consumer all the same."""
+        """Write every frame's message (see ``events``) to the pipe ``w`` in
+        order; the stage runs only when the pipe holds ``_AHEAD_FRAMES``
+        frames' bytes unread, and never on fewer than 2 usable CPUs: the
+        renderer would share the consumer's one CPU, so a stage run here
+        would take its time off the consumer all the same."""
         second_cpu = _usable_cpus() >= 2
         for i in range(self.script.duration_frames):
             frame = self.frame_at(i)
             view = memoryview(frame.array).cast("B")
             _write_all(w, view)
-            if not second_cpu or _unread(w) < _AHEAD_FRAMES * len(view):
-                _write_all(w, b"\0")
-                continue
-            pickled = io.BytesIO()
-            _ReadOnlyPickler(pickled, protocol=5).dump(stage(frame, self.truth_at(i)))
-            payload = pickled.getvalue()
-            _write_all(w, b"\1" + len(payload).to_bytes(8, "little") + payload)
+            payload = b""
+            if second_cpu and _unread(w) >= _AHEAD_FRAMES * len(view):
+                pickled = io.BytesIO()
+                _ReadOnlyPickler(pickled, protocol=5).dump(stage(frame, self.truth_at(i)))
+                payload = pickled.getvalue()
+            _write_all(w, len(payload).to_bytes(8, "little") + payload)
 
 
 class _ReadOnlyPickler(pickle.Pickler):
@@ -602,10 +601,17 @@ def _unread(fd: int) -> int:
         return 0
 
 
-def _read_into(pipe: io.FileIO, view: memoryview) -> bool:
-    """Fill ``view`` from the pipe; False if the pipe ends first."""
+def _read_into(pipe: io.FileIO, view: memoryview, frame_id: int) -> bool:
+    """Fill ``view`` from the pipe; False if the pipe ends first or stays
+    empty for ``_STALL_S`` seconds, a stall logged at frame ``frame_id``."""
+    poller = select.poll()
+    poller.register(pipe, select.POLLIN)
     got = 0
     while got < len(view):
+        if not poller.poll(_STALL_S * 1000):
+            logger.warning("renderer stalled %s s at frame %d: rendering here from it on",
+                           _STALL_S, frame_id)
+            return False
         n = pipe.readinto(view[got:])
         if not n:
             return False
@@ -613,21 +619,25 @@ def _read_into(pipe: io.FileIO, view: memoryview) -> bool:
     return True
 
 
-def _read_frame(pipe: io.FileIO, shape: tuple[int, ...]) -> Tensor | None:
-    """The next frame of ``shape`` from the renderer's pipe, or ``None`` if
-    the pipe ends first."""
-    out = np.empty(shape, dtype=np.float32)
-    return Tensor(out) if _read_into(pipe, memoryview(out).cast("B")) else None
-
-
-def _read_result(pipe: io.FileIO) -> tuple | None:
-    """The renderer's stage result for the frame just read, as a 1-tuple,
-    or ``None`` if it left the stage to the consumer or the pipe ends first."""
-    head = memoryview(bytearray(9))
-    if not (_read_into(pipe, head[:1]) and head[0] == 1 and _read_into(pipe, head[1:])):
+def _read_event(pipe: io.FileIO, shape: tuple, frame_id: int) -> tuple[Tensor, tuple] | None:
+    """Frame ``frame_id``'s message from the renderer's pipe: the frame of
+    ``shape`` and the renderer's stage result as a 1-tuple, or ``()`` if it
+    left the stage to the consumer; ``None`` if the read comes up short."""
+    frame, length = np.empty(shape, dtype=np.float32), bytearray(8)
+    if not (_read_into(pipe, memoryview(frame).cast("B"), frame_id)
+            and _read_into(pipe, memoryview(length), frame_id)):
         return None
-    payload = bytearray(int.from_bytes(head[1:], "little"))
-    return (pickle.loads(payload),) if _read_into(pipe, memoryview(payload)) else None
+    payload = bytearray(int.from_bytes(length, "little"))
+    if not _read_into(pipe, memoryview(payload), frame_id):  # length 0 reads nothing
+        return None
+    return Tensor(frame), (pickle.loads(payload),) if payload else ()
+
+
+def _drop(pid: int, pipe: io.FileIO) -> None:
+    """Close the renderer's pipe, then kill and reap the renderer."""
+    pipe.close()
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -72,15 +72,6 @@ class Tensor:
         return f"Tensor(shape={self.shape})"
 
 
-def l2_sq_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Sum of squared elementwise differences between two equal-shape
-    arrays, in float64."""
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    d = a.reshape(-1).astype(np.float64) - b.reshape(-1).astype(np.float64)
-    return float(np.dot(d, d))
-
-
 @dataclass(eq=False)
 class AdamState:
     """Adam's state over one flat float32 parameter vector, updated in place.

@@ -15,7 +15,7 @@ from edgekt.models import (DecoderWeights, ModelConfig, OracleModel, Precision, 
                            adapt_decoder, distill_gradients, distill_loss, prepare_distill,
                            swap_decoder)
 from edgekt.netproto import decode_weights, encode_weights
-from edgekt.tensor import Tensor, f16_decode, f16_encode, l2_sq_distance
+from edgekt.tensor import Tensor, f16_decode, f16_encode
 
 # the smallest frame the one geometry pools onto its grids, for the
 # float64 finite-difference checks
@@ -99,7 +99,8 @@ def test_distill_loss_compositional(student, oracle):
     f = _frame(seed=5)
     s_out = student.forward(f)
     o_out = oracle.forward(f, _truth())
-    expected = sum(l2_sq_distance(a, b) for a, b in zip(s_out.scales, o_out.scales))
+    expected = sum(float(np.sum((a.astype(np.float64) - b.astype(np.float64)) ** 2))
+                   for a, b in zip(s_out.scales, o_out.scales))
     assert distill_loss(s_out, o_out) == pytest.approx(expected)
 
 
@@ -158,6 +159,12 @@ def test_outputs_refuse_head_inputs_without_the_coarsest_scale(student):
     bases, ada_x = student.head_inputs(_frame(seed=6))
     with pytest.raises(ValueError, match="zip"):
         student.outputs((bases[:-1], ada_x[:-1]))
+
+
+def test_head_inputs_refuse_a_whitening_without_the_coarsest_scale(student):
+    two_scales = dataclasses.replace(student, whitening=student.whitening[:-1])
+    with pytest.raises(ValueError, match="zip"):
+        two_scales.head_inputs(_frame(seed=6))
 
 
 def test_distill_gradients_refuse_a_two_scale_set(student, oracle):
@@ -510,7 +517,7 @@ def test_swap_equals_fresh_model(student, oracle, monkeypatch):
     f = _frame(seed=14)
     weights, _ = adapt_decoder(student, student.head_inputs(f), oracle.forward(f, _truth()))
     swapped = swap_decoder(student, weights)
-    fresh = StudentModel(student.config, student.extractor, student.general,
+    fresh = StudentModel(student.config, student.extractor, student.whitening, student.general,
                          weights.blocks, version=weights.version)
     a, b = swapped.forward(f), fresh.forward(f)
     assert all(np.array_equal(x, y) for x, y in zip(a.scales, b.scales))
@@ -521,7 +528,7 @@ def test_student_is_a_frozen_value(student, oracle, monkeypatch):
     # no field of a constructed student can be assigned, and a swap shares
     # the frozen parts with its base
     names = [f.name for f in dataclasses.fields(student)]
-    assert names == ["config", "extractor", "general", "adaptive_blocks", "version"]
+    assert names == ["config", "extractor", "whitening", "general", "adaptive_blocks", "version"]
     for name in names:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(student, name, getattr(student, name))
@@ -530,6 +537,7 @@ def test_student_is_a_frozen_value(student, oracle, monkeypatch):
     weights, _ = adapt_decoder(student, student.head_inputs(f), oracle.forward(f, _truth()))
     swapped = swap_decoder(student, weights)
     assert swapped.extractor is student.extractor
+    assert swapped.whitening is student.whitening
     assert swapped.general is student.general
     assert swapped.adaptive_blocks is weights.blocks
     assert swapped.version == weights.version

@@ -1,10 +1,13 @@
 """The forked renderer behind ``SceneStream.events()``: its frames and
 stage results equal in-process work under every split of the stages, its
-process is always reaped, and a render or stage error surfaces in the
-consuming process at its frame."""
+process is always reaped, the first short read of its pipe (an ended or a
+stalled renderer) drops it at that frame, and a render or stage error
+surfaces in the consuming process at its frame."""
 
 import hashlib
+import logging
 import os
+import re
 import signal
 import sys
 from contextlib import closing
@@ -197,7 +200,7 @@ def test_a_result_cut_short_falls_back_to_the_consumer(monkeypatch, renderer_pid
     write_all, sent = scenegen._write_all, []
 
     def cutting(fd, data):  # the renderer inherits this patch
-        if os.getpid() != parent and isinstance(data, bytes) and data[0] == 1:
+        if os.getpid() != parent and isinstance(data, bytes) and any(data[:8]):
             sent.append(fd)
             if len(sent) == 4:  # frame 3's result: half of it, then the renderer dies
                 write_all(fd, data[:len(data) // 2])
@@ -219,6 +222,70 @@ def test_a_result_cut_short_falls_back_to_the_consumer(monkeypatch, renderer_pid
     assert ran_here == list(range(3, 12))
     assert len(renderer_pids) == 1
     _assert_reaped(renderer_pids[0])
+
+
+@pytest.mark.parametrize("failure", ["render_error", "result_cut_short"])
+def test_the_first_short_read_drops_the_renderer_at_its_frame(monkeypatch, renderer_pids,
+                                                               failure):
+    # frame 3's message comes up short: the renderer fails to render it, or
+    # dies halfway through its stage result. It is reaped before frame 3 is
+    # yielded, and no later frame reads the pipe.
+    monkeypatch.setattr(scenegen, "_AHEAD_FRAMES", SPLITS["always"])
+    script, parent = fixed_cam_default(duration=12), os.getpid()
+    render, write_all = scenegen.render_frame, scenegen._write_all
+    read_event = scenegen._read_event
+    results, reads = [], []
+
+    def failing(s, t):  # the renderer inherits these patches
+        if failure == "render_error" and os.getpid() != parent and t == 3:
+            raise ArithmeticError("no frame 3")
+        return render(s, t)
+
+    def cutting(fd, data):
+        if failure == "result_cut_short" and os.getpid() != parent \
+                and isinstance(data, bytes) and any(data[:8]):
+            results.append(fd)
+            if len(results) == 4:  # frame 3's result: half of it, then the renderer dies
+                write_all(fd, data[:len(data) // 2])
+                os.kill(os.getpid(), signal.SIGKILL)
+        write_all(fd, data)
+    monkeypatch.setattr(scenegen, "render_frame", failing)
+    monkeypatch.setattr(scenegen, "_write_all", cutting)
+    monkeypatch.setattr(scenegen, "_read_event", lambda *args: (
+        reads.append(args[2]) or read_event(*args)))
+    stream = SceneStream(script)
+    with closing(stream.events(_digest_stage)) as events:
+        for i, (frame, truth, result) in enumerate(events):
+            if i == 3:
+                _assert_reaped(renderer_pids[0])
+            assert frame.tobytes() == render(script, i).tobytes()
+            assert result == _digest_stage(frame, stream.truth_at(i))
+    assert i == 11
+    assert reads == [0, 1, 2, 3]
+    assert len(renderer_pids) == 1
+
+
+def test_a_stalled_renderer_is_dropped(monkeypatch, renderer_pids, caplog):
+    # a renderer stopped mid-run keeps its pipe open but sends nothing; after
+    # _STALL_S the run drops it and finishes in this process, as it began
+    script = fixed_cam_default(duration=60)  # more frames than the pipe holds
+    undisturbed = emit_report(run_named_scenario("shallow", script))
+    monkeypatch.setattr(scenegen, "_STALL_S", 0.2)
+    record = harness.FrameRecord
+
+    def stopping(**fields):
+        if fields["index"] == 1:
+            os.kill(renderer_pids[-1], signal.SIGSTOP)  # the stream's renderer
+        return record(**fields)
+    monkeypatch.setattr(harness, "FrameRecord", stopping)
+    with caplog.at_level(logging.WARNING, logger="edgekt.scenegen"):
+        stalled = emit_report(run_named_scenario("shallow", script))
+    assert stalled == undisturbed
+    warnings = [r.getMessage() for r in caplog.records if r.name == "edgekt.scenegen"]
+    assert len(warnings) == 1 and re.search(r"stalled 0\.2 s at frame [1-9]\d*:", warnings[0])
+    assert len(renderer_pids) == 4  # each run's pretraining and stream renderers
+    for pid in renderer_pids:
+        _assert_reaped(pid)
 
 
 def test_arrays_through_the_pipe_arrive_read_only(monkeypatch):

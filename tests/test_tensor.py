@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgekt.tensor import AdamState, Tensor, adam_step, f16_decode, f16_encode, l2_sq_distance
+from edgekt.tensor import AdamState, Tensor, adam_step, f16_decode, f16_encode
 
 
 def test_tensor_rejects_non_finite():
@@ -19,40 +19,6 @@ def test_tensor_immutable():
     t = Tensor([[1.0, 2.0], [3.0, 4.0]])
     with pytest.raises(ValueError):
         t.array[0, 0] = 9.0
-
-
-def test_l2_identity_is_zero():
-    t = np.arange(12, dtype=np.float32).reshape(3, 4)
-    assert l2_sq_distance(t, t) == 0.0
-
-
-def test_l2_unit_shift():
-    a = np.array([1.0, 2.0], np.float32)
-    b = np.array([2.0, 3.0], np.float32)
-    assert l2_sq_distance(a, b) == pytest.approx(2.0)
-
-
-def test_l2_matches_scalar_loop():
-    rng = np.random.Generator(np.random.PCG64(3))
-    a = rng.uniform(-5, 5, (3, 3)).astype(np.float32)
-    b = rng.uniform(-5, 5, (3, 3)).astype(np.float32)
-    expected = 0.0
-    for x, y in zip(a.reshape(-1).tolist(), b.reshape(-1).tolist()):
-        expected += (x - y) ** 2
-    assert l2_sq_distance(a, b) == pytest.approx(expected, rel=1e-10)
-
-
-def test_l2_symmetry():
-    rng = np.random.Generator(np.random.PCG64(4))
-    for _ in range(20):
-        a = rng.uniform(-3, 3, (2, 5)).astype(np.float32)
-        b = rng.uniform(-3, 3, (2, 5)).astype(np.float32)
-        assert l2_sq_distance(a, b) == l2_sq_distance(b, a)
-
-
-def test_l2_shape_mismatch():
-    with pytest.raises(ValueError):
-        l2_sq_distance(np.ones(1, np.float32), np.ones(2, np.float32))
 
 
 def test_tensor_bytes_are_little_endian_float32():
